@@ -34,10 +34,6 @@ class OpStats:
     def mults(self) -> int:
         return self.ct_mults + self.plain_mults
 
-    def reset(self):
-        self.ct_mults = self.plain_mults = self.adds = 0
-        self.rotations = self.rotate_batches = self.conjugations = 0
-
 
 @dataclass(frozen=True)
 class SimParams:

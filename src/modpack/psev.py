@@ -176,17 +176,6 @@ def eval_ps(series: ChebSeries, u, sched: PsSchedule):
     return main - corr
 
 
-def mul_by_pow2_additively(e, l: int):
-    """e * 2^l through l self-additions; costs no multiplicative level."""
-    if l < 0:
-        raise ValueError("exponent must be non-negative")
-    if l > POW2_ADD_LIMIT:
-        raise ValueError(f"exponent {l} exceeds the repeated-addition guard {POW2_ADD_LIMIT}")
-    for _ in range(l):
-        e = e + e
-    return e
-
-
 def mul_by_int_additively(e, c: int):
     """e * c for integer c >= 1 by double-and-add; no multiplicative levels."""
     if c < 1:

@@ -62,13 +62,19 @@ def comp_step(ct: SlotCiphertext, threshold: float, p: int, plan: ModPlan) -> Sl
     return eval_plan(ct, plan)
 
 
-def ceil_he(ct: SlotCiphertext, p: int, mod_plan: ModPlan, comp_plan: ModPlan) -> SlotCiphertext:
-    """Slot-wise ceil(x/p) = floor(x/p) + [x mod p > 0.5]."""
+def _floor_plus_step(ct: SlotCiphertext, p: int, mod_plan: ModPlan, comp_plan: ModPlan,
+                     threshold: float) -> SlotCiphertext:
+    """floor(x/p) + [x mod p > threshold], sharing one mod evaluation."""
     if mod_plan.p != p:
         raise ValueError(f"plan fits modulus {mod_plan.p}, requested {p}")
     remainder = eval_plan(ct, mod_plan)
     floor_part = ct * (1.0 / p) - remainder * (1.0 / p)
-    return floor_part + comp_step(remainder, 0.5, p, comp_plan)
+    return floor_part + comp_step(remainder, threshold, p, comp_plan)
+
+
+def ceil_he(ct: SlotCiphertext, p: int, mod_plan: ModPlan, comp_plan: ModPlan) -> SlotCiphertext:
+    """Slot-wise ceil(x/p) = floor(x/p) + [x mod p > 0.5]."""
+    return _floor_plus_step(ct, p, mod_plan, comp_plan, 0.5)
 
 
 def round_he(ct: SlotCiphertext, p: int, mod_plan: ModPlan, comp_plan: ModPlan) -> SlotCiphertext:
@@ -77,11 +83,7 @@ def round_he(ct: SlotCiphertext, p: int, mod_plan: ModPlan, comp_plan: ModPlan) 
     The quarter offset keeps the comparison threshold off the integers; on
     integer remainders r = p/2 the indicator fires, giving half-up ties.
     """
-    if mod_plan.p != p:
-        raise ValueError(f"plan fits modulus {mod_plan.p}, requested {p}")
-    remainder = eval_plan(ct, mod_plan)
-    floor_part = ct * (1.0 / p) - remainder * (1.0 / p)
-    return floor_part + comp_step(remainder, p / 2 - 0.25, p, comp_plan)
+    return _floor_plus_step(ct, p, mod_plan, comp_plan, p / 2 - 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +181,3 @@ def shares_to_ct_tree(share_cts, node: ReconstructNode) -> SlotCiphertext:
         return eval_plan(total, nd.plan)
 
     return run(node)
-
-
-def tree_to_dict(node: ReconstructNode, plan_saver) -> dict:
-    """Serialize a tree; plan_saver(plan) -> file name reference."""
-    children = [
-        tree_to_dict(c, plan_saver) if isinstance(c, ReconstructNode) else int(c)
-        for c in node.children
-    ]
-    return {"children": children, "plan_file": plan_saver(node.plan)}
-
-
-def tree_from_dict(doc: dict, plan_loader) -> ReconstructNode:
-    children = tuple(
-        tree_from_dict(c, plan_loader) if isinstance(c, dict) else int(c)
-        for c in doc["children"]
-    )
-    return ReconstructNode(children=children, plan=plan_loader(doc["plan_file"]))

@@ -145,11 +145,37 @@ def test_table_depth_small_n(tmp_path):
     assert [r["crtstack"] for r in rows] == ["15", "15", "15"]
 
 
-def test_table_bound_violation_exits_one(tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(cli.BOUNDS, "crtstack_mean", 1e-30)
-    assert run("table", "--name", "crtstack", "--n", 256, "--output-dir", tmp_path) == 1
-    err = capsys.readouterr().err
-    assert "BOUND VIOLATION" in err and "crtstack layer" in err
+TIGHT_MODP = {D: 1e-30 for D in cli.MODP_DEGREES}
+
+# table, BOUNDS entries tightened past any result, --n, cells that must fail
+VIOLATION_CASES = [
+    ("modp4", {"modp4_mean": TIGHT_MODP}, None, ["mean_abs_error"]),
+    ("modp5", {"modp5_mean": TIGHT_MODP}, None, ["mean_abs_error"]),
+    ("floor", {"floor_mean": 1e-30}, None, ["mean_abs_error"]),
+    ("bitstack", {"bitstack90_mean": (1e-30,) * 3, "bitstack210_levels": (0, 0, 0)}, 256,
+     ["mean_abs_error", "remaining_level"]),
+    ("crtstack", {"crtstack_mean": 1e-30, "crtstack_level_min": 99}, 256,
+     ["mean_abs_error", "remaining_level"]),
+    # combine needs n >= 2^15 to hold its (6, 2, 1) ciphertext counts
+    ("combine", {"combine2_max_err": 1e-30, "combine2_level_min": 99}, 2 ** 15,
+     ["max_abs_error", "remaining_level"]),
+    ("shares", {"shares_mean": 1e-30}, 1024, ["mean_abs_error"]),
+    ("depth", {"crtstack_levels": (0, 0, 0)}, 256, ["crtstack"]),
+]
+
+
+@pytest.mark.parametrize("name, tight, n, cells", VIOLATION_CASES,
+                         ids=[case[0] for case in VIOLATION_CASES])
+def test_table_bound_violation_exits_one(name, tight, n, cells, tmp_path, monkeypatch, capsys):
+    for key, value in tight.items():
+        monkeypatch.setitem(cli.BOUNDS, key, value)
+    size = ["--n", n] if n else []
+    assert run("table", "--name", name, *size, "--output-dir", tmp_path) == 1
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith(f"BOUND VIOLATION: {name} ")]
+    for cell in cells:
+        assert any(f": {cell} " in line and "outside bound" in line for line in lines), cell
+    assert "FAIL" in {row["status"] for row in read_csv(tmp_path / f"{name}.csv")}
 
 
 def test_table_shares_small(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from modpack.cheb import ChebSeries, cheb_T, clenshaw
 from modpack.hesim import OpStats, SimParams, decrypt, encrypt
 from modpack.psev import (DegreeOverflowError, PsSchedule, compute_power_basis,
-                          eval_plan, eval_ps, mul_by_pow2_additively,
+                          eval_plan, eval_ps, mul_by_int_additively,
                           plan_schedule)
 from modpack.fitting import fit_modp
 
@@ -116,18 +116,18 @@ def test_degree_overflow_rejected():
         eval_ps(unit_series(np.ones(8)), 0.5, sched)
 
 
-def test_mul_by_pow2_additively():
+def test_mul_by_int_additively():
     params = SimParams(n=4)
     ct = encrypt([3.0], params)
-    out = mul_by_pow2_additively(ct, 2)
+    out = mul_by_int_additively(ct, 4)
     assert decrypt(out)[0].real == 12.0
     assert out.level == ct.level
-    same = mul_by_pow2_additively(ct, 0)
+    same = mul_by_int_additively(ct, 1)
     assert np.array_equal(same.slots, ct.slots)
-    big = mul_by_pow2_additively(encrypt([1.0], params), 10)
+    big = mul_by_int_additively(encrypt([1.0], params), 1 << 10)
     assert big.level == params.max_level
     with pytest.raises(ValueError):
-        mul_by_pow2_additively(ct, 25)
+        mul_by_int_additively(ct, 1 << 25)
 
 
 def test_eval_plan_applies_map_and_delta():

@@ -238,35 +238,6 @@ def test_tree_and_direct_decode_to_the_same_secret():
     assert np.array_equal(np.rint(direct) % 16, np.rint(tree) % 16)
 
 
-def test_reconstruct_plan_json_round_trip(tmp_path):
-    from modpack.fitting import load_plan, save_plan
-    from modpack.roundshare import tree_from_dict, tree_to_dict
-
-    child = share_plan(16, 2, D=70)
-    root = fit_modp(16, 30, 128)
-    node = ReconstructNode((ReconstructNode((0, 1), child),
-                            ReconstructNode((2, 3), child)), root)
-
-    counter = {"n": 0}
-
-    def saver(plan):
-        name = f"node{counter['n']}.plan.json"
-        counter["n"] += 1
-        save_plan(plan, tmp_path / name)
-        return name
-
-    doc = tree_to_dict(node, saver)
-    assert set(doc) == {"children", "plan_file"}
-    assert doc["children"][0]["children"] == [0, 1]
-    loaded = tree_from_dict(doc, lambda name: load_plan(tmp_path / name))
-    rng = np.random.default_rng(5)
-    shares = tuple(rng.integers(0, 16, 32) for _ in range(4))
-    cts = [encrypt(s, PARAMS) for s in shares]
-    a = shares_to_ct_tree(cts, node)
-    b = shares_to_ct_tree(cts, loaded)
-    assert np.array_equal(a.slots, b.slots) and a.level == b.level
-
-
 def test_tree_must_partition_parties():
     cts = [enc([1.0])] * 3
     plan = share_plan(16, 3)
