@@ -608,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_unpack.add_argument("--expected", default=None)
     p_unpack.add_argument("--config", default=None)
     p_unpack.add_argument("--n", type=int, default=None)
-    p_unpack.add_argument("--output-dir", default=None)
     p_unpack.set_defaults(func=cmd_unpack)
 
     p_table = sub.add_parser("table", help="regenerate a result table with bound checks")

@@ -40,7 +40,10 @@ class SimParams:
     """Simulator configuration.
 
     noise_stddev > 0 adds independent Gaussian noise to each slot after
-    every multiplication, seeded reproducibly from (seed, lineage counter).
+    every multiplication.  The noise comes from one generator per SimParams,
+    seeded from `seed` and drawn in evaluation order, so the same seed and
+    the same sequence of ops give bit-identical output.  `dataclasses.replace`
+    builds a fresh generator.
     """
 
     n: int = 2**15
@@ -48,6 +51,7 @@ class SimParams:
     noise_stddev: float = 0.0
     seed: int = 0
     stats: OpStats | None = field(default=None, compare=False)
+    rng: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or (self.n & (self.n - 1)) != 0:
@@ -56,6 +60,7 @@ class SimParams:
             raise ValueError("max_level must be non-negative")
         if self.noise_stddev < 0:
             raise ValueError("noise_stddev must be non-negative")
+        object.__setattr__(self, "rng", np.random.default_rng(self.seed & 0x7FFFFFFF))
 
 
 def params_from_dict(d: dict) -> SimParams:
@@ -69,17 +74,11 @@ def params_from_dict(d: dict) -> SimParams:
 
 @dataclass(frozen=True)
 class SlotCiphertext:
-    """Immutable simulated ciphertext: n complex slots and a remaining level.
-
-    op_index counts the multiplications in this value's lineage and seeds
-    the optional noise stream, so reproducibility is independent of
-    evaluation order.
-    """
+    """Immutable simulated ciphertext: n complex slots and a remaining level."""
 
     slots: np.ndarray
     level: int
     params: SimParams
-    op_index: int = 0
 
     # Numpy must defer to the reflected operators below instead of
     # broadcasting this object into element arrays.
@@ -87,8 +86,11 @@ class SlotCiphertext:
 
     # -- helpers -------------------------------------------------------
 
-    def _plain(self, other) -> np.ndarray | complex:
-        """Coerce a plaintext operand: scalars broadcast, short vectors zero-pad."""
+    def _operand(self, other) -> np.ndarray | complex:
+        """Slots of a ciphertext operand, or a coerced plaintext: scalars
+        broadcast, short vectors zero-pad."""
+        if isinstance(other, SlotCiphertext):
+            return other.slots
         if np.isscalar(other) or isinstance(other, (int, float, complex)):
             return complex(other)
         arr = np.asarray(other, dtype=complex)
@@ -98,65 +100,47 @@ class SlotCiphertext:
             arr = np.pad(arr, (0, self.params.n - arr.size))
         return arr
 
-    def _noise(self, slots: np.ndarray, op_index: int) -> np.ndarray:
-        sigma = self.params.noise_stddev
-        if sigma <= 0:
-            return slots
-        rng = np.random.default_rng([self.params.seed & 0x7FFFFFFF, op_index])
-        return slots + rng.normal(0.0, sigma, slots.size) + 1j * rng.normal(0.0, sigma, slots.size)
+    def _op(self, count: str | None, slots: np.ndarray, other=None) -> SlotCiphertext:
+        """The one place an op's result is built: level, noise and OpStats.
 
-    def _stats(self) -> OpStats | None:
-        return self.params.stats
+        The result sits at the lowest level of self and a ciphertext
+        `other`.  count names the OpStats counter the op adds to (None adds
+        to none); "mults" is a multiplication, which spends one level,
+        draws noise and counts as ct_mults or plain_mults by its operand.
+        """
+        is_ct = isinstance(other, SlotCiphertext)
+        level = min(self.level, other.level) if is_ct else self.level
+        if count == "mults":
+            if level < 1:
+                raise LevelExhaustedError(f"multiplication at level {level} would exhaust the budget")
+            level -= 1
+            count = "ct_mults" if is_ct else "plain_mults"
+            sigma = self.params.noise_stddev
+            if sigma > 0:
+                slots = slots + sigma * self.params.rng.standard_normal(2 * slots.size).view(complex)
+        st = self.params.stats
+        if st is not None and count is not None:
+            setattr(st, count, getattr(st, count) + 1)
+        return SlotCiphertext(slots, level, self.params)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        st = self._stats()
-        if st is not None:
-            st.adds += 1
-        if isinstance(other, SlotCiphertext):
-            return SlotCiphertext(self.slots + other.slots, min(self.level, other.level),
-                                  self.params, self.op_index + other.op_index)
-        return SlotCiphertext(self.slots + self._plain(other), self.level, self.params, self.op_index)
+        return self._op("adds", self.slots + self._operand(other), other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        st = self._stats()
-        if st is not None:
-            st.adds += 1
-        if isinstance(other, SlotCiphertext):
-            return SlotCiphertext(self.slots - other.slots, min(self.level, other.level),
-                                  self.params, self.op_index + other.op_index)
-        return SlotCiphertext(self.slots - self._plain(other), self.level, self.params, self.op_index)
+        return self._op("adds", self.slots - self._operand(other), other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return SlotCiphertext(-self.slots, self.level, self.params, self.op_index)
+        return self._op(None, -self.slots)
 
     def __mul__(self, other):
-        st = self._stats()
-        if isinstance(other, SlotCiphertext):
-            new_level = min(self.level, other.level) - 1
-            if new_level < 0:
-                raise LevelExhaustedError(
-                    f"multiplication at level {min(self.level, other.level)} would exhaust the budget"
-                )
-            idx = self.op_index + other.op_index + 1
-            slots = self._noise(self.slots * other.slots, idx)
-            if st is not None:
-                st.ct_mults += 1
-            return SlotCiphertext(slots, new_level, self.params, idx)
-        new_level = self.level - 1
-        if new_level < 0:
-            raise LevelExhaustedError(f"multiplication at level {self.level} would exhaust the budget")
-        idx = self.op_index + 1
-        slots = self._noise(self.slots * self._plain(other), idx)
-        if st is not None:
-            st.plain_mults += 1
-        return SlotCiphertext(slots, new_level, self.params, idx)
+        return self._op("mults", self.slots * self._operand(other), other)
 
     __rmul__ = __mul__
 
@@ -175,17 +159,9 @@ def decrypt(a: SlotCiphertext) -> np.ndarray:
     return a.slots.copy()
 
 
-def _roll(a: SlotCiphertext, i: int) -> SlotCiphertext:
-    i = int(i) % a.params.n
-    return SlotCiphertext(np.roll(a.slots, -i), a.level, a.params, a.op_index)
-
-
 def rotate(a: SlotCiphertext, i: int) -> SlotCiphertext:
     """Cyclic left rotation by i slots (negative i rotates right)."""
-    st = a.params.stats
-    if st is not None:
-        st.rotations += 1
-    return _roll(a, i)
+    return a._op("rotations", np.roll(a.slots, -int(i)))
 
 
 def rotate_batch(a: SlotCiphertext, steps) -> list[SlotCiphertext]:
@@ -195,16 +171,11 @@ def rotate_batch(a: SlotCiphertext, steps) -> list[SlotCiphertext]:
     modeled, but callers batch their steps here so rotation budgets can be
     audited per batch.
     """
-    steps = list(steps)
-    st = a.params.stats
-    if st is not None:
-        st.rotate_batches += 1
-        st.rotations += len(steps)
-    return [_roll(a, s) for s in steps]
+    out = [a._op("rotations", np.roll(a.slots, -int(s))) for s in steps]
+    if a.params.stats is not None:
+        a.params.stats.rotate_batches += 1
+    return out
 
 
 def conjugate(a: SlotCiphertext) -> SlotCiphertext:
-    st = a.params.stats
-    if st is not None:
-        st.conjugations += 1
-    return SlotCiphertext(np.conj(a.slots), a.level, a.params, a.op_index)
+    return a._op("conjugations", np.conj(a.slots))

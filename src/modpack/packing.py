@@ -302,6 +302,9 @@ def crt_unpack(ct: SlotCiphertext, basis: CrtBasis, parallel: bool = False) -> l
 
     Layers are independent mod evaluations, so they consume identical depth
     and their errors do not accumulate; parallel=True runs them in threads.
+    With noise on, the threads draw from the one noise stream of the
+    ciphertext's SimParams in whatever order they run, so only a serial
+    unpack reproduces the noise exactly.
     """
     if not basis.plans:
         raise ValueError("basis carries no plans; unpacking needs one per modulus")

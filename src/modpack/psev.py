@@ -191,15 +191,13 @@ def mul_by_int_additively(e, c: int):
     return acc
 
 
-def eval_plan(x, plan: ModPlan, extra_scale: float = 1.0, sched: PsSchedule | None = None):
+def eval_plan(x, plan: ModPlan, extra_scale: float = 1.0):
     """Apply a fitted plan to backend value x over its source interval [0, B].
 
     Maps u = 2x/B - 1 (one level on a ciphertext backend), then evaluates
     with delta * extra_scale fused into the leaf coefficients, so the
     rescaling never costs an extra level.
     """
-    if sched is None:
-        sched = plan_schedule(plan.D)
-    sched = PsSchedule(sched.k, sched.m, plan.delta * extra_scale)
+    sched = plan_schedule(plan.D, plan.delta * extra_scale)
     u = x * (2.0 / plan.B) - 1.0
     return eval_ps(plan.series, u, sched)

@@ -91,6 +91,14 @@ def test_pack_unpack_round_trip(fig_files, tmp_path, capsys):
         assert np.max(np.abs(np.array(got) - want)) <= 1e-5
 
 
+def test_unpack_rejects_output_dir(tmp_path):
+    # unpack writes only --out; an --output-dir it would ignore is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run("unpack", "--layout", tmp_path / "layout.json", "--data", tmp_path / "data.ndjson",
+            "--out", tmp_path / "o.ndjson", "--output-dir", tmp_path / "x")
+    assert exc.value.code == 2
+
+
 def test_pack_empty_data_file(fig_files, tmp_path):
     layout_path, _, _ = fig_files
     empty = tmp_path / "empty.ndjson"

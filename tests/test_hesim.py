@@ -52,13 +52,14 @@ def test_mul_semantics_and_level():
     assert ident.level == 24  # constants still cost a level
 
 
-def test_level_exhaustion_on_26th_multiplication():
+@pytest.mark.parametrize("one", [1.0, encrypt(np.ones(8), P8)], ids=["plain", "ct"])
+def test_level_exhaustion_on_26th_multiplication(one):
     ct = encrypt(np.ones(8), P8)
     for _ in range(25):
-        ct = ct * 1.0
+        ct = ct * one
     assert ct.level == 0
     with pytest.raises(LevelExhaustedError):
-        ct * 1.0
+        ct * one
 
 
 def test_plain_vector_zero_pads():
@@ -170,6 +171,14 @@ def test_noise_reproducibility_and_effect():
     clean = decrypt((encrypt(v, P8) * encrypt(v, P8)) * 0.5)
     assert not np.array_equal(out_a, clean)  # the knob does inject noise
     assert np.max(np.abs(out_a - clean)) < 1e-4
+
+
+def test_noise_is_independent_per_multiplication():
+    # zero messages leave only the noise; equal lineages must not share it
+    params = SimParams(n=8, noise_stddev=1e-6, seed=3)
+    a, b = encrypt([], params), encrypt([], params)
+    assert not np.array_equal(decrypt(a * 2.0), decrypt(b * 3.0))
+    assert np.any(decrypt((a * 1.0) - (a * 1.0)) != 0)
 
 
 def test_noise_off_is_exact():
