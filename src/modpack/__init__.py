@@ -9,7 +9,7 @@ from .fitting import (ModPlan, StepSpec, build_system, fit_modp, fit_step,
 from .hesim import (LevelExhaustedError, OpStats, SimParams, SlotCiphertext,
                     conjugate, decrypt, encrypt, rotate, rotate_batch)
 from .packing import (BitStackLayout, ConcatLayout, ConcatStage, CrtBasis,
-                      ImgPairStage, PackLayout, StackStage, bitstack_pack,
+                      ImgPairStage, PackLayout, bitstack_pack,
                       bitstack_unpack, crt_pack, crt_unpack, img_pack,
                       img_unpack, load_layout, pipeline_pack, pipeline_unpack,
                       repack_repeat, save_layout, vec_pack, vec_unpack)

@@ -29,8 +29,8 @@ from .cheb import cheb_T, clenshaw, eval_clenshaw
 from .fitting import fit_modp, save_plan
 from .hesim import OpStats, SimParams, decrypt, encrypt
 from .packing import (BitStackLayout, ConcatStage, CrtBasis, ImgPairStage,
-                      PackLayout, StackStage, bitstack_plan_specs, load_layout,
-                      pipeline_pack, pipeline_unpack)
+                      PackLayout, bitstack_plan_specs, load_layout, pipeline_pack,
+                      pipeline_unpack)
 
 MODP_INTERVAL = 29
 MODP_DEGREES = (35, 40, 45, 50)
@@ -194,7 +194,7 @@ def combine2_layout(vec_len: int, slot_count: int, D: int = 210,
     plans = tuple(fit_modp(p, P - 1, D, fitting.default_delta(D)) for p in moduli)
     return PackLayout((
         ConcatStage(template=(vec_len,) * per_ct),
-        StackStage(CrtBasis(tuple(moduli), plans)),
+        CrtBasis(tuple(moduli), plans),
         ImgPairStage(group_len, group_len),
     ))
 
@@ -509,12 +509,7 @@ def cmd_unpack(args) -> int:
     if expected is not None:
         sizes = [len(v) for v in expected]
     elif layout.stages and isinstance(layout.stages[0], ConcatStage):
-        first = layout.stages[0]
-        if first.groups is not None:
-            sizes = [s for g in first.groups for s in g]
-        else:
-            reps = len(outs) // len(first.template)
-            sizes = list(first.template) * reps
+        sizes = [s for g in layout.stages[0].resolve(len(outs)) for s in g]
     recovered = []
     for i, ct in enumerate(outs):
         full = decrypt(ct).real

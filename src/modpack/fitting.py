@@ -17,8 +17,6 @@ import numpy as np
 
 from .cheb import ChebSeries, eval_clenshaw, map_to_unit
 
-# Gram matrices with condition estimates beyond this are treated as singular.
-COND_LIMIT = 1e14
 # Acceptable worst-case equation residual for a successful solve.
 SOLVE_RESID_LIMIT = 1e-8
 
@@ -81,20 +79,24 @@ def solve_min_norm(A, y):
     """Minimum-l2-norm solution of the underdetermined system A a = y.
 
     Uses the full-row-rank identity a = A^T (A A^T)^{-1} y; the Gram matrix
-    is small and the Chebyshev basis keeps it well conditioned.
+    is small and the Chebyshev basis keeps it well conditioned.  A Cholesky
+    factorization of the Gram matrix, far cheaper than a condition number,
+    rejects systems that lost full row rank; the residual check catches the
+    rest.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     G = A @ A.T
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as exc:
         raise RankDeficientError(
-            f"Gram matrix condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}; "
-            "increase the degree or remove duplicate sample points"
-        )
+            f"the {G.shape[0]}x{G.shape[0]} Gram matrix of the sample rows is not positive "
+            "definite; increase the degree or remove duplicate sample points"
+        ) from exc
     alpha = A.T @ np.linalg.solve(G, y)
     resid = np.max(np.abs(A @ alpha - y)) if y.size else 0.0
-    if resid > SOLVE_RESID_LIMIT:
+    if not resid <= SOLVE_RESID_LIMIT:  # also rejects a NaN residual
         raise RankDeficientError(f"solver residual {resid:.3e} exceeds {SOLVE_RESID_LIMIT:.0e}")
     return alpha
 

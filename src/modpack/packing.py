@@ -32,6 +32,12 @@ class CapacityError(ValueError):
     """The packed data does not fit the available slots."""
 
 
+def _chunk(items, size):
+    if len(items) % size != 0:
+        raise ValueError(f"stage needs groups of {size} vectors, got {len(items)} total")
+    return [items[i : i + size] for i in range(0, len(items), size)]
+
+
 # ---------------------------------------------------------------------------
 # VecConcat
 # ---------------------------------------------------------------------------
@@ -112,6 +118,61 @@ def repack_repeat(ct: SlotCiphertext, d_x: int, r: int) -> SlotCiphertext:
     return acc
 
 
+@dataclass(frozen=True)
+class ConcatStage:
+    """Pipeline stage that groups consecutive vectors into concatenated ones.
+
+    Either `groups` lists each output's member sizes explicitly, or
+    `template` gives one group shape applied repeatedly.
+    """
+
+    groups: tuple | None = None
+    template: tuple | None = None
+    plans = ()  # a class attribute, not a field: concatenation fits no plans
+
+    def __post_init__(self):
+        if (self.groups is None) == (self.template is None):
+            raise ValueError("specify exactly one of groups or template")
+        if self.groups is not None:
+            object.__setattr__(
+                self, "groups", tuple(tuple(int(s) for s in g) for g in self.groups)
+            )
+        else:
+            object.__setattr__(self, "template", tuple(int(s) for s in self.template))
+
+    def resolve(self, n_vectors: int) -> tuple:
+        """Member sizes of each concatenated vector made from n_vectors inputs.
+
+        A template repeats as often as the inputs need.
+        """
+        groups = self.groups
+        if groups is None:
+            groups = (self.template,) * (n_vectors // len(self.template))
+        if sum(len(g) for g in groups) != n_vectors:
+            raise ValueError(f"concat groups cover {sum(len(g) for g in groups)} vectors, "
+                             f"the stage has {n_vectors}")
+        return groups
+
+    def pack(self, vectors) -> list[np.ndarray]:
+        out, idx = [], 0
+        for g in self.resolve(len(vectors)):
+            out.append(vec_pack(vectors[idx : idx + len(g)], ConcatLayout(g)))
+            idx += len(g)
+        return out
+
+    def unpack(self, cts) -> list[SlotCiphertext]:
+        # Each ciphertext holds one group, so a template repeats once per ciphertext.
+        groups = self.groups if self.groups is not None else (self.template,) * len(cts)
+        if len(groups) != len(cts):
+            raise ValueError(f"concat stage expects {len(groups)} ciphertexts, got {len(cts)}")
+        return [v for ct, g in zip(cts, groups) for v in vec_unpack(ct, ConcatLayout(g))]
+
+    def to_json(self, plan_files) -> dict:
+        if self.groups is not None:
+            return {"kind": "concat", "groups": [list(g) for g in self.groups]}
+        return {"kind": "concat", "sizes": list(self.template)}
+
+
 # ---------------------------------------------------------------------------
 # ImgConcat: second message in the imaginary parts
 # ---------------------------------------------------------------------------
@@ -136,6 +197,65 @@ def img_unpack(ct: SlotCiphertext, n1: int, n2: int):
     return (ct + conj) * mask_re, (ct - conj) * mask_im
 
 
+@dataclass(frozen=True)
+class ImgPairStage:
+    """Pipeline stage that pairs consecutive vectors as real/imaginary parts."""
+
+    n1: int
+    n2: int
+    plans = ()  # a class attribute, not a field: pairing fits no plans
+
+    def pack(self, vectors) -> list[np.ndarray]:
+        out = []
+        for a, b in _chunk(vectors, 2):
+            if len(a) != self.n1 or len(b) != self.n2:
+                raise ValueError(
+                    f"imgpair stage expects lengths ({self.n1}, {self.n2}), "
+                    f"got ({len(a)}, {len(b)})"
+                )
+            out.append(img_pack(a, b))
+        return out
+
+    def unpack(self, cts) -> list[SlotCiphertext]:
+        return [v for ct in cts for v in img_unpack(ct, self.n1, self.n2)]
+
+    def to_json(self, plan_files) -> dict:
+        return {"kind": "imgpair", "n1": self.n1, "n2": self.n2}
+
+
+# ---------------------------------------------------------------------------
+# Value stacking: checks shared by BitStack and CrtStack
+# ---------------------------------------------------------------------------
+
+
+def _checked_plans(plans, specs) -> tuple:
+    """The plans as a tuple, each fitting the (modulus, bound) spec of its layer."""
+    plans = tuple(plans or ())
+    if plans and len(plans) != len(specs):
+        raise ValueError(f"need exactly {len(specs)} plans, one per layer spec, got {len(plans)}")
+    for i, (plan, (p, B)) in enumerate(zip(plans, specs)):
+        if plan.p != p or plan.B != B:
+            raise ValueError(
+                f"plan {i} fits ModP(x,{plan.p}) on [0,{plan.B}], "
+                f"layer needs ModP(x,{p}) on [0,{B}]"
+            )
+    return plans
+
+
+def _layers(values, bounds) -> list[np.ndarray]:
+    """The layers as integer arrays of one shape, layer i checked against [0, bounds[i])."""
+    if len(values) != len(bounds):
+        raise ValueError(f"expected {len(bounds)} layers, got {len(values)}")
+    arrays = [np.asarray(v, dtype=np.int64) for v in values]
+    if len({arr.shape for arr in arrays}) != 1:
+        raise ValueError("stacked vectors must share the same length")
+    for i, (arr, r) in enumerate(zip(arrays, bounds)):
+        bad = (arr < 0) | (arr >= r)
+        if np.any(bad):
+            raise ValueError(f"layer {i} element {int(np.argmax(bad))} out of range [0, {r})")
+    return arrays
+
+
 # ---------------------------------------------------------------------------
 # BitStack: radix stacking along the value dimension
 # ---------------------------------------------------------------------------
@@ -146,7 +266,8 @@ class BitStackLayout:
     """Per-layer radices (2^l_i for binary widths) and the boundary mod plans.
 
     plans[i] recovers layer i: modulus radices[i] over the residual interval
-    [0, prod(radices[i:]) - 1].  The final layer needs no plan.
+    [0, prod(radices[i:]) - 1].  The final layer needs no plan.  As a
+    pipeline stage it stacks each run of len(radices) vectors into one.
     """
 
     radices: tuple
@@ -158,17 +279,7 @@ class BitStackLayout:
             raise ValueError("radices must all be at least 2")
         if math.prod(radices) > PACKED_VALUE_LIMIT:
             raise CapacityError("stacked range exceeds the exact-double guard 2^24")
-        plans = tuple(self.plans) if self.plans else ()
-        if plans:
-            if len(plans) != len(radices) - 1:
-                raise ValueError("need exactly one plan per layer boundary")
-            for i, plan in enumerate(plans):
-                want_p, want_b = bitstack_plan_specs(radices)[i]
-                if plan.p != want_p or plan.B != want_b:
-                    raise ValueError(
-                        f"plan {i} fits ModP(x,{plan.p}) on [0,{plan.B}], "
-                        f"layer needs ModP(x,{want_p}) on [0,{want_b}]"
-                    )
+        plans = _checked_plans(self.plans, bitstack_plan_specs(radices))
         object.__setattr__(self, "radices", radices)
         object.__setattr__(self, "plans", plans)
 
@@ -187,6 +298,18 @@ class BitStackLayout:
             ls.append(l)
         return tuple(ls)
 
+    def pack(self, vectors) -> list[np.ndarray]:
+        return [bitstack_pack(chunk, self) for chunk in _chunk(vectors, len(self.radices))]
+
+    def unpack(self, cts) -> list[SlotCiphertext]:
+        return [v for ct in cts for v in bitstack_unpack(ct, self)]
+
+    def to_json(self, plan_files) -> dict:
+        widths = self.bit_widths
+        if widths is not None:
+            return {"kind": "bitstack", "plan_files": plan_files, "bit_widths": list(widths)}
+        return {"kind": "bitstack", "plan_files": plan_files, "radices": list(self.radices)}
+
 
 def bitstack_plan_specs(radices) -> list[tuple[int, int]]:
     """(modulus, interval bound) per layer boundary: layer i sees the residual range."""
@@ -196,13 +319,7 @@ def bitstack_plan_specs(radices) -> list[tuple[int, int]]:
 
 def bitstack_pack(values, layout: BitStackLayout) -> np.ndarray:
     """Element-wise radix stacking: x = a_1 + a_2*r_1 + a_3*r_1*r_2 + ..."""
-    if len(values) != len(layout.radices):
-        raise ValueError(f"expected {len(layout.radices)} layers, got {len(values)}")
-    arrays = [np.asarray(v, dtype=np.int64) for v in values]
-    for i, (arr, r) in enumerate(zip(arrays, layout.radices)):
-        if np.any(arr < 0) or np.any(arr >= r):
-            bad = int(np.argmax((arr < 0) | (arr >= r)))
-            raise ValueError(f"layer {i} element {bad} out of range [0, {r})")
+    arrays = _layers(values, layout.radices)
     out = np.zeros_like(arrays[0])
     weight = 1
     for arr, r in zip(arrays, layout.radices):
@@ -244,7 +361,8 @@ class CrtBasis:
     """Pairwise-coprime moduli with precomputed recombination constants.
 
     recombinants[i] = (P/P_i) * ((P/P_i)^-1 mod P_i) mod P, so packing is a
-    plain inner product followed by one reduction mod P.
+    plain inner product followed by one reduction mod P.  As a pipeline
+    stage it stacks each run of len(moduli) vectors into one.
     """
 
     moduli: tuple
@@ -266,31 +384,25 @@ class CrtBasis:
             P_i = P // p
             m_i = pow(P_i, -1, p)
             recombinants.append((P_i * m_i) % P)
-        plans = tuple(self.plans) if self.plans else ()
-        if plans:
-            if len(plans) != len(moduli):
-                raise ValueError("need exactly one plan per modulus")
-            for p, plan in zip(moduli, plans):
-                if plan.p != p or plan.B != P - 1:
-                    raise ValueError(
-                        f"plan fits ModP(x,{plan.p}) on [0,{plan.B}], "
-                        f"layer needs ModP(x,{p}) on [0,{P - 1}]"
-                    )
+        plans = _checked_plans(self.plans, [(p, P - 1) for p in moduli])
         object.__setattr__(self, "moduli", moduli)
         object.__setattr__(self, "plans", plans)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "recombinants", tuple(recombinants))
 
+    def pack(self, vectors) -> list[np.ndarray]:
+        return [crt_pack(chunk, self) for chunk in _chunk(vectors, len(self.moduli))]
+
+    def unpack(self, cts) -> list[SlotCiphertext]:
+        return [v for ct in cts for v in crt_unpack(ct, self)]
+
+    def to_json(self, plan_files) -> dict:
+        return {"kind": "crt", "moduli": list(self.moduli), "plan_files": plan_files}
+
 
 def crt_pack(values, basis: CrtBasis) -> np.ndarray:
     """Element-wise residue recombination: x = (sum a_i * b_i) mod P, x in [0, P)."""
-    if len(values) != len(basis.moduli):
-        raise ValueError(f"expected {len(basis.moduli)} layers, got {len(values)}")
-    arrays = [np.asarray(v, dtype=np.int64) for v in values]
-    for i, (arr, p) in enumerate(zip(arrays, basis.moduli)):
-        if np.any(arr < 0) or np.any(arr >= p):
-            bad = int(np.argmax((arr < 0) | (arr >= p)))
-            raise ValueError(f"layer {i} element {bad} out of range [0, {p})")
+    arrays = _layers(values, basis.moduli)
     acc = np.zeros_like(arrays[0])
     for arr, b in zip(arrays, basis.recombinants):
         acc = (acc + arr * b) % basis.P
@@ -320,56 +432,13 @@ def crt_unpack(ct: SlotCiphertext, basis: CrtBasis, parallel: bool = False) -> l
 
 
 @dataclass(frozen=True)
-class ConcatStage:
-    """Groups consecutive vectors into concatenated ones.
-
-    Either `groups` lists each output's member sizes explicitly, or
-    `template` gives one group shape applied repeatedly.
-    """
-
-    groups: tuple | None = None
-    template: tuple | None = None
-
-    def __post_init__(self):
-        if (self.groups is None) == (self.template is None):
-            raise ValueError("specify exactly one of groups or template")
-        if self.groups is not None:
-            object.__setattr__(
-                self, "groups", tuple(tuple(int(s) for s in g) for g in self.groups)
-            )
-        else:
-            object.__setattr__(self, "template", tuple(int(s) for s in self.template))
-
-    def resolve(self, n_outputs: int) -> tuple:
-        if self.groups is not None:
-            return self.groups
-        return tuple(self.template for _ in range(n_outputs))
-
-
-@dataclass(frozen=True)
-class StackStage:
-    """Value-dimension stacking of consecutive vector groups."""
-
-    layout: BitStackLayout | CrtBasis
-
-    @property
-    def depth(self) -> int:
-        if isinstance(self.layout, CrtBasis):
-            return len(self.layout.moduli)
-        return len(self.layout.radices)
-
-
-@dataclass(frozen=True)
-class ImgPairStage:
-    """Pairs consecutive vectors as real/imaginary parts."""
-
-    n1: int
-    n2: int
-
-
-@dataclass(frozen=True)
 class PackLayout:
-    """Ordered packing stages; unpacking replays them in reverse."""
+    """Ordered packing stages; unpacking replays them in reverse.
+
+    A stage is a ConcatStage, BitStackLayout, CrtBasis or ImgPairStage.
+    Each has pack(vectors) and unpack(cts), which map a list to a list,
+    its fitted `plans`, and to_json(plan_files), its layout JSON entry.
+    """
 
     stages: tuple
 
@@ -377,51 +446,11 @@ class PackLayout:
         object.__setattr__(self, "stages", tuple(self.stages))
 
 
-def _chunk(items, size):
-    if len(items) % size != 0:
-        raise ValueError(f"stage needs groups of {size} vectors, got {len(items)} total")
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
 def pipeline_pack(data, layout: PackLayout) -> list[np.ndarray]:
     """Run the packing stages over a list of plaintext vectors."""
     current = [np.asarray(v) for v in data]
     for stage in layout.stages:
-        if isinstance(stage, ConcatStage):
-            groups = stage.groups
-            if groups is None:
-                groups = _chunk(current, len(stage.template))
-                groups = tuple(tuple(stage.template) for _ in groups)
-            if sum(len(g) for g in groups) != len(current):
-                raise ValueError("concat groups do not cover the stage input")
-            out, idx = [], 0
-            for g in groups:
-                out.append(vec_pack(current[idx : idx + len(g)], ConcatLayout(g)))
-                idx += len(g)
-            current = out
-        elif isinstance(stage, StackStage):
-            chunks = _chunk(current, stage.depth)
-            out = []
-            for chunk in chunks:
-                if len({len(v) for v in chunk}) != 1:
-                    raise ValueError("stacked vectors must share the same length")
-                if isinstance(stage.layout, CrtBasis):
-                    out.append(crt_pack(chunk, stage.layout))
-                else:
-                    out.append(bitstack_pack(chunk, stage.layout))
-            current = out
-        elif isinstance(stage, ImgPairStage):
-            out = []
-            for a, b in _chunk(current, 2):
-                if len(a) != stage.n1 or len(b) != stage.n2:
-                    raise ValueError(
-                        f"imgpair stage expects lengths ({stage.n1}, {stage.n2}), "
-                        f"got ({len(a)}, {len(b)})"
-                    )
-                out.append(img_pack(a, b))
-            current = out
-        else:
-            raise TypeError(f"unknown stage {stage!r}")
+        current = stage.pack(current)
     return current
 
 
@@ -429,30 +458,7 @@ def pipeline_unpack(cts, layout: PackLayout) -> list[SlotCiphertext]:
     """Invert the packing stages over ciphertexts, in reverse stage order."""
     current = list(cts)
     for stage in reversed(layout.stages):
-        if isinstance(stage, ImgPairStage):
-            out = []
-            for ct in current:
-                a, b = img_unpack(ct, stage.n1, stage.n2)
-                out.extend((a, b))
-            current = out
-        elif isinstance(stage, StackStage):
-            out = []
-            for ct in current:
-                if isinstance(stage.layout, CrtBasis):
-                    out.extend(crt_unpack(ct, stage.layout))
-                else:
-                    out.extend(bitstack_unpack(ct, stage.layout))
-            current = out
-        elif isinstance(stage, ConcatStage):
-            groups = stage.resolve(len(current))
-            if len(groups) != len(current):
-                raise ValueError(f"concat stage expects {len(groups)} ciphertexts, got {len(current)}")
-            out = []
-            for ct, g in zip(current, groups):
-                out.extend(vec_unpack(ct, ConcatLayout(g)))
-            current = out
-        else:
-            raise TypeError(f"unknown stage {stage!r}")
+        current = stage.unpack(current)
     return current
 
 
@@ -468,33 +474,12 @@ def save_layout(layout: PackLayout, path, plan_dir=None):
     plan_dir.mkdir(parents=True, exist_ok=True)
     stages = []
     for si, stage in enumerate(layout.stages):
-        if isinstance(stage, ConcatStage):
-            if stage.groups is not None:
-                stages.append({"kind": "concat", "groups": [list(g) for g in stage.groups]})
-            else:
-                stages.append({"kind": "concat", "sizes": list(stage.template)})
-        elif isinstance(stage, StackStage):
-            plans = stage.layout.plans
-            files = []
-            for li, plan in enumerate(plans):
-                fname = f"{path.stem}-stage{si}-layer{li}.plan.json"
-                save_plan(plan, plan_dir / fname)
-                files.append(os.path.relpath(plan_dir / fname, path.parent))
-            if isinstance(stage.layout, CrtBasis):
-                stages.append({"kind": "crt", "moduli": list(stage.layout.moduli),
-                               "plan_files": files})
-            else:
-                entry = {"kind": "bitstack", "plan_files": files}
-                widths = stage.layout.bit_widths
-                if widths is not None:
-                    entry["bit_widths"] = list(widths)
-                else:
-                    entry["radices"] = list(stage.layout.radices)
-                stages.append(entry)
-        elif isinstance(stage, ImgPairStage):
-            stages.append({"kind": "imgpair", "n1": stage.n1, "n2": stage.n2})
-        else:
-            raise TypeError(f"unknown stage {stage!r}")
+        files = []
+        for li, plan in enumerate(stage.plans):
+            plan_path = plan_dir / f"{path.stem}-stage{si}-layer{li}.plan.json"
+            save_plan(plan, plan_path)
+            files.append(os.path.relpath(plan_path, path.parent))
+        stages.append(stage.to_json(files))
     path.write_text(json.dumps({"stages": stages}, indent=2) + "\n")
 
 
@@ -505,19 +490,17 @@ def load_layout(path) -> PackLayout:
     stages = []
     for entry in doc["stages"]:
         kind = entry["kind"]
-        if kind == "concat":
-            if "groups" in entry:
-                stages.append(ConcatStage(groups=tuple(tuple(g) for g in entry["groups"])))
-            else:
-                stages.append(ConcatStage(template=tuple(entry["sizes"])))
-        elif kind in ("crt", "bitstack"):
-            plans = tuple(load_plan(path.parent / f) for f in entry.get("plan_files") or ())
-            if kind == "crt":
-                stages.append(StackStage(CrtBasis(tuple(entry["moduli"]), plans)))
-            elif "bit_widths" in entry:
-                stages.append(StackStage(BitStackLayout.from_bit_widths(entry["bit_widths"], plans)))
-            else:
-                stages.append(StackStage(BitStackLayout(tuple(entry["radices"]), plans)))
+        plans = tuple(load_plan(path.parent / f) for f in entry.get("plan_files") or ())
+        if kind == "concat" and "groups" in entry:
+            stages.append(ConcatStage(groups=entry["groups"]))
+        elif kind == "concat":
+            stages.append(ConcatStage(template=entry["sizes"]))
+        elif kind == "crt":
+            stages.append(CrtBasis(entry["moduli"], plans))
+        elif kind == "bitstack" and "bit_widths" in entry:
+            stages.append(BitStackLayout.from_bit_widths(entry["bit_widths"], plans))
+        elif kind == "bitstack":
+            stages.append(BitStackLayout(entry["radices"], plans))
         elif kind == "imgpair":
             stages.append(ImgPairStage(int(entry["n1"]), int(entry["n2"])))
         else:

@@ -50,40 +50,44 @@ def build_comp_plan(threshold: float, p: int, D: int | None = None,
     return fit_step(StepSpec(samples=samples, B=p - 1, D=D), delta)
 
 
-def comp_step(ct: SlotCiphertext, threshold: float, p: int, plan: ModPlan) -> SlotCiphertext:
-    """~1 where the (near-integer) slot exceeds threshold, ~0 otherwise.
+def comp_step(ct: SlotCiphertext, p: int, plan: ModPlan) -> SlotCiphertext:
+    """~1 where the (near-integer) slot exceeds the plan's threshold, ~0 otherwise.
 
-    The step fit tolerates inputs a small multiple of the producing mod
-    plan's residual away from exact integers.
+    The threshold is part of the plan's samples (see build_comp_plan).  The
+    step fit tolerates inputs a small multiple of the producing mod plan's
+    residual away from exact integers.
     """
     if plan.B != p - 1:
         raise ValueError(f"step plan covers [0, {plan.B}], inputs live in [0, {p - 1}]")
-    del threshold  # baked into the plan's samples; kept for call-site clarity
     return eval_plan(ct, plan)
 
 
-def _floor_plus_step(ct: SlotCiphertext, p: int, mod_plan: ModPlan, comp_plan: ModPlan,
-                     threshold: float) -> SlotCiphertext:
-    """floor(x/p) + [x mod p > threshold], sharing one mod evaluation."""
+def _floor_plus_step(ct: SlotCiphertext, p: int, mod_plan: ModPlan,
+                     comp_plan: ModPlan) -> SlotCiphertext:
+    """floor(x/p) + [x mod p > threshold of comp_plan], sharing one mod evaluation."""
     if mod_plan.p != p:
         raise ValueError(f"plan fits modulus {mod_plan.p}, requested {p}")
     remainder = eval_plan(ct, mod_plan)
     floor_part = ct * (1.0 / p) - remainder * (1.0 / p)
-    return floor_part + comp_step(remainder, threshold, p, comp_plan)
+    return floor_part + comp_step(remainder, p, comp_plan)
 
 
 def ceil_he(ct: SlotCiphertext, p: int, mod_plan: ModPlan, comp_plan: ModPlan) -> SlotCiphertext:
-    """Slot-wise ceil(x/p) = floor(x/p) + [x mod p > 0.5]."""
-    return _floor_plus_step(ct, p, mod_plan, comp_plan, 0.5)
+    """Slot-wise ceil(x/p) = floor(x/p) + [x mod p > 0.5].
+
+    comp_plan is build_comp_plan(0.5, p).
+    """
+    return _floor_plus_step(ct, p, mod_plan, comp_plan)
 
 
 def round_he(ct: SlotCiphertext, p: int, mod_plan: ModPlan, comp_plan: ModPlan) -> SlotCiphertext:
     """Slot-wise round-half-up of x/p: floor plus [x mod p > p/2 - 0.25].
 
-    The quarter offset keeps the comparison threshold off the integers; on
-    integer remainders r = p/2 the indicator fires, giving half-up ties.
+    comp_plan is build_comp_plan(p / 2 - 0.25, p).  The quarter offset keeps
+    the comparison threshold off the integers; on integer remainders r = p/2
+    the indicator fires, giving half-up ties.
     """
-    return _floor_plus_step(ct, p, mod_plan, comp_plan, p / 2 - 0.25)
+    return _floor_plus_step(ct, p, mod_plan, comp_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +130,12 @@ def share_plan(p: int, n_parties: int, D: int | None = None,
 
 
 def shares_to_ct(share_cts, plan: ModPlan) -> SlotCiphertext:
-    """Reconstruct the secret under encryption: ModP(sum of share ciphertexts, p)."""
+    """Reconstruct the secret under encryption: ModP(sum of share ciphertexts, p).
+
+    This is the tree of a single node over all parties.
+    """
     share_cts = list(share_cts)
-    if not share_cts:
-        raise ValueError("need at least one share ciphertext")
-    if plan.B < len(share_cts) * (plan.p - 1):
-        raise ValueError(
-            f"plan interval [0, {plan.B}] cannot hold a {len(share_cts)}-party sum "
-            f"(needs {len(share_cts) * (plan.p - 1)})"
-        )
-    total = share_cts[0]
-    for ct in share_cts[1:]:
-        total = total + ct
-    return eval_plan(total, plan)
+    return shares_to_ct_tree(share_cts, ReconstructNode(tuple(range(len(share_cts))), plan))
 
 
 @dataclass(frozen=True)
@@ -166,18 +163,29 @@ class ReconstructNode:
 def shares_to_ct_tree(share_cts, node: ReconstructNode) -> SlotCiphertext:
     """Tree-based reconstruction: smaller per-node ranges, more mod calls.
 
-    A single node over all parties reproduces shares_to_ct exactly.
+    Every child of a node, a share or a reduced subtree, lies in [0, p-1],
+    so each node's plan interval must hold len(children) * (p-1).
     """
     share_cts = list(share_cts)
-    parties = node.parties()
-    if sorted(parties) != list(range(len(share_cts))):
+    if not share_cts:
+        raise ValueError("need at least one share ciphertext")
+    if sorted(node.parties()) != list(range(len(share_cts))):
         raise ValueError("tree leaves must partition the share indices exactly once")
+    return _reduce(node, share_cts)
 
-    def run(nd: ReconstructNode) -> SlotCiphertext:
-        total = None
-        for child in nd.children:
-            val = run(child) if isinstance(child, ReconstructNode) else share_cts[int(child)]
-            total = val if total is None else total + val
-        return eval_plan(total, nd.plan)
 
-    return run(node)
+def _reduce(node: ReconstructNode, share_cts) -> SlotCiphertext:
+    # A module-level recursion, not a closure, so no reference cycle keeps
+    # the share ciphertexts alive after the call.
+    needed = len(node.children) * (node.plan.p - 1)
+    if node.plan.B < needed:
+        raise ValueError(
+            f"plan interval [0, {node.plan.B}] cannot hold a {len(node.children)}-party sum "
+            f"(needs {needed})"
+        )
+    total = None
+    for child in node.children:
+        val = (_reduce(child, share_cts) if isinstance(child, ReconstructNode)
+               else share_cts[int(child)])
+        total = val if total is None else total + val
+    return eval_plan(total, node.plan)

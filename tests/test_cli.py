@@ -6,8 +6,7 @@ import pytest
 
 from modpack import cli
 from modpack.fitting import fit_modp, load_plan, suggest_delta
-from modpack.packing import (ConcatStage, CrtBasis, ImgPairStage, PackLayout,
-                             StackStage, save_layout)
+from modpack.packing import ConcatStage, CrtBasis, ImgPairStage, PackLayout, save_layout
 
 
 def run(*argv):
@@ -61,7 +60,7 @@ def fig_files(tmp_path):
     plans = tuple(fit_modp(p, 89, 150) for p in (9, 10))
     layout = PackLayout((
         ConcatStage(groups=((4, 4), (4, 4), (4,), (4,))),
-        StackStage(CrtBasis((9, 10), plans)),
+        CrtBasis((9, 10), plans),
         ImgPairStage(8, 4),
     ))
     layout_path = tmp_path / "layout.json"
@@ -89,6 +88,30 @@ def test_pack_unpack_round_trip(fig_files, tmp_path, capsys):
     assert len(recovered) == 6
     for got, want in zip(recovered, data):
         assert np.max(np.abs(np.array(got) - want)) <= 1e-5
+
+
+def test_pack_unpack_template_layout(tmp_path):
+    # A "sizes" concat stage: without --expected, unpack trims each vector to
+    # the length the stage resolves for it.
+    plans = (fit_modp(3, 14, 30, 100.0), fit_modp(5, 14, 30, 100.0))
+    layout_path = tmp_path / "layout.json"
+    save_layout(PackLayout((ConcatStage(template=(4, 4)), CrtBasis((3, 5), plans))),
+                layout_path)
+    assert json.loads(layout_path.read_text())["stages"][0] == {"kind": "concat",
+                                                                "sizes": [4, 4]}
+    rng = np.random.default_rng(5)
+    data = [[int(x) for x in rng.integers(0, 3, 4)] for _ in range(8)]
+    data_path, packed_path = tmp_path / "data.ndjson", tmp_path / "packed.ndjson"
+    write_lines(data_path, data)
+    assert run("pack", "--layout", layout_path, "--data", data_path, "--out", packed_path) == 0
+    assert len(packed_path.read_text().splitlines()) == 2  # 8 vectors -> 4 pairs -> 2
+    out_path = tmp_path / "recovered.ndjson"
+    assert run("unpack", "--layout", layout_path, "--data", packed_path,
+               "--out", out_path, "--n", 16) == 0
+    recovered = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert [len(v) for v in recovered] == [4] * 8
+    for got, want in zip(recovered, data):
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-4
 
 
 def test_unpack_rejects_output_dir(tmp_path):

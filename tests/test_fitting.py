@@ -66,6 +66,15 @@ def test_rank_deficiency_detected():
     A = np.ones((2, 5))  # duplicate sample rows
     with pytest.raises(RankDeficientError):
         solve_min_norm(A, np.array([1.0, 2.0]))
+    A[0, 0] = np.nan  # a Cholesky factorization of a NaN Gram matrix does not fail
+    with pytest.raises(RankDeficientError):
+        solve_min_norm(A, np.array([1.0, 2.0]))
+
+
+def test_near_singular_fit_rejected():
+    # D barely above B: the Gram matrix is numerically singular (cond ~7e16).
+    with pytest.raises(RankDeficientError):
+        fit_modp(16, 112, 128)
 
 
 @pytest.mark.parametrize("p,ref", [(4, 2.761e-8), (5, 2.657e-8)])

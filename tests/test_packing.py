@@ -5,7 +5,7 @@ from modpack.fitting import fit_modp
 from modpack.hesim import OpStats, SimParams, decrypt, encrypt
 from modpack.packing import (BitStackLayout, CapacityError, ConcatLayout,
                              ConcatStage, CrtBasis, ImgPairStage, PackLayout,
-                             StackStage, bitstack_pack, bitstack_plan_specs,
+                             bitstack_pack, bitstack_plan_specs,
                              bitstack_unpack, crt_pack, crt_unpack, img_pack,
                              img_unpack, load_layout, pipeline_pack,
                              pipeline_unpack, repack_repeat, save_layout,
@@ -381,7 +381,7 @@ def fig_layout(vec_len, D=150):
     plans = tuple(fit_modp(p, P - 1, D) for p in (9, 10))  # auto-suggested delta
     return PackLayout((
         ConcatStage(groups=((vec_len, vec_len), (vec_len, vec_len), (vec_len,), (vec_len,))),
-        StackStage(CrtBasis((9, 10), plans)),
+        CrtBasis((9, 10), plans),
         ImgPairStage(2 * vec_len, vec_len),
     ))
 
@@ -412,7 +412,7 @@ def test_pipeline_shape_mismatch_errors():
     layout = PackLayout((ConcatStage(groups=((2, 2),)),))
     with pytest.raises(ValueError):
         pipeline_pack([np.zeros(2)], layout)  # group wants two vectors
-    stack = PackLayout((StackStage(CrtBasis((4, 5))),))
+    stack = PackLayout((CrtBasis((4, 5)),))
     with pytest.raises(ValueError):
         pipeline_pack([np.zeros(4), np.zeros(5)], stack)  # unequal lengths
     img = PackLayout((ImgPairStage(3, 3),))
@@ -443,8 +443,8 @@ def test_layout_json_custom_plan_dir(tmp_path):
     assert (tmp_path / "plans").is_dir()
     loaded = load_layout(path)
     stack = loaded.stages[1]
-    assert np.array_equal(stack.layout.plans[0].series.coeffs,
-                          layout.stages[1].layout.plans[0].series.coeffs)
+    assert np.array_equal(stack.plans[0].series.coeffs,
+                          layout.stages[1].plans[0].series.coeffs)
 
 
 def test_layout_json_template_form(tmp_path):
@@ -453,7 +453,7 @@ def test_layout_json_template_form(tmp_path):
     plan2 = fit_modp(5, 14, 30, 100.0)
     layout = PackLayout((
         ConcatStage(template=(4, 4)),
-        StackStage(CrtBasis((3, 5), (plan, plan2))),
+        CrtBasis((3, 5), (plan, plan2)),
     ))
     path = tmp_path / "layout.json"
     save_layout(layout, path)
@@ -470,3 +470,27 @@ def test_layout_json_template_form(tmp_path):
     assert len(outs) == 4
     for truth, out in zip(data, outs):
         assert np.max(np.abs(decrypt(out)[:4].real - truth)) <= 1e-4
+
+
+@pytest.mark.parametrize("radices,spelling", [
+    ((4, 4, 4), {"bit_widths": [2, 2, 2]}),  # power-of-two radices save as widths
+    ((3, 5), {"radices": [3, 5]}),
+])
+def test_layout_json_bitstack_round_trip(tmp_path, radices, spelling):
+    import json
+    plans = tuple(fit_modp(p, B, 90, 100.0) for p, B in bitstack_plan_specs(radices))
+    layout = PackLayout((BitStackLayout(radices, plans),))
+    rng = np.random.default_rng(11)
+    data = [rng.integers(0, r, 8) for r in radices]
+    path = tmp_path / "layout.json"
+    save_layout(layout, path)
+    files = [f"layout-stage0-layer{i}.plan.json" for i in range(len(plans))]
+    doc = {"stages": [{"kind": "bitstack", "plan_files": files, **spelling}]}
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+    loaded = load_layout(path)
+    assert loaded.stages[0].radices == radices
+    packed = pipeline_pack(data, loaded)
+    assert np.array_equal(packed[0], pipeline_pack(data, layout)[0])
+    outs = pipeline_unpack([encrypt(packed[0], SimParams(n=16))], loaded)
+    for truth, out in zip(data, outs):
+        assert np.max(np.abs(decrypt(out)[:8].real - truth)) <= 1e-4

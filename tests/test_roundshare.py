@@ -53,21 +53,21 @@ def test_floor_plan_modulus_checked():
 
 def test_comp_step_threshold_half():
     plan = build_comp_plan(0.5, 4)
-    out = dec(comp_step(enc([0.0, 1.0, 2.0, 3.0]), 0.5, 4, plan), 4)
+    out = dec(comp_step(enc([0.0, 1.0, 2.0, 3.0]), 4, plan), 4)
     assert out == pytest.approx([0, 1, 1, 1], abs=1e-6)
 
 
 def test_comp_step_enumerated_threshold():
     # indicator r > 2.25 over r = 0..4, i.e. r >= 3
     plan = build_comp_plan(5 / 2 - 0.25, 5)
-    out = dec(comp_step(enc(np.arange(5.0)), 5 / 2 - 0.25, 5, plan), 5)
+    out = dec(comp_step(enc(np.arange(5.0)), 5, plan), 5)
     want = [1.0 if r >= 3 else 0.0 for r in range(5)]
     assert out == pytest.approx(want, abs=1e-6)
 
 
 def test_comp_step_all_zero_input():
     plan = build_comp_plan(0.5, 4)
-    out = dec(comp_step(enc(np.zeros(8)), 0.5, 4, plan), 8)
+    out = dec(comp_step(enc(np.zeros(8)), 4, plan), 8)
     assert np.max(np.abs(out)) <= 1e-6
 
 
@@ -77,7 +77,7 @@ def test_comp_step_tolerates_mod_residual():
     comp_plan = build_comp_plan(0.5, 4)
     wobble = 10 * max(mod_plan.residual, 1e-12)
     xs = np.array([0.0, 1.0, 2.0, 3.0]) + wobble
-    out = dec(comp_step(enc(xs), 0.5, 4, comp_plan), 4)
+    out = dec(comp_step(enc(xs), 4, comp_plan), 4)
     assert out == pytest.approx([0, 1, 1, 1], abs=1e-4)
 
 
@@ -136,7 +136,7 @@ def test_comp_term_vanishes_on_exact_multiples():
     plan = fit_modp(p, 29, 50, 100.0)
     comp_c = build_comp_plan(0.5, p)
     multiples = np.array([0.0, 6.0, 12.0, 18.0, 24.0])
-    remainder = decrypt(comp_step(enc(np.mod(multiples, p)), 0.5, p, comp_c))[:5].real
+    remainder = decrypt(comp_step(enc(np.mod(multiples, p)), p, comp_c))[:5].real
     assert np.max(np.abs(remainder)) <= 10 * max(plan.residual, 1e-9)
 
 
@@ -256,3 +256,17 @@ def test_bulk_random_sharesets_decode_exactly():
         out = shares_to_ct([encrypt(s, params) for s in shares.shares], plan)
         got = decrypt(out)[:500].real
         assert np.array_equal(np.rint(got) % 16, shares.secret())
+
+
+def test_tree_node_interval_overflow_rejected():
+    # Three Z_16 shares sum to at most 45, beyond a two-party plan's [0, 30].
+    cts = [enc([15.0])] * 3
+    two_party = share_plan(16, 2)
+    with pytest.raises(ValueError, match="cannot hold a 3-party sum"):
+        shares_to_ct_tree(cts, ReconstructNode((0, 1, 2), two_party))
+    # The same check runs at every node, not only at the root.
+    leaf = share_plan(16, 1, D=40)
+    root = ReconstructNode((ReconstructNode((0,), leaf), ReconstructNode((1, 2), leaf)),
+                           fit_modp(16, 30, 128))
+    with pytest.raises(ValueError, match="cannot hold a 2-party sum"):
+        shares_to_ct_tree(cts, root)
