@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fitting, hesim, packing, psev, roundshare
+from . import fitting, hesim, psev, roundshare
 from .cheb import cheb_T, clenshaw, eval_clenshaw
 from .fitting import fit_modp, save_plan
 from .hesim import OpStats, SimParams, decrypt, encrypt
@@ -36,6 +36,7 @@ MODP_INTERVAL = 29
 MODP_DEGREES = (35, 40, 45, 50)
 FLOOR_MODULI = (4, 5, 6, 7, 8, 9)
 CRT_MODULI = (4, 5, 7)
+CRT_DEGREE = 210
 SHARE_MODULUS = 16
 SHARE_PARTIES = (3, 4, 5, 6, 7, 8)
 
@@ -76,26 +77,16 @@ REFERENCE = {
 class RunConfig:
     sim: SimParams
     seed: int = 0
-    output_dir: Path = Path("out")
-    table: str | None = None
 
 
 def _load_config(args) -> RunConfig:
     doc = {}
-    if getattr(args, "config", None):
+    if args.config:
         doc = json.loads(Path(args.config).read_text())
     sim = hesim.params_from_dict(doc.get("sim", {}))
-    if getattr(args, "n", None):
+    if args.n:
         sim = replace(sim, n=args.n)
-    table = doc.get("table")
-    if table is not None and table not in TABLES:
-        raise ValueError(f"unknown table {table!r}; choose from {sorted(TABLES)}")
-    return RunConfig(
-        sim=sim,
-        seed=int(doc.get("seed", 0)),
-        output_dir=Path(getattr(args, "output_dir", None) or doc.get("output_dir", "out")),
-        table=table,
-    )
+    return RunConfig(sim=sim, seed=int(doc.get("seed", 0)))
 
 
 def _rng(cfg: RunConfig, job: str) -> np.random.Generator:
@@ -139,79 +130,70 @@ def _fresh_params(cfg: RunConfig) -> SimParams:
     return replace(cfg.sim, stats=OpStats())
 
 
-def _unpack_layers(params: SimParams, data, width: int, unpack):
-    """Time `unpack()`, then score each unpacked layer against its truth.
+def _run_layout(cfg: RunConfig, data, layout: PackLayout):
+    """Pack `data` through `layout`, then time encrypting and unpacking it.
 
-    Returns per-layer mean and max errors over the first `width` slots,
-    remaining levels, and the op stats.
+    Scores each unpacked vector against its truth over the truth's length.
+    Returns per-vector mean and max errors, remaining levels, the op stats
+    and the wall time.
     """
+    params = _fresh_params(cfg)
+    packed = pipeline_pack(data, layout)
     start = time.perf_counter()
-    outs = unpack()
+    outs = pipeline_unpack([encrypt(v, params) for v in packed], layout)
     wall = time.perf_counter() - start
-    diffs = [np.abs(decrypt(ct)[:width].real - truth) for truth, ct in zip(data, outs)]
+    diffs = [np.abs(decrypt(ct)[: truth.size].real - truth) for truth, ct in zip(data, outs)]
     return {"errors": [float(np.mean(d)) for d in diffs],
             "max_errors": [float(np.max(d)) for d in diffs],
             "levels": [ct.level for ct in outs], "stats": params.stats, "wall": wall}
 
 
-def run_bitstack(cfg: RunConfig, D: int, radix: int = 4, layers: int = 3,
-                 batch: int | None = None):
-    """Pack `layers` random radix-`radix` vectors, unpack on the simulator."""
-    params = _fresh_params(cfg)
-    batch = min(batch or params.n, params.n)
+def run_bitstack(cfg: RunConfig, D: int, radix: int = 4, layers: int = 3):
+    """Pack `layers` random radix-`radix` slot vectors, unpack on the simulator."""
     rng = _rng(cfg, f"bitstack-{radix}-{layers}-{D}")
-    data = [rng.integers(0, radix, batch) for _ in range(layers)]
+    data = [rng.integers(0, radix, cfg.sim.n) for _ in range(layers)]
     specs = bitstack_plan_specs([radix] * layers)
     plans = tuple(fit_modp(p, B, D, fitting.default_delta(D)) for p, B in specs)
-    layout = BitStackLayout((radix,) * layers, plans)
-    packed = packing.bitstack_pack(data, layout)
-    return _unpack_layers(params, data, batch, lambda: packing.bitstack_unpack(
-        encrypt(packed, params), layout))
+    return _run_layout(cfg, data, PackLayout((BitStackLayout((radix,) * layers, plans),)))
 
 
-def run_crtstack(cfg: RunConfig, D: int = 210, moduli=CRT_MODULI, batch: int | None = None):
-    """Pack one random residue vector per modulus, unpack on the simulator."""
-    params = _fresh_params(cfg)
-    batch = min(batch or params.n, params.n)
-    rng = _rng(cfg, f"crtstack-{'-'.join(map(str, moduli))}-{D}")
-    data = [rng.integers(0, p, batch) for p in moduli]
-    P = int(np.prod(moduli))
-    plans = tuple(fit_modp(p, P - 1, D, fitting.default_delta(D)) for p in moduli)
-    basis = CrtBasis(tuple(moduli), plans)
-    packed = packing.crt_pack(data, basis)
-    return _unpack_layers(params, data, batch, lambda: packing.crt_unpack(
-        encrypt(packed, params), basis))
+def _crt_basis() -> CrtBasis:
+    """The CRT_MODULI basis with one degree-CRT_DEGREE plan per modulus."""
+    P, D = int(np.prod(CRT_MODULI)), CRT_DEGREE
+    return CrtBasis(CRT_MODULI, tuple(fit_modp(p, P - 1, D, fitting.default_delta(D))
+                                      for p in CRT_MODULI))
 
 
-def combine2_layout(vec_len: int, slot_count: int, D: int = 210,
-                    moduli=CRT_MODULI) -> PackLayout:
+def run_crtstack(cfg: RunConfig):
+    """Pack one random residue slot vector per modulus, unpack on the simulator."""
+    rng = _rng(cfg, f"crtstack-{'-'.join(map(str, CRT_MODULI))}-{CRT_DEGREE}")
+    data = [rng.integers(0, p, cfg.sim.n) for p in CRT_MODULI]
+    return _run_layout(cfg, data, PackLayout((_crt_basis(),)))
+
+
+def combine2_layout(vec_len: int, slot_count: int) -> PackLayout:
     """Concat to capacity, stack with the CRT basis, pair into complex slots."""
     per_ct = slot_count // vec_len
     if per_ct < 1:
         raise ValueError(f"slot count {slot_count} cannot hold a length-{vec_len} vector")
     group_len = per_ct * vec_len
-    P = int(np.prod(moduli))
-    plans = tuple(fit_modp(p, P - 1, D, fitting.default_delta(D)) for p in moduli)
     return PackLayout((
         ConcatStage(template=(vec_len,) * per_ct),
-        CrtBasis(tuple(moduli), plans),
+        _crt_basis(),
         ImgPairStage(group_len, group_len),
     ))
 
 
-def run_combine2(cfg: RunConfig, n_vectors: int = 96, vec_len: int = 2000, D: int = 210):
-    params = _fresh_params(cfg)
+def run_combine2(cfg: RunConfig, n_vectors: int = 96, vec_len: int = 2000):
     rng = _rng(cfg, "combine2")
     data = [rng.integers(0, 4, vec_len) for _ in range(n_vectors)]
-    layout = combine2_layout(vec_len, params.n, D)
-    packed = pipeline_pack(data, layout)
+    layout = combine2_layout(vec_len, cfg.sim.n)
     counts = {"concat": len(pipeline_pack(data, PackLayout(layout.stages[:1]))),
               "crt": len(pipeline_pack(data, PackLayout(layout.stages[:2]))),
-              "final": len(packed)}
-    res = _unpack_layers(params, data, vec_len, lambda: pipeline_unpack(
-        [encrypt(v, params) for v in packed], layout))
+              "final": len(pipeline_pack(data, layout))}
+    res = _run_layout(cfg, data, layout)
     return {"max_err": max(res["max_errors"]), "min_level": min(res["levels"]),
-            "counts": counts, "stats": params.stats, "wall": res["wall"]}
+            "counts": counts, "stats": res["stats"], "wall": res["wall"]}
 
 
 def run_shares(cfg: RunConfig, parties: int, batch: int = 4096, tree_split: int | None = None):
@@ -402,10 +384,9 @@ def _table_shares(cfg: RunConfig):
 
 
 def _table_depth(cfg: RunConfig):
-    batch = min(cfg.sim.n, 4096)
-    runs = {"bitstack90": run_bitstack(cfg, 90, batch=batch),
-            "bitstack210": run_bitstack(cfg, 210, batch=batch),
-            "crtstack": run_crtstack(cfg, batch=batch)}
+    runs = {"bitstack90": run_bitstack(cfg, 90),
+            "bitstack210": run_bitstack(cfg, 210),
+            "crtstack": run_crtstack(cfg)}
     return _rows("depth", [{
         "unpacked_cipher": f"layer_{i + 1}",
         **{name: Cell(res["levels"][i], BOUNDS[f"{name}_levels"][i], "+-", f"{name}_bound")
@@ -532,12 +513,10 @@ def cmd_unpack(args) -> int:
 
 def cmd_table(args) -> int:
     cfg = _load_config(args)
-    name = args.name or cfg.table
-    if not name:
-        raise ValueError("no table selected: pass --name or set \"table\" in the config")
+    name = args.name
     start = time.perf_counter()
     rows, violations = TABLES[name](cfg)
-    _write_table(rows, cfg.output_dir, name)
+    _write_table(rows, Path(args.output_dir), name)
     print(f"# table {name}: wall_clock_s={time.perf_counter() - start:.3f} "
           "(informational, never asserted)")
     for row in rows:
@@ -606,11 +585,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_unpack.set_defaults(func=cmd_unpack)
 
     p_table = sub.add_parser("table", help="regenerate a result table with bound checks")
-    p_table.add_argument("--name", choices=sorted(TABLES), default=None,
-                         help="table to run (or set \"table\" in --config)")
+    p_table.add_argument("--name", choices=sorted(TABLES), required=True)
     p_table.add_argument("--config", default=None)
     p_table.add_argument("--n", type=int, default=None)
-    p_table.add_argument("--output-dir", default=None)
+    p_table.add_argument("--output-dir", default="out")
     p_table.set_defaults(func=cmd_table)
 
     p_self = sub.add_parser("selftest", help="quick internal consistency checks")

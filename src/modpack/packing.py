@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,53 +42,31 @@ def _chunk(items, size):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConcatLayout:
-    """Message sizes n_1..n_d concatenated into one slot vector."""
-
-    sizes: tuple
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError("sizes must be positive")
-        object.__setattr__(self, "sizes", sizes)
-
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
-
-
-def vec_pack(vectors, layout: ConcatLayout, n: int | None = None) -> np.ndarray:
-    """Concatenate vectors per the layout, optionally zero-padding to n slots."""
-    if len(vectors) != len(layout.sizes):
-        raise ValueError(f"expected {len(layout.sizes)} vectors, got {len(vectors)}")
+def vec_pack(vectors, sizes) -> np.ndarray:
+    """Concatenate vectors of lengths `sizes`; encrypt zero-pads them to the slot count."""
+    if len(vectors) != len(sizes):
+        raise ValueError(f"expected {len(sizes)} vectors, got {len(vectors)}")
     parts = []
-    for i, (v, size) in enumerate(zip(vectors, layout.sizes)):
+    for i, (v, size) in enumerate(zip(vectors, sizes)):
         arr = np.asarray(v).reshape(-1)
         if arr.size != size:
             raise ValueError(f"vector {i} has length {arr.size}, layout expects {size}")
         parts.append(arr)
-    out = np.concatenate(parts) if parts else np.zeros(0)
-    if n is not None:
-        if layout.total > n:
-            raise CapacityError(f"layout occupies {layout.total} slots, only {n} available")
-        out = np.pad(out, (0, n - out.size))
-    return out
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def vec_unpack(ct: SlotCiphertext, layout: ConcatLayout) -> list[SlotCiphertext]:
-    """Split a concatenated ciphertext; costs one level (the mask multiply).
+def vec_unpack(ct: SlotCiphertext, sizes) -> list[SlotCiphertext]:
+    """Split a ciphertext concatenating messages of lengths `sizes`; costs one level.
 
     All d rotations of the same input go through a single rotate_batch call.
     """
-    if layout.total > ct.params.n:
-        raise CapacityError("layout exceeds slot count")
-    starts = np.concatenate(([0], np.cumsum(layout.sizes)[:-1]))
+    if sum(sizes) > ct.params.n:
+        raise CapacityError(f"sizes occupy {sum(sizes)} slots, only {ct.params.n} available")
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     rotated = rotate_batch(ct, [int(s) for s in starts])
     # A short plaintext operand zero-pads to the slot count, so np.ones(size)
     # is exactly the mask with d_i leading ones.
-    return [r_ct * np.ones(size) for r_ct, size in zip(rotated, layout.sizes)]
+    return [r_ct * np.ones(size) for r_ct, size in zip(rotated, sizes)]
 
 
 def repack_repeat(ct: SlotCiphertext, d_x: int, r: int) -> SlotCiphertext:
@@ -134,11 +111,14 @@ class ConcatStage:
         if (self.groups is None) == (self.template is None):
             raise ValueError("specify exactly one of groups or template")
         if self.groups is not None:
-            object.__setattr__(
-                self, "groups", tuple(tuple(int(s) for s in g) for g in self.groups)
-            )
+            groups = tuple(tuple(int(s) for s in g) for g in self.groups)
+            object.__setattr__(self, "groups", groups)
         else:
-            object.__setattr__(self, "template", tuple(int(s) for s in self.template))
+            groups = (tuple(int(s) for s in self.template),)
+            object.__setattr__(self, "template", groups[0])
+        for g in groups:
+            if not g or min(g) < 1:
+                raise ValueError(f"concat group {list(g)} needs sizes, each at least 1")
 
     def resolve(self, n_vectors: int) -> tuple:
         """Member sizes of each concatenated vector made from n_vectors inputs.
@@ -156,7 +136,7 @@ class ConcatStage:
     def pack(self, vectors) -> list[np.ndarray]:
         out, idx = [], 0
         for g in self.resolve(len(vectors)):
-            out.append(vec_pack(vectors[idx : idx + len(g)], ConcatLayout(g)))
+            out.append(vec_pack(vectors[idx : idx + len(g)], g))
             idx += len(g)
         return out
 
@@ -165,7 +145,7 @@ class ConcatStage:
         groups = self.groups if self.groups is not None else (self.template,) * len(cts)
         if len(groups) != len(cts):
             raise ValueError(f"concat stage expects {len(groups)} ciphertexts, got {len(cts)}")
-        return [v for ct, g in zip(cts, groups) for v in vec_unpack(ct, ConcatLayout(g))]
+        return [v for ct, g in zip(cts, groups) for v in vec_unpack(ct, g)]
 
     def to_json(self, plan_files) -> dict:
         if self.groups is not None:
@@ -409,20 +389,14 @@ def crt_pack(values, basis: CrtBasis) -> np.ndarray:
     return acc
 
 
-def crt_unpack(ct: SlotCiphertext, basis: CrtBasis, parallel: bool = False) -> list[SlotCiphertext]:
+def crt_unpack(ct: SlotCiphertext, basis: CrtBasis) -> list[SlotCiphertext]:
     """Recover every residue layer from the same input ciphertext.
 
     Layers are independent mod evaluations, so they consume identical depth
-    and their errors do not accumulate; parallel=True runs them in threads.
-    With noise on, the threads draw from the one noise stream of the
-    ciphertext's SimParams in whatever order they run, so only a serial
-    unpack reproduces the noise exactly.
+    and their errors do not accumulate.
     """
     if not basis.plans:
         raise ValueError("basis carries no plans; unpacking needs one per modulus")
-    if parallel and len(basis.plans) > 1:
-        with ThreadPoolExecutor(max_workers=len(basis.plans)) as pool:
-            return list(pool.map(lambda plan: eval_plan(ct, plan), basis.plans))
     return [eval_plan(ct, plan) for plan in basis.plans]
 
 

@@ -177,6 +177,9 @@ def shares_to_ct_tree(share_cts, node: ReconstructNode) -> SlotCiphertext:
 def _reduce(node: ReconstructNode, share_cts) -> SlotCiphertext:
     # A module-level recursion, not a closure, so no reference cycle keeps
     # the share ciphertexts alive after the call.
+    if not node.children:
+        raise ValueError(f"reconstruction node with plan ModP(x,{node.plan.p}) on "
+                         f"[0, {node.plan.B}] has no children")
     needed = len(node.children) * (node.plan.p - 1)
     if node.plan.B < needed:
         raise ValueError(

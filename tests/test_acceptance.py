@@ -12,10 +12,10 @@ from modpack import cli
 from modpack.cheb import ChebSeries, clenshaw
 from modpack.fitting import fit_modp
 from modpack.hesim import SimParams, conjugate, decrypt, encrypt, rotate
-from modpack.packing import (BitStackLayout, ConcatLayout, CrtBasis,
-                             bitstack_pack, bitstack_plan_specs,
-                             bitstack_unpack, crt_pack, crt_unpack, img_pack,
-                             img_unpack, vec_pack, vec_unpack)
+from modpack.packing import (BitStackLayout, CrtBasis, bitstack_pack,
+                             bitstack_plan_specs, bitstack_unpack, crt_pack,
+                             crt_unpack, img_pack, img_unpack, vec_pack,
+                             vec_unpack)
 from modpack.psev import eval_ps, plan_schedule
 
 FULL = cli.RunConfig(sim=SimParams(n=2 ** 15, max_level=25), seed=0)
@@ -183,8 +183,7 @@ def test_criterion_8_property_suites():
     # round trips per scheme
     sizes = (5, 9, 3)
     vectors = [rng.normal(size=s) for s in sizes]
-    for got, want in zip(vec_unpack(encrypt(vec_pack(vectors, ConcatLayout(sizes), n=64),
-                                            params), ConcatLayout(sizes)), vectors):
+    for got, want in zip(vec_unpack(encrypt(vec_pack(vectors, sizes), params), sizes), vectors):
         ok &= np.max(np.abs(decrypt(got)[: want.size].real - want)) <= 1e-12
     av, bv = rng.normal(size=20), rng.normal(size=12)
     ra, rb = img_unpack(encrypt(img_pack(av, bv), params), 20, 12)
@@ -199,10 +198,10 @@ def test_criterion_8_property_suites():
     notes.append("round trips (vec/img/bitstack/crt)")
 
     # level-ledger determinism: same configuration, fresh run, same levels
-    lvl_a = cli.run_bitstack(SMALL, 90, batch=256)["levels"]
-    lvl_b = cli.run_bitstack(SMALL, 90, batch=256)["levels"]
-    crt_a = cli.run_crtstack(SMALL, batch=256)["levels"]
-    crt_b = cli.run_crtstack(SMALL, batch=256)["levels"]
+    lvl_a = cli.run_bitstack(SMALL, 90)["levels"]
+    lvl_b = cli.run_bitstack(SMALL, 90)["levels"]
+    crt_a = cli.run_crtstack(SMALL)["levels"]
+    crt_b = cli.run_crtstack(SMALL)["levels"]
     ok &= lvl_a == lvl_b and crt_a == crt_b
     notes.append(f"level ledger deterministic {lvl_a}/{crt_a}")
 

@@ -122,6 +122,20 @@ def test_unpack_rejects_output_dir(tmp_path):
     assert exc.value.code == 2
 
 
+def test_unpack_config_ignores_table_keys(fig_files, tmp_path, monkeypatch):
+    # "table" and "output_dir" are not config keys: an unpack config that
+    # carries them neither fails on them nor creates the directory.
+    layout_path, data_path, _ = fig_files
+    packed_path = tmp_path / "packed.ndjson"
+    assert run("pack", "--layout", layout_path, "--data", data_path, "--out", packed_path) == 0
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"sim": {"n": 32}, "table": "nope", "output_dir": "zzz"}))
+    monkeypatch.chdir(tmp_path)
+    assert run("unpack", "--layout", layout_path, "--data", packed_path,
+               "--out", tmp_path / "o.ndjson", "--config", config) == 0
+    assert not (tmp_path / "zzz").exists()
+
+
 def test_pack_empty_data_file(fig_files, tmp_path):
     layout_path, _, _ = fig_files
     empty = tmp_path / "empty.ndjson"
@@ -229,6 +243,12 @@ def test_selftest_passes(capsys):
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run("table", "--name", "nonsense")
+    assert exc.value.code == 2
+
+
+def test_table_requires_name(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run("table", "--output-dir", tmp_path)
     assert exc.value.code == 2
 
 

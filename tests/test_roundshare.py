@@ -270,3 +270,11 @@ def test_tree_node_interval_overflow_rejected():
                            fit_modp(16, 30, 128))
     with pytest.raises(ValueError, match="cannot hold a 2-party sum"):
         shares_to_ct_tree(cts, root)
+
+
+def test_tree_node_without_children_rejected():
+    cts = [enc([3.0])]
+    plan = share_plan(16, 2)
+    node = ReconstructNode((0, ReconstructNode((), plan)), plan)
+    with pytest.raises(ValueError, match="has no children"):
+        shares_to_ct_tree(cts, node)
