@@ -482,26 +482,24 @@ def cmd_unpack(args) -> int:
         _write_vectors(args.out, [])
         print("unpacked 0 vectors")
         return 0
-    params = _fresh_params(cfg)
-    cts = [encrypt(v, params) for v in packed]
-    outs = pipeline_unpack(cts, layout)
+    sizes = [len(v) for v in packed]
+    for stage in reversed(layout.stages):
+        sizes = stage.unpacked_lengths(sizes)
     expected = _read_vectors(args.expected) if args.expected else None
-    sizes = None
-    if expected is not None:
-        sizes = [len(v) for v in expected]
-    elif layout.stages and isinstance(layout.stages[0], ConcatStage):
-        sizes = [s for g in layout.stages[0].resolve(len(outs)) for s in g]
-    recovered = []
-    for i, ct in enumerate(outs):
-        full = decrypt(ct).real
-        recovered.append(full[: sizes[i]] if sizes and i < len(sizes) else full)
+    for i, (want, size) in enumerate(zip(expected or [], sizes)):
+        if len(want) != size:
+            raise ValueError(f"expected vector {i} has length {len(want)}, "
+                             f"the layout unpacks length {size}")
+    params = _fresh_params(cfg)
+    outs = pipeline_unpack([encrypt(v, params) for v in packed], layout)
+    recovered = [decrypt(ct).real[:size] for ct, size in zip(outs, sizes)]
     _write_vectors(args.out, recovered)
     min_level = min(ct.level for ct in outs)
     print(f"unpacked {len(outs)} vectors; remaining level >= {min_level}")
     if expected is not None:
         worst_max = worst_mean = 0.0
         for i, (got, want) in enumerate(zip(recovered, expected)):
-            err = np.abs(got[: len(want)] - np.asarray(want, dtype=float))
+            err = np.abs(got - np.asarray(want, dtype=float))
             if len(recovered) <= 12:
                 print(f"  vector {i}: max={err.max():.6e} mean={err.mean():.6e} "
                       f"level={outs[i].level}")

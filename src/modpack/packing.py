@@ -120,32 +120,31 @@ class ConcatStage:
             if not g or min(g) < 1:
                 raise ValueError(f"concat group {list(g)} needs sizes, each at least 1")
 
-    def resolve(self, n_vectors: int) -> tuple:
-        """Member sizes of each concatenated vector made from n_vectors inputs.
-
-        A template repeats as often as the inputs need.
-        """
-        groups = self.groups
-        if groups is None:
-            groups = (self.template,) * (n_vectors // len(self.template))
-        if sum(len(g) for g in groups) != n_vectors:
-            raise ValueError(f"concat groups cover {sum(len(g) for g in groups)} vectors, "
-                             f"the stage has {n_vectors}")
-        return groups
-
     def pack(self, vectors) -> list[np.ndarray]:
+        groups = self.groups
+        if groups is None:  # a template repeats as often as the inputs need
+            groups = (self.template,) * (len(vectors) // len(self.template))
+        if sum(len(g) for g in groups) != len(vectors):
+            raise ValueError(f"concat groups cover {sum(len(g) for g in groups)} vectors, "
+                             f"the stage has {len(vectors)}")
         out, idx = [], 0
-        for g in self.resolve(len(vectors)):
+        for g in groups:
             out.append(vec_pack(vectors[idx : idx + len(g)], g))
             idx += len(g)
         return out
 
-    def unpack(self, cts) -> list[SlotCiphertext]:
+    def _packed_groups(self, n_cts: int) -> tuple:
         # Each ciphertext holds one group, so a template repeats once per ciphertext.
-        groups = self.groups if self.groups is not None else (self.template,) * len(cts)
-        if len(groups) != len(cts):
-            raise ValueError(f"concat stage expects {len(groups)} ciphertexts, got {len(cts)}")
-        return [v for ct, g in zip(cts, groups) for v in vec_unpack(ct, g)]
+        groups = self.groups if self.groups is not None else (self.template,) * n_cts
+        if len(groups) != n_cts:
+            raise ValueError(f"concat stage expects {len(groups)} ciphertexts, got {n_cts}")
+        return groups
+
+    def unpack(self, cts) -> list[SlotCiphertext]:
+        return [v for ct, g in zip(cts, self._packed_groups(len(cts))) for v in vec_unpack(ct, g)]
+
+    def unpacked_lengths(self, lengths) -> list[int]:
+        return [s for g in self._packed_groups(len(lengths)) for s in g]
 
     def to_json(self, plan_files) -> dict:
         if self.groups is not None:
@@ -198,6 +197,9 @@ class ImgPairStage:
 
     def unpack(self, cts) -> list[SlotCiphertext]:
         return [v for ct in cts for v in img_unpack(ct, self.n1, self.n2)]
+
+    def unpacked_lengths(self, lengths) -> list[int]:
+        return [n for _ in lengths for n in (self.n1, self.n2)]
 
     def to_json(self, plan_files) -> dict:
         return {"kind": "imgpair", "n1": self.n1, "n2": self.n2}
@@ -283,6 +285,9 @@ class BitStackLayout:
 
     def unpack(self, cts) -> list[SlotCiphertext]:
         return [v for ct in cts for v in bitstack_unpack(ct, self)]
+
+    def unpacked_lengths(self, lengths) -> list[int]:
+        return [n for n in lengths for _ in self.radices]
 
     def to_json(self, plan_files) -> dict:
         widths = self.bit_widths
@@ -376,6 +381,9 @@ class CrtBasis:
     def unpack(self, cts) -> list[SlotCiphertext]:
         return [v for ct in cts for v in crt_unpack(ct, self)]
 
+    def unpacked_lengths(self, lengths) -> list[int]:
+        return [n for n in lengths for _ in self.moduli]
+
     def to_json(self, plan_files) -> dict:
         return {"kind": "crt", "moduli": list(self.moduli), "plan_files": plan_files}
 
@@ -411,7 +419,8 @@ class PackLayout:
 
     A stage is a ConcatStage, BitStackLayout, CrtBasis or ImgPairStage.
     Each has pack(vectors) and unpack(cts), which map a list to a list,
-    its fitted `plans`, and to_json(plan_files), its layout JSON entry.
+    unpacked_lengths(lengths), the lengths unpack yields from vectors of
+    those lengths, its `plans`, and to_json(plan_files), its JSON entry.
     """
 
     stages: tuple

@@ -6,14 +6,13 @@ numpy arrays satisfy it natively; hesim.SlotCiphertext satisfies it with
 level accounting.  The same code path therefore evaluates on plaintext
 and on simulated ciphertexts.
 
-Depth schedule.  The series is padded to a full-degree polynomial of
-degree k*(2^m - 1) and decomposed by repeated Chebyshev-basis long
-division against the precomputed powers T_{k*2^j}; the division rests on
-the product identity 2*T_a*T_b = T_{a+b} + T_{|a-b|}.  With m sized so the
-capacity reaches the next power of two above the series degree D, the
-consumed multiplicative depth is exactly ceil(log2 D) + 2 (one level for
-the caller's domain map, the rest for the evaluation tree), independent of
-slot values.
+Depth schedule.  The series is decomposed by repeated Chebyshev-basis
+long division against the precomputed powers T_{k*2^j}, resting on the
+product identity 2*T_a*T_b = T_{a+b} + T_{|a-b|}.  The first division is
+always by the last giant step T_{k*2^(m-1)}, so the depth depends only on
+the schedule: with the capacity k*(2^m - 1) reaching the next power of two
+at or above the degree D, it is exactly ceil(log2 D) + 2 (one level for the
+caller's domain map, the rest for the tree), independent of slot values.
 """
 
 from __future__ import annotations
@@ -127,20 +126,13 @@ def eval_ps(series: ChebSeries, u, sched: PsSchedule):
         raise DegreeOverflowError(
             f"series degree {coeffs.size - 1} exceeds schedule capacity {sched.capacity}"
         )
-    fold = sched.folded_scale
     if D == 0:
         # Constant polynomial: a zero ciphertext plus a constant, no mults.
-        return (u - u) + float(coeffs[0]) * fold
+        return (u - u) + float(coeffs[0]) * sched.folded_scale
 
     bs, gs = compute_power_basis(u, sched)
-    nm = sched.capacity
-    g = np.zeros(nm + 1)
-    g[: coeffs.size] = coeffs
-    # Pad to full degree so the division tree (and hence the level ledger)
-    # depends only on the schedule; the pad term is subtracted at the end.
-    pad = 1.0 if abs(g[nm] + 1.0) >= 0.5 else 2.0
-    g[nm] += pad
-    g = g * fold
+    g = np.zeros(sched.capacity + 1)
+    g[: coeffs.size] = coeffs * sched.folded_scale
 
     def leaf(cc):
         acc = None
@@ -152,28 +144,22 @@ def eval_ps(series: ChebSeries, u, sched: PsSchedule):
             return (u - u) + float(cc[0])
         return acc + float(cc[0]) if cc[0] != 0.0 else acc
 
-    def rec(ff):
-        d = _degree(ff)
+    def rec(ff, d):
+        # Divide by the largest giant step T_{k*2^j} <= d.
         if d < sched.k:
             return leaf(ff)
         j = 0
         while sched.k * (1 << (j + 1)) <= d:
             j += 1
         q, r = _div_by_T(ff, sched.k * (1 << j))
-        out = rec(q) * gs[j]
+        out = rec(q, _degree(q)) * gs[j]
         if np.any(r != 0.0):
-            out = out + rec(r)
+            out = out + rec(r, _degree(r))
         return out
 
-    main = rec(g)
-    # Subtract fold*pad*T_{k*(2^m - 1)}(u), built with the same powers via
-    # T_{k(2^{j+1}-1)} = 2*T_{k*2^j}*T_{k(2^j-1)} - T_k.
-    corr1 = gs[0] * (fold * pad)
-    corr = corr1
-    for j in range(1, sched.m):
-        t = gs[j] * corr
-        corr = (t + t) - corr1
-    return main - corr
+    # At the capacity the first division is by gs[m-1], also when D < k*2^(m-1):
+    # the zero quotient times gs[m-1] then spends the schedule's top level.
+    return rec(g, sched.capacity)
 
 
 def mul_by_int_additively(e, c: int):

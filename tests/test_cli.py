@@ -114,6 +114,47 @@ def test_pack_unpack_template_layout(tmp_path):
         assert np.max(np.abs(np.array(got) - want)) <= 1e-4
 
 
+def _lone_stage_round_trip(tmp_path, stage, data, *extra):
+    layout_path = tmp_path / "layout.json"
+    save_layout(PackLayout((stage,)), layout_path)
+    data_path, packed_path = tmp_path / "data.ndjson", tmp_path / "packed.ndjson"
+    write_lines(data_path, data)
+    assert run("pack", "--layout", layout_path, "--data", data_path, "--out", packed_path) == 0
+    out_path = tmp_path / "recovered.ndjson"
+    code = run("unpack", "--layout", layout_path, "--data", packed_path,
+               "--out", out_path, "--n", 1024, *extra)
+    return code, out_path
+
+
+@pytest.mark.parametrize("stage_kind", ["crt", "imgpair"])
+def test_unpack_trims_lone_stage_without_expected(tmp_path, stage_kind):
+    # Without --expected each vector still comes out at its own length, not
+    # at the slot count: (3,5) CRT layers keep the packed length, an
+    # ImgPairStage yields (n1, n2).
+    if stage_kind == "crt":
+        plans = (fit_modp(3, 14, 30, 100.0), fit_modp(5, 14, 30, 100.0))
+        stage, data = CrtBasis((3, 5), plans), [[0, 1, 2, 1], [4, 0, 3, 2]]
+    else:
+        stage, data = ImgPairStage(4, 2), [[1, 2, 3, 4], [5, 6]]
+    code, out_path = _lone_stage_round_trip(tmp_path, stage, data)
+    assert code == 0
+    recovered = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert [len(v) for v in recovered] == [len(v) for v in data]
+    for got, want in zip(recovered, data):
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-4
+
+
+def test_unpack_expected_length_mismatch_names_vector(tmp_path, capsys):
+    data = [[1, 2, 3, 4], [5, 6]]
+    wrong = tmp_path / "wrong.ndjson"
+    write_lines(wrong, [[1, 2, 3, 4], [5, 6, 0]])
+    code, out_path = _lone_stage_round_trip(tmp_path, ImgPairStage(4, 2), data,
+                                            "--expected", wrong)
+    assert code == 2
+    assert "expected vector 1 has length 3" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_unpack_rejects_output_dir(tmp_path):
     # unpack writes only --out; an --output-dir it would ignore is a usage error
     with pytest.raises(SystemExit) as exc:

@@ -48,6 +48,16 @@ def test_concat_stage_rejects_bad_groups_at_construction():
         ConcatStage(groups=((),))
 
 
+def test_unpacked_lengths_per_stage():
+    assert ConcatStage(groups=((4, 4), (3,))).unpacked_lengths([8, 3]) == [4, 4, 3]
+    assert ConcatStage(template=(2, 5)).unpacked_lengths([7, 7]) == [2, 5, 2, 5]
+    with pytest.raises(ValueError, match="expects 2 ciphertexts"):
+        ConcatStage(groups=((4, 4), (3,))).unpacked_lengths([8])
+    assert ImgPairStage(4, 2).unpacked_lengths([4, 4]) == [4, 2, 4, 2]
+    assert BitStackLayout.from_bit_widths((2, 2)).unpacked_lengths([6]) == [6, 6]
+    assert CrtBasis((3, 5)).unpacked_lengths([4, 9]) == [4, 4, 9, 9]
+
+
 def test_vec_round_trip():
     params = params_with_stats(8)
     ct = encrypt(vec_pack([[1, 2], [3, 4]], (2, 2)), params)

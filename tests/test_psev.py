@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from modpack.hesim import OpStats, SimParams, decrypt, encrypt
 from modpack.psev import (DegreeOverflowError, PsSchedule, compute_power_basis,
                           eval_plan, eval_ps, mul_by_int_additively,
                           plan_schedule)
-from modpack.fitting import fit_modp
+from modpack.fitting import ModPlan, fit_modp
 
 
 def unit_series(coeffs):
@@ -80,11 +82,47 @@ def test_eval_ps_degree210_level_budget():
 
 
 def test_eval_plan_degree210_spends_ten_levels():
+    stats = OpStats()
     plan = fit_modp(4, 139, 210, 100.0)
-    params = SimParams(n=8, max_level=25)
+    params = SimParams(n=8, max_level=25, stats=stats)
     ct = encrypt(np.arange(8.0), params)
     out = eval_plan(ct, plan)
     assert ct.level - out.level == 10  # map + evaluation tree
+    # exact proxies of one CRT-layer plan: ct x ct mults, plaintext mults, adds
+    assert (stats.ct_mults, stats.plain_mults, stats.adds) == (34, 190, 239)
+
+
+# Every degree a table or a benchmark workload evaluates, plus a stride.
+LEDGER_DEGREES = sorted(set(range(8, 19)) | set(range(35, 51)) | {90}
+                        | set(range(96, 257)) | {400} | set(range(1, 601, 23)))
+PATTERNS = ["random", "lead_minus_one", "even"]
+
+
+def _ledger_series(D, pattern, rng):
+    c = rng.uniform(-0.5, 0.5, D + 1)
+    c[D] = 0.5
+    if pattern == "lead_minus_one":
+        c[D] = -0.5  # -1 once the plan's delta of 2 is folded in
+    elif pattern == "even" and D > 1:
+        c[1::2] = 0.0  # at odd D the series degree is D - 1
+    return c
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_eval_plan_level_ledger(pattern):
+    # eval_plan spends exactly ceil(log2 D) + 2 levels (map + tree) and agrees
+    # with the Clenshaw oracle.  The patterns share the degrees between them
+    # and all three take D=35, far below the top giant step k*2^(m-1) = 64.
+    rng = np.random.default_rng(7)
+    B = 8.0
+    xs = np.array([0.0, 1.3, 5.5, 8.0])
+    for D in LEDGER_DEGREES[PATTERNS.index(pattern) :: 3] + [35]:
+        c = _ledger_series(D, pattern, rng)
+        plan = ModPlan(None, B, D, 2.0, 0.0, ChebSeries(c, B))
+        out = eval_plan(encrypt(xs, SimParams(n=4, max_level=12)), plan)
+        assert 12 - out.level == math.ceil(math.log2(D)) + 2, D
+        want = 2.0 * clenshaw(c, 2.0 * xs / B - 1.0)
+        assert np.max(np.abs(decrypt(out).real - want)) <= 1e-10, D
 
 
 def test_level_consumption_is_value_independent():
@@ -149,9 +187,9 @@ def test_eval_ps_handles_unscaled_coefficients():
         assert got == pytest.approx(clenshaw(coeffs, float(t)), abs=1e-8)
 
 
-def test_eval_ps_negative_leading_coefficient_padding():
-    # a coefficient near -1 at exactly the schedule capacity would cancel
-    # the default pad term; the evaluator must pick the alternate pad
+def test_eval_ps_negative_leading_coefficient_at_capacity():
+    # a coefficient of -1 at exactly the schedule capacity: the first
+    # division by T_{k*2^(m-1)} leaves a full-degree quotient
     sched = PsSchedule(k=2, m=2)  # capacity 6
     coeffs = np.zeros(7)
     coeffs[6] = -1.0
