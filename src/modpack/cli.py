@@ -1,7 +1,7 @@
 """Command-line harness: fit plans, run pack/unpack pipelines, emit result tables.
 
 Subcommands: fit, pack, unpack, table, selftest.  Exit codes: 0 success,
-1 a checked bound was violated, 2 usage or I/O failure.
+1 a checked bound was violated, 2 usage, input or I/O failure or no levels left.
 
 Wall-clock seconds and estimated traffic are printed for orientation only
 and never checked: simulator timings say nothing about a real lattice
@@ -27,7 +27,7 @@ import numpy as np
 from . import fitting, hesim, psev, roundshare
 from .cheb import cheb_T, clenshaw, eval_clenshaw
 from .fitting import fit_modp, save_plan
-from .hesim import OpStats, SimParams, decrypt, encrypt
+from .hesim import LevelExhaustedError, OpStats, SimParams, decrypt, encrypt
 from .packing import (BitStackLayout, ConcatStage, CrtBasis, ImgPairStage,
                       PackLayout, bitstack_plan_specs, load_layout, pipeline_pack,
                       pipeline_unpack)
@@ -39,6 +39,9 @@ CRT_MODULI = (4, 5, 7)
 CRT_DEGREE = 210
 SHARE_MODULUS = 16
 SHARE_PARTIES = (3, 4, 5, 6, 7, 8)
+SHARE_BATCH = 4096
+COMBINE_VECTORS = 96
+COMBINE_LEN = 2000
 
 # Bounds each table checks its cells against.  Keys name error/level/count
 # metrics only; wall-clock and traffic are reported, never asserted.
@@ -104,23 +107,23 @@ def _bytes_per_ciphertext(level: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def modp_mean_errors(p: int, degrees=MODP_DEGREES, B: int = MODP_INTERVAL):
-    """Mean |delta*fit(i) - (i mod p)| over the integers of [0, B], per degree."""
-    xs = np.arange(B + 1, dtype=float)
+def modp_mean_errors(p: int):
+    """Mean |delta*fit(i) - (i mod p)| over the integers of [0, MODP_INTERVAL], per degree."""
+    xs = np.arange(MODP_INTERVAL + 1, dtype=float)
     out = {}
-    for D in degrees:
-        plan = fit_modp(p, B, D, fitting.default_delta(D))
+    for D in MODP_DEGREES:
+        plan = fit_modp(p, MODP_INTERVAL, D, fitting.default_delta(D))
         approx = plan.delta * eval_clenshaw(plan.series, xs)
         out[D] = float(np.mean(np.abs(approx - np.mod(xs, p))))
     return out
 
 
-def floor_mean_errors(degrees=MODP_DEGREES, moduli=FLOOR_MODULI, B: int = MODP_INTERVAL):
-    xs = np.arange(B + 1, dtype=float)
+def floor_mean_errors():
+    xs = np.arange(MODP_INTERVAL + 1, dtype=float)
     out = {}
-    for p in moduli:
-        for D in degrees:
-            plan = fit_modp(p, B, D, fitting.default_delta(D))
+    for p in FLOOR_MODULI:
+        for D in MODP_DEGREES:
+            plan = fit_modp(p, MODP_INTERVAL, D, fitting.default_delta(D))
             approx = xs / p - plan.delta / p * eval_clenshaw(plan.series, xs)
             out[(p, D)] = float(np.mean(np.abs(approx - np.floor(xs / p))))
     return out
@@ -171,23 +174,23 @@ def run_crtstack(cfg: RunConfig):
     return _run_layout(cfg, data, PackLayout((_crt_basis(),)))
 
 
-def combine2_layout(vec_len: int, slot_count: int) -> PackLayout:
+def combine2_layout(slot_count: int) -> PackLayout:
     """Concat to capacity, stack with the CRT basis, pair into complex slots."""
-    per_ct = slot_count // vec_len
+    per_ct = slot_count // COMBINE_LEN
     if per_ct < 1:
-        raise ValueError(f"slot count {slot_count} cannot hold a length-{vec_len} vector")
-    group_len = per_ct * vec_len
+        raise ValueError(f"slot count {slot_count} cannot hold a length-{COMBINE_LEN} vector")
+    group_len = per_ct * COMBINE_LEN
     return PackLayout((
-        ConcatStage(template=(vec_len,) * per_ct),
+        ConcatStage(template=(COMBINE_LEN,) * per_ct),
         _crt_basis(),
         ImgPairStage(group_len, group_len),
     ))
 
 
-def run_combine2(cfg: RunConfig, n_vectors: int = 96, vec_len: int = 2000):
+def run_combine2(cfg: RunConfig):
     rng = _rng(cfg, "combine2")
-    data = [rng.integers(0, 4, vec_len) for _ in range(n_vectors)]
-    layout = combine2_layout(vec_len, cfg.sim.n)
+    data = [rng.integers(0, 4, COMBINE_LEN) for _ in range(COMBINE_VECTORS)]
+    layout = combine2_layout(cfg.sim.n)
     counts = {"concat": len(pipeline_pack(data, PackLayout(layout.stages[:1]))),
               "crt": len(pipeline_pack(data, PackLayout(layout.stages[:2]))),
               "final": len(pipeline_pack(data, layout))}
@@ -196,10 +199,10 @@ def run_combine2(cfg: RunConfig, n_vectors: int = 96, vec_len: int = 2000):
             "counts": counts, "stats": res["stats"], "wall": res["wall"]}
 
 
-def run_shares(cfg: RunConfig, parties: int, batch: int = 4096, tree_split: int | None = None):
-    """Convert additive Z_16 share vectors to a ciphertext, directly or as a tree."""
+def run_shares(cfg: RunConfig, parties: int, tree_split: int | None = None):
+    """Convert SHARE_BATCH additive Z_16 shares to a ciphertext, directly or as a tree."""
     params = _fresh_params(cfg)
-    batch = min(batch, params.n)
+    batch = min(SHARE_BATCH, params.n)
     p = SHARE_MODULUS
     rng = _rng(cfg, f"shares-{parties}")
     shares = roundshare.ShareSet(p, tuple(rng.integers(0, p, batch) for _ in range(parties)))
@@ -486,6 +489,9 @@ def cmd_unpack(args) -> int:
     for stage in reversed(layout.stages):
         sizes = stage.unpacked_lengths(sizes)
     expected = _read_vectors(args.expected) if args.expected else None
+    if expected is not None and len(expected) != len(sizes):
+        raise ValueError(f"--expected holds {len(expected)} vectors, "
+                         f"the layout unpacks {len(sizes)}")
     for i, (want, size) in enumerate(zip(expected or [], sizes)):
         if len(want) != size:
             raise ValueError(f"expected vector {i} has length {len(want)}, "
@@ -598,7 +604,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, LevelExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,8 @@ from .cheb import ChebSeries, eval_clenshaw, map_to_unit
 
 # Acceptable worst-case equation residual for a successful solve.
 SOLVE_RESID_LIMIT = 1e-8
+# Automatic delta choice when the caller does not pin one.
+DELTA_HEADROOM = 0.5
 
 
 class RankDeficientError(ValueError):
@@ -50,8 +52,8 @@ class ModPlan:
     """A fitted, scaled approximation ready for homomorphic evaluation.
 
     delta * eval_clenshaw(series, i) reproduces the target value at every
-    sample point i up to `residual`.  For mod fits `p` is the modulus; step
-    fits carry p = None.
+    sample point i up to `residual`.  D is the series degree and delta is
+    positive.  For mod fits `p` is the modulus; step fits carry p = None.
     """
 
     p: int | None
@@ -62,6 +64,10 @@ class ModPlan:
     series: ChebSeries
 
     def __post_init__(self):
+        if self.D != self.series.degree:
+            raise ValueError(f"D={self.D} does not match the series degree {self.series.degree}")
+        if not self.delta > 0:
+            raise ValueError(f"delta must be positive, got {self.delta}")
         if np.max(np.abs(self.series.coeffs)) >= 1.0:
             raise ValueError("scaled coefficients must stay below 1; increase delta")
 
@@ -101,22 +107,16 @@ def solve_min_norm(A, y):
     return alpha
 
 
-def suggest_delta(alpha, headroom: float) -> float:
-    """Smallest power of ten delta with max|alpha_i| / delta <= headroom."""
-    if not 0 < headroom < 1:
-        raise ValueError("headroom must lie in (0, 1)")
+def suggest_delta(alpha) -> float:
+    """Smallest power of ten delta with max|alpha_i| / delta <= DELTA_HEADROOM."""
     alpha = np.asarray(alpha, dtype=float)
     if alpha.size == 0:
         raise ValueError("alpha must be non-empty")
     top = np.max(np.abs(alpha))
     delta = 1.0
-    while top / delta > headroom:
+    while top / delta > DELTA_HEADROOM:
         delta *= 10.0
     return delta
-
-
-# Automatic delta choice when the caller does not pin one.
-DELTA_HEADROOM = 0.5
 
 
 def default_delta(D: int) -> float:
@@ -128,7 +128,7 @@ def _fit(spec: StepSpec, delta: float | None, p: int | None) -> ModPlan:
     A, y = build_system(spec)
     alpha = solve_min_norm(A, y)
     if delta is None:
-        delta = suggest_delta(alpha, DELTA_HEADROOM)
+        delta = suggest_delta(alpha)
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     series = ChebSeries(alpha / delta, float(spec.B))

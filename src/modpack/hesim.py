@@ -21,7 +21,7 @@ class LevelExhaustedError(RuntimeError):
 
 @dataclass
 class OpStats:
-    """Operation counters; purely diagnostic, never affects semantics."""
+    """Operation counters, always on; purely diagnostic, never affects semantics."""
 
     ct_mults: int = 0
     plain_mults: int = 0
@@ -43,14 +43,14 @@ class SimParams:
     every multiplication.  The noise comes from one generator per SimParams,
     seeded from `seed` and drawn in evaluation order, so the same seed and
     the same sequence of ops give bit-identical output.  `dataclasses.replace`
-    builds a fresh generator.
+    builds a fresh generator and keeps the same `stats`.
     """
 
     n: int = 2**15
     max_level: int = 25
     noise_stddev: float = 0.0
     seed: int = 0
-    stats: OpStats | None = field(default=None, compare=False)
+    stats: OpStats = field(default_factory=OpStats, compare=False)
     rng: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -118,9 +118,8 @@ class SlotCiphertext:
             sigma = self.params.noise_stddev
             if sigma > 0:
                 slots = slots + sigma * self.params.rng.standard_normal(2 * slots.size).view(complex)
-        st = self.params.stats
-        if st is not None and count is not None:
-            setattr(st, count, getattr(st, count) + 1)
+        if count is not None:
+            setattr(self.params.stats, count, getattr(self.params.stats, count) + 1)
         return SlotCiphertext(slots, level, self.params)
 
     # -- ring operations ----------------------------------------------
@@ -172,8 +171,7 @@ def rotate_batch(a: SlotCiphertext, steps) -> list[SlotCiphertext]:
     audited per batch.
     """
     out = [a._op("rotations", np.roll(a.slots, -int(s))) for s in steps]
-    if a.params.stats is not None:
-        a.params.stats.rotate_batches += 1
+    a.params.stats.rotate_batches += 1
     return out
 
 

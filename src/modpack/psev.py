@@ -10,9 +10,11 @@ Depth schedule.  The series is decomposed by repeated Chebyshev-basis
 long division against the precomputed powers T_{k*2^j}, resting on the
 product identity 2*T_a*T_b = T_{a+b} + T_{|a-b|}.  The first division is
 always by the last giant step T_{k*2^(m-1)}, so the depth depends only on
-the schedule: with the capacity k*(2^m - 1) reaching the next power of two
-at or above the degree D, it is exactly ceil(log2 D) + 2 (one level for the
-caller's domain map, the rest for the tree), independent of slot values.
+the schedule, a function of the degree D alone: with the capacity
+k*(2^m - 1) reaching the next power of two at or above D, it is exactly
+ceil(log2 D) + 2 (one level for the caller's domain map, the rest for the
+tree), independent of slot values.  A plan's scale rides in the series
+coefficients, which the leaf plaintext multiplications apply at no level.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ class DegreeOverflowError(ValueError):
 
 @dataclass(frozen=True)
 class PsSchedule:
-    """Baby-step count k, giant-step count m, and a constant fused into the leaves."""
+    """Baby-step count k and giant-step count m; any scale lives in the series."""
 
     k: int
     m: int
-    folded_scale: float = 1.0
 
     def __post_init__(self):
         if self.k < 1 or self.m < 1:
@@ -50,7 +51,7 @@ class PsSchedule:
         return self.k * ((1 << self.m) - 1)
 
 
-def plan_schedule(D: int, folded_scale: float = 1.0) -> PsSchedule:
+def plan_schedule(D: int) -> PsSchedule:
     """Choose k ~ sqrt(D/2) and the smallest m whose capacity covers D.
 
     m is sized so k*(2^m - 1) reaches the next power of two at or above D,
@@ -64,17 +65,17 @@ def plan_schedule(D: int, folded_scale: float = 1.0) -> PsSchedule:
     m = 1
     while k * ((1 << m) - 1) < target:
         m += 1
-    return PsSchedule(k=k, m=m, folded_scale=folded_scale)
+    return PsSchedule(k=k, m=m)
 
 
 def compute_power_basis(u, sched: PsSchedule):
     """Chebyshev powers of u: bs = (T_1..T_k), gs = (T_k, T_2k, ..., T_{k*2^(m-1)}).
 
-    Baby steps use balanced splits of the product identity
-    T_j = 2*T_ceil(j/2)*T_floor(j/2) - T_(j mod 2), giant steps the doubling
-    T_2n = 2*T_n^2 - 1; both keep the multiplication dag at log depth.  On
-    a level-tracked backend the consumption is read off the returned
-    elements' level fields.
+    Every power comes from one memoized balanced split of the product
+    identity T_j = 2*T_ceil(j/2)*T_floor(j/2) - T_(j mod 2); a giant step
+    T_2n is the doubling 2*T_n^2 - 1.  The multiplication dag stays at log
+    depth.  On a level-tracked backend the consumption is read off the
+    returned elements' level fields.
     """
     cache = {1: u}
 
@@ -86,11 +87,7 @@ def compute_power_basis(u, sched: PsSchedule):
         return cache[j]
 
     bs = [build(j) for j in range(1, sched.k + 1)]
-    gs = [bs[sched.k - 1]]
-    for _ in range(1, sched.m):
-        sq = gs[-1] * gs[-1]
-        gs.append((sq + sq) - 1.0)
-    return bs, gs
+    return bs, [build(sched.k << j) for j in range(sched.m)]
 
 
 def _degree(c: np.ndarray) -> int:
@@ -115,7 +112,7 @@ def _div_by_T(f: np.ndarray, N: int):
 
 
 def eval_ps(series: ChebSeries, u, sched: PsSchedule):
-    """Evaluate folded_scale * sum_i c_i T_i(u); u must already live in [-1, 1].
+    """Evaluate sum_i c_i T_i(u); u must already live in [-1, 1].
 
     The series' source domain is the caller's concern: map x into u first
     (on a ciphertext backend that mapping costs the one extra level).
@@ -128,11 +125,11 @@ def eval_ps(series: ChebSeries, u, sched: PsSchedule):
         )
     if D == 0:
         # Constant polynomial: a zero ciphertext plus a constant, no mults.
-        return (u - u) + float(coeffs[0]) * sched.folded_scale
+        return (u - u) + float(coeffs[0])
 
     bs, gs = compute_power_basis(u, sched)
     g = np.zeros(sched.capacity + 1)
-    g[: coeffs.size] = coeffs * sched.folded_scale
+    g[: coeffs.size] = coeffs
 
     def leaf(cc):
         acc = None
@@ -181,9 +178,10 @@ def eval_plan(x, plan: ModPlan, extra_scale: float = 1.0):
     """Apply a fitted plan to backend value x over its source interval [0, B].
 
     Maps u = 2x/B - 1 (one level on a ciphertext backend), then evaluates
-    with delta * extra_scale fused into the leaf coefficients, so the
-    rescaling never costs an extra level.
+    the series with its coefficients scaled by delta * extra_scale: the
+    leaves' plaintext multiplications apply the scale, so it never costs an
+    extra level.
     """
-    sched = plan_schedule(plan.D, plan.delta * extra_scale)
+    series = ChebSeries(plan.series.coeffs * (plan.delta * extra_scale), plan.B)
     u = x * (2.0 / plan.B) - 1.0
-    return eval_ps(plan.series, u, sched)
+    return eval_ps(series, u, plan_schedule(plan.D))

@@ -17,8 +17,8 @@ from .fitting import ModPlan, StepSpec, fit_modp, fit_step
 from .hesim import SlotCiphertext
 from .psev import eval_plan
 
-# Default step-fit degree multiplier; the indicator only needs exactness at
-# the p integer abscissae, the margin keeps the solve comfortably ranked.
+# Step-fit degree multiplier; the indicator only needs exactness at the p
+# integer abscissae, the margin keeps the solve comfortably ranked.
 COMP_DEGREE_FACTOR = 2
 # Share-conversion plans use degree 2*p*n_parties (twice the input range,
 # counting the range as n_parties*p).
@@ -36,18 +36,16 @@ def floor_he(ct: SlotCiphertext, p: int, plan: ModPlan) -> SlotCiphertext:
     return ct * (1.0 / p) - eval_plan(ct, plan, extra_scale=1.0 / p)
 
 
-def build_comp_plan(threshold: float, p: int, D: int | None = None,
-                    delta: float | None = None) -> ModPlan:
+def build_comp_plan(threshold: float, p: int) -> ModPlan:
     """Fit the indicator [r > threshold] at the integer points r = 0..p-1.
 
-    The threshold must not hit an integer, so the tie case never arises.
+    The degree is COMP_DEGREE_FACTOR * p and delta the suggested one.  The
+    threshold must not hit an integer, so the tie case never arises.
     """
     if abs(threshold - round(threshold)) < 1e-9:
         raise ValueError(f"threshold {threshold} sits on an integer; ties are undefined")
-    if D is None:
-        D = COMP_DEGREE_FACTOR * p
     samples = tuple((r, 1.0 if r > threshold else 0.0) for r in range(p))
-    return fit_step(StepSpec(samples=samples, B=p - 1, D=D), delta)
+    return fit_step(StepSpec(samples=samples, B=p - 1, D=COMP_DEGREE_FACTOR * p))
 
 
 def comp_step(ct: SlotCiphertext, p: int, plan: ModPlan) -> SlotCiphertext:
@@ -121,12 +119,11 @@ class ShareSet:
         return np.sum(np.stack(self.shares), axis=0) % self.p
 
 
-def share_plan(p: int, n_parties: int, D: int | None = None,
-               delta: float | None = None) -> ModPlan:
+def share_plan(p: int, n_parties: int, D: int | None = None) -> ModPlan:
     """Mod plan covering a sum of n_parties shares: interval [0, n_parties*(p-1)]."""
     if D is None:
         D = SHARE_DEGREE_FACTOR * p * n_parties
-    return fit_modp(p, n_parties * (p - 1), D, delta)
+    return fit_modp(p, n_parties * (p - 1), D)
 
 
 def shares_to_ct(share_cts, plan: ModPlan) -> SlotCiphertext:

@@ -38,7 +38,7 @@ def test_fit_without_delta_uses_suggestion(tmp_path):
     assert run("fit", "--p", 5, "--B", 29, "--D", 45, "--out", out) == 0
     plan = load_plan(out)
     alpha = plan.series.coeffs * plan.delta
-    assert plan.delta == suggest_delta(alpha, 0.5)
+    assert plan.delta == suggest_delta(alpha)
 
 
 def test_fit_rejects_bad_degree(tmp_path, capsys):
@@ -126,14 +126,18 @@ def _lone_stage_round_trip(tmp_path, stage, data, *extra):
     return code, out_path
 
 
+def _crt35_stage():
+    plans = (fit_modp(3, 14, 30, 100.0), fit_modp(5, 14, 30, 100.0))
+    return CrtBasis((3, 5), plans), [[0, 1, 2, 1], [4, 0, 3, 2]]
+
+
 @pytest.mark.parametrize("stage_kind", ["crt", "imgpair"])
 def test_unpack_trims_lone_stage_without_expected(tmp_path, stage_kind):
     # Without --expected each vector still comes out at its own length, not
     # at the slot count: (3,5) CRT layers keep the packed length, an
     # ImgPairStage yields (n1, n2).
     if stage_kind == "crt":
-        plans = (fit_modp(3, 14, 30, 100.0), fit_modp(5, 14, 30, 100.0))
-        stage, data = CrtBasis((3, 5), plans), [[0, 1, 2, 1], [4, 0, 3, 2]]
+        stage, data = _crt35_stage()
     else:
         stage, data = ImgPairStage(4, 2), [[1, 2, 3, 4], [5, 6]]
     code, out_path = _lone_stage_round_trip(tmp_path, stage, data)
@@ -152,6 +156,61 @@ def test_unpack_expected_length_mismatch_names_vector(tmp_path, capsys):
                                             "--expected", wrong)
     assert code == 2
     assert "expected vector 1 has length 3" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_unpack_expected_count_mismatch_exits_two(tmp_path, capsys, count):
+    # two layers unpack to two vectors; one or three expected ones is a usage error
+    stage, data = _crt35_stage()
+    wrong = tmp_path / "wrong.ndjson"
+    write_lines(wrong, (data + [[0, 0, 0, 0]])[:count])
+    code, out_path = _lone_stage_round_trip(tmp_path, stage, data, "--expected", wrong)
+    assert code == 2
+    assert f"--expected holds {count} vectors, the layout unpacks 2" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("D", 60, "D=60 does not match the series degree 30"),
+    ("delta", -100.0, "delta must be positive"),
+])
+def test_unpack_rejects_inconsistent_plan_file(tmp_path, capsys, field, value, message):
+    # a plan whose D is not its series degree, or whose delta is not positive,
+    # fails to load instead of spending a level or flipping the sign
+    stage, data = _crt35_stage()
+    layout_path = tmp_path / "layout.json"
+    save_layout(PackLayout((stage,)), layout_path)
+    plan_path = tmp_path / "layout-stage0-layer0.plan.json"
+    plan_path.write_text(json.dumps({**json.loads(plan_path.read_text()), field: value}))
+    data_path, out_path = tmp_path / "data.ndjson", tmp_path / "out.ndjson"
+    write_lines(data_path, data)
+    assert run("unpack", "--layout", layout_path, "--data", data_path, "--out", out_path,
+               "--n", 16) == 2
+    assert message in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def _short_budget(tmp_path):
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"sim": {"n": 1024, "max_level": 5}}))
+    return config
+
+
+def test_table_out_of_levels_exits_two(tmp_path, capsys):
+    assert run("table", "--name", "crtstack", "--config", _short_budget(tmp_path),
+               "--n", 256, "--output-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "level" in err and "Traceback" not in err
+
+
+def test_unpack_out_of_levels_exits_two(tmp_path, capsys):
+    stage, data = _crt35_stage()
+    code, out_path = _lone_stage_round_trip(tmp_path, stage, data,
+                                            "--config", _short_budget(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "level" in err and "Traceback" not in err
     assert not out_path.exists()
 
 
@@ -266,10 +325,7 @@ def test_table_bound_violation_exits_one(name, tight, n, cells, tmp_path, monkey
 
 def test_table_shares_small(tmp_path, monkeypatch):
     # trim the batch for speed; bounds still checked
-    orig = cli.run_shares
-    monkeypatch.setattr(cli, "run_shares",
-                        lambda cfg, parties, batch=256, tree_split=None:
-                        orig(cfg, parties, batch=256, tree_split=tree_split))
+    monkeypatch.setattr(cli, "SHARE_BATCH", 256)
     assert run("table", "--name", "shares", "--n", 1024, "--output-dir", tmp_path) == 0
     rows = read_csv(tmp_path / "shares.csv")
     assert [r["parties"] for r in rows] == ["3", "4", "5", "6", "7", "8", "8*"]

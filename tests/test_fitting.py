@@ -6,7 +6,7 @@ import pytest
 from modpack.cheb import cheb_T, eval_clenshaw, map_to_unit
 from modpack.fitting import (RankDeficientError, StepSpec,
                              build_system, default_delta, fit_modp, fit_step,
-                             load_plan, plan_to_dict, save_plan,
+                             load_plan, plan_from_dict, plan_to_dict, save_plan,
                              solve_min_norm, suggest_delta)
 
 
@@ -119,7 +119,7 @@ def test_auto_delta_is_power_of_ten_with_headroom():
 
 @pytest.mark.parametrize("top,want", [(37.0, 100.0), (0.3, 1.0), (499.0, 1000.0)])
 def test_suggest_delta(top, want):
-    assert suggest_delta([top, -top / 2], 0.5) == want
+    assert suggest_delta([top, -top / 2]) == want
 
 
 def test_default_delta_rule():
@@ -175,6 +175,17 @@ def test_serialization_round_trip(tmp_path):
     assert loaded.delta == plan.delta and loaded.residual == plan.residual
     doc = json.loads(path.read_text())
     assert set(doc) == {"p", "B", "D", "delta", "residual", "coeffs"}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("D", 60, "D=60 does not match the series degree 30"),
+    ("delta", -100.0, "delta must be positive"),
+    ("delta", 0.0, "delta must be positive"),
+])
+def test_plan_rejects_inconsistent_degree_or_delta(field, value, message):
+    doc = {**plan_to_dict(fit_modp(3, 14, 30, 100.0)), field: value}
+    with pytest.raises(ValueError, match=message):
+        plan_from_dict(doc)
 
 
 def test_determinism_bit_identical():

@@ -206,6 +206,17 @@ def test_stats_counters():
     assert stats.conjugations == 1
 
 
+def test_stats_count_without_being_passed():
+    params = SimParams(n=8)
+    a = encrypt([1, 2], params)
+    _ = a * a + a
+    rotate_batch(a, [1, 2])
+    assert (params.stats.ct_mults, params.stats.adds, params.stats.rotations) == (1, 1, 2)
+    assert params.stats.rotate_batches == 1
+    # each SimParams counts on its own
+    assert SimParams(n=8).stats.mults == 0
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         SimParams(n=24)

@@ -137,15 +137,20 @@ def test_level_consumption_is_value_independent():
     assert len(levels) == 1
 
 
-def test_folded_scale_linearity():
-    rng = np.random.default_rng(3)
-    coeffs = rng.uniform(-1, 1, 64)
-    sched = plan_schedule(63)
-    folded = PsSchedule(sched.k, sched.m, folded_scale=7.5)
-    for t in rng.uniform(-1, 1, 20):
-        a = eval_ps(unit_series(coeffs), float(t), folded)
-        b = 7.5 * eval_ps(unit_series(coeffs), float(t), sched)
-        assert a == pytest.approx(b, abs=1e-9)
+def test_eval_plan_extra_scale_is_linear_at_equal_cost():
+    # The scale rides in the leaf coefficients: eval_plan(x, plan, s) is
+    # s * eval_plan(x, plan) at the same levels and the same op counts.
+    plan = fit_modp(5, 29, 63, 100.0)
+    xs = np.arange(30, dtype=float)
+    runs = []
+    for s in (1.0, 7.5):
+        params = SimParams(n=32, max_level=12)
+        out = eval_plan(encrypt(xs, params), plan, extra_scale=s)
+        runs.append((decrypt(out).real, out.level, params.stats))
+    (plain, level, stats), (scaled, level_s, stats_s) = runs
+    assert np.max(np.abs(scaled - 7.5 * plain)) <= 1e-9
+    assert level_s == level == 12 - (math.ceil(math.log2(63)) + 2)
+    assert stats_s == stats
 
 
 def test_degree_overflow_rejected():
