@@ -52,8 +52,9 @@ class ModPlan:
     """A fitted, scaled approximation ready for homomorphic evaluation.
 
     delta * eval_clenshaw(series, i) reproduces the target value at every
-    sample point i up to `residual`.  D is the series degree and delta is
-    positive.  For mod fits `p` is the modulus; step fits carry p = None.
+    sample point i up to `residual`.  D is the series degree, delta is
+    finite and positive, and every coefficient is finite and below 1 in
+    magnitude.  For mod fits `p` is the modulus; step fits carry p = None.
     """
 
     p: int | None
@@ -66,10 +67,10 @@ class ModPlan:
     def __post_init__(self):
         if self.D != self.series.degree:
             raise ValueError(f"D={self.D} does not match the series degree {self.series.degree}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if np.max(np.abs(self.series.coeffs)) >= 1.0:
-            raise ValueError("scaled coefficients must stay below 1; increase delta")
+        if not 0 < self.delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if not np.all(np.abs(self.series.coeffs) < 1.0):  # also rejects NaN
+            raise ValueError("scaled coefficients must be finite and below 1; increase delta")
 
 
 def build_system(spec: StepSpec):
@@ -129,8 +130,8 @@ def _fit(spec: StepSpec, delta: float | None, p: int | None) -> ModPlan:
     alpha = solve_min_norm(A, y)
     if delta is None:
         delta = suggest_delta(alpha)
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     series = ChebSeries(alpha / delta, float(spec.B))
     xs = np.array([x for x, _ in spec.samples], dtype=float)
     residual = float(np.max(np.abs(delta * eval_clenshaw(series, xs) - y)))

@@ -6,6 +6,8 @@ constants) burns one level.  No lattice arithmetic, keys, or noise-growth
 modeling beyond an optional per-multiplication Gaussian knob: with the
 noise turned off the simulator is an exact complex-arithmetic machine, so
 downstream error measurements isolate pure approximation error.
+
+SimParams alone holds the simulator's defaults; a CLI config overrides them key by key.
 """
 
 from __future__ import annotations
@@ -61,15 +63,6 @@ class SimParams:
         if self.noise_stddev < 0:
             raise ValueError("noise_stddev must be non-negative")
         object.__setattr__(self, "rng", np.random.default_rng(self.seed & 0x7FFFFFFF))
-
-
-def params_from_dict(d: dict) -> SimParams:
-    return SimParams(
-        n=int(d.get("n", 2**15)),
-        max_level=int(d.get("max_level", 25)),
-        noise_stddev=float(d.get("noise_stddev", 0.0)),
-        seed=int(d.get("seed", 0)),
-    )
 
 
 @dataclass(frozen=True)

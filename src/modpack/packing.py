@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -245,7 +244,7 @@ def _layers(values, bounds) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class BitStackLayout:
-    """Per-layer radices (2^l_i for binary widths) and the boundary mod plans.
+    """Per-layer radices (2^l for a layer of l bits) and the boundary mod plans.
 
     plans[i] recovers layer i: modulus radices[i] over the residual interval
     [0, prod(radices[i:]) - 1].  The final layer needs no plan.  As a
@@ -265,21 +264,6 @@ class BitStackLayout:
         object.__setattr__(self, "radices", radices)
         object.__setattr__(self, "plans", plans)
 
-    @classmethod
-    def from_bit_widths(cls, bit_widths, plans=()):
-        return cls(tuple(1 << int(l) for l in bit_widths), plans)
-
-    @property
-    def bit_widths(self) -> tuple | None:
-        """Widths l_i when every radix is a power of two, else None."""
-        ls = []
-        for r in self.radices:
-            l = r.bit_length() - 1
-            if (1 << l) != r:
-                return None
-            ls.append(l)
-        return tuple(ls)
-
     def pack(self, vectors) -> list[np.ndarray]:
         return [bitstack_pack(chunk, self) for chunk in _chunk(vectors, len(self.radices))]
 
@@ -290,9 +274,6 @@ class BitStackLayout:
         return [n for n in lengths for _ in self.radices]
 
     def to_json(self, plan_files) -> dict:
-        widths = self.bit_widths
-        if widths is not None:
-            return {"kind": "bitstack", "plan_files": plan_files, "bit_widths": list(widths)}
         return {"kind": "bitstack", "plan_files": plan_files, "radices": list(self.radices)}
 
 
@@ -450,42 +431,51 @@ def pipeline_unpack(cts, layout: PackLayout) -> list[SlotCiphertext]:
 # ---------------------------------------------------------------------------
 
 
-def save_layout(layout: PackLayout, path, plan_dir=None):
-    """Write a layout as JSON, saving stage plans as sibling artifact files."""
+def save_layout(layout: PackLayout, path):
+    """Write a layout as JSON, each stage plan as <stem>-stage<i>-layer<j>.plan.json beside it."""
     path = Path(path)
-    plan_dir = Path(plan_dir) if plan_dir is not None else path.parent
-    plan_dir.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     stages = []
     for si, stage in enumerate(layout.stages):
-        files = []
-        for li, plan in enumerate(stage.plans):
-            plan_path = plan_dir / f"{path.stem}-stage{si}-layer{li}.plan.json"
-            save_plan(plan, plan_path)
-            files.append(os.path.relpath(plan_path, path.parent))
+        files = [f"{path.stem}-stage{si}-layer{li}.plan.json" for li in range(len(stage.plans))]
+        for name, plan in zip(files, stage.plans):
+            save_plan(plan, path.parent / name)
         stages.append(stage.to_json(files))
     path.write_text(json.dumps({"stages": stages}, indent=2) + "\n")
 
 
 def load_layout(path) -> PackLayout:
-    """Read a layout JSON; plan files resolve relative to the layout file."""
+    """Read a layout JSON; plan files resolve relative to the layout file.
+
+    A bitstack entry's "bit_widths" l_i, the older spelling, load as radices 2^l_i.
+    """
     path = Path(path)
     doc = json.loads(path.read_text())
-    stages = []
-    for entry in doc["stages"]:
-        kind = entry["kind"]
-        plans = tuple(load_plan(path.parent / f) for f in entry.get("plan_files") or ())
+    entries = doc.get("stages") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"layout {path} must be a JSON object with a \"stages\" list")
+    return PackLayout(tuple(_load_stage(path.parent, i, entry) for i, entry in enumerate(entries)))
+
+
+def _load_stage(root: Path, i: int, entry):
+    """The stage of layout entry i, its plan files resolved against root."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"layout stage {i} must be a JSON object, got {type(entry).__name__}")
+    kind = entry["kind"]
+    try:
+        plans = tuple(load_plan(root / f) for f in entry.get("plan_files") or ())
         if kind == "concat" and "groups" in entry:
-            stages.append(ConcatStage(groups=entry["groups"]))
-        elif kind == "concat":
-            stages.append(ConcatStage(template=entry["sizes"]))
-        elif kind == "crt":
-            stages.append(CrtBasis(entry["moduli"], plans))
-        elif kind == "bitstack" and "bit_widths" in entry:
-            stages.append(BitStackLayout.from_bit_widths(entry["bit_widths"], plans))
-        elif kind == "bitstack":
-            stages.append(BitStackLayout(entry["radices"], plans))
-        elif kind == "imgpair":
-            stages.append(ImgPairStage(int(entry["n1"]), int(entry["n2"])))
-        else:
-            raise ValueError(f"unknown stage kind {kind!r}")
-    return PackLayout(tuple(stages))
+            return ConcatStage(groups=entry["groups"])
+        if kind == "concat":
+            return ConcatStage(template=entry["sizes"])
+        if kind == "crt":
+            return CrtBasis(entry["moduli"], plans)
+        if kind == "bitstack" and "bit_widths" in entry:
+            return BitStackLayout(tuple(1 << int(l) for l in entry["bit_widths"]), plans)
+        if kind == "bitstack":
+            return BitStackLayout(entry["radices"], plans)
+        if kind == "imgpair":
+            return ImgPairStage(int(entry["n1"]), int(entry["n2"]))
+    except TypeError as exc:
+        raise ValueError(f"layout stage {i} ({kind}) has a field of the wrong type: {exc}") from exc
+    raise ValueError(f"unknown stage kind {kind!r} in layout stage {i}")

@@ -111,10 +111,6 @@ class ShareSet:
                 raise ValueError(f"share {i} has entries outside [0, {self.p})")
         object.__setattr__(self, "shares", shares)
 
-    @property
-    def n_parties(self) -> int:
-        return len(self.shares)
-
     def secret(self) -> np.ndarray:
         return np.sum(np.stack(self.shares), axis=0) % self.p
 

@@ -1,11 +1,14 @@
 import csv
 import json
+from argparse import Namespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from modpack import cli
 from modpack.fitting import fit_modp, load_plan, suggest_delta
+from modpack.hesim import SimParams
 from modpack.packing import ConcatStage, CrtBasis, ImgPairStage, PackLayout, save_layout
 
 
@@ -39,6 +42,14 @@ def test_fit_without_delta_uses_suggestion(tmp_path):
     plan = load_plan(out)
     alpha = plan.series.coeffs * plan.delta
     assert plan.delta == suggest_delta(alpha)
+
+
+def test_fit_rejects_infinite_delta(tmp_path, capsys):
+    # an infinite delta zeroes every coefficient and makes the residual NaN
+    out = tmp_path / "plan.json"
+    assert run("fit", "--p", 4, "--B", 29, "--D", 45, "--delta", "inf", "--out", out) == 2
+    assert "delta must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_rejects_bad_degree(tmp_path, capsys):
@@ -174,10 +185,13 @@ def test_unpack_expected_count_mismatch_exits_two(tmp_path, capsys, count):
 @pytest.mark.parametrize("field,value,message", [
     ("D", 60, "D=60 does not match the series degree 30"),
     ("delta", -100.0, "delta must be positive"),
+    ("delta", float("inf"), "delta must be positive and finite"),
+    ("coeffs", [float("nan")] + [0.0] * 30, "scaled coefficients must be finite"),
 ])
 def test_unpack_rejects_inconsistent_plan_file(tmp_path, capsys, field, value, message):
-    # a plan whose D is not its series degree, or whose delta is not positive,
-    # fails to load instead of spending a level or flipping the sign
+    # a plan whose D is not its series degree, whose delta is not positive and
+    # finite, or with a NaN coefficient fails to load instead of spending a
+    # level, flipping the sign or decoding NaN
     stage, data = _crt35_stage()
     layout_path = tmp_path / "layout.json"
     save_layout(PackLayout((stage,)), layout_path)
@@ -189,6 +203,18 @@ def test_unpack_rejects_inconsistent_plan_file(tmp_path, capsys, field, value, m
                "--n", 16) == 2
     assert message in capsys.readouterr().err
     assert not out_path.exists()
+
+
+def test_unpack_error_report_keeps_nan(tmp_path, capsys):
+    # a NaN error in one vector must reach the aggregate line, not drop out of max()
+    stage, data = _crt35_stage()
+    expected = tmp_path / "expected.ndjson"
+    expected.write_text("[0, NaN, 2, 1]\n[4, 0, 3, 2]\n")
+    code, _ = _lone_stage_round_trip(tmp_path, stage, data, "--expected", expected)
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "vector 0: max=nan" in out
+    assert "error report: max=nan worst_mean=nan" in out
 
 
 def _short_budget(tmp_path):
@@ -220,6 +246,53 @@ def test_unpack_rejects_output_dir(tmp_path):
         run("unpack", "--layout", tmp_path / "layout.json", "--data", tmp_path / "data.ndjson",
             "--out", tmp_path / "o.ndjson", "--output-dir", tmp_path / "x")
     assert exc.value.code == 2
+
+
+def test_config_sim_keys_default_to_sim_params(tmp_path):
+    # absent "sim" keys take SimParams' defaults; present ones are cast and
+    # override only themselves; --n overrides the config's n
+    def load(doc, n=None):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        return cli._load_config(Namespace(config=path, n=n))
+
+    assert cli._load_config(Namespace(config=None, n=None)).sim == SimParams()
+    assert load({}).sim == SimParams()
+    assert load({"sim": {}}).sim == SimParams()
+    cfg = load({"sim": {"max_level": "7", "noise_stddev": 1, "extra": 0}, "seed": "3"})
+    assert cfg.sim == replace(SimParams(), max_level=7, noise_stddev=1.0)
+    assert type(cfg.sim.max_level) is int and type(cfg.sim.noise_stddev) is float
+    assert cfg.seed == 3
+    assert load({"sim": {"n": 64, "seed": 5}}, n=128).sim == replace(SimParams(), n=128, seed=5)
+
+
+# command, JSON text of the config or layout it reads, part of the error
+MALFORMED_INPUTS = {
+    "config-not-object": ("table", "[1, 2]", 'whose "sim" is an object'),
+    "config-sim-not-object": ("table", '{"sim": 5}', 'whose "sim" is an object'),
+    "config-value-type": ("table", '{"sim": {"n": null}}', "NoneType"),
+    "layout-not-object": ("pack", "[1, 2]", '"stages" list'),
+    "layout-stages-not-list": ("pack", '{"stages": {"a": 1}}', '"stages" list'),
+    "layout-entry-not-object": ("pack", '{"stages": [{"kind": "imgpair", "n1": 4, "n2": 4}, 7]}',
+                                "layout stage 1 must be a JSON object"),
+    "layout-field-type": ("pack", '{"stages": [{"kind": "crt", "moduli": 5}]}',
+                          "layout stage 0 (crt) has a field of the wrong type"),
+}
+
+
+@pytest.mark.parametrize("command,text,message", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS.keys())
+def test_malformed_config_or_layout_exits_two(tmp_path, capsys, command, text, message):
+    path, data = tmp_path / "input.json", tmp_path / "data.ndjson"
+    path.write_text(text)
+    write_lines(data, [[1, 2, 3, 4]])
+    if command == "table":
+        argv = ("table", "--name", "modp4", "--config", path, "--output-dir", tmp_path / "out")
+    else:
+        argv = ("pack", "--layout", path, "--data", data, "--out", tmp_path / "o.ndjson")
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err and "Traceback" not in err
 
 
 def test_unpack_config_ignores_table_keys(fig_files, tmp_path, monkeypatch):

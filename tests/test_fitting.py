@@ -181,10 +181,19 @@ def test_serialization_round_trip(tmp_path):
     ("D", 60, "D=60 does not match the series degree 30"),
     ("delta", -100.0, "delta must be positive"),
     ("delta", 0.0, "delta must be positive"),
+    ("delta", float("inf"), "delta must be positive and finite"),
 ])
 def test_plan_rejects_inconsistent_degree_or_delta(field, value, message):
     doc = {**plan_to_dict(fit_modp(3, 14, 30, 100.0)), field: value}
     with pytest.raises(ValueError, match=message):
+        plan_from_dict(doc)
+
+
+def test_plan_rejects_nan_coefficient():
+    # max|c| >= 1 is False for NaN, so a magnitude check alone cannot reject it
+    doc = plan_to_dict(fit_modp(3, 14, 30, 100.0))
+    doc["coeffs"][3] = float("nan")
+    with pytest.raises(ValueError, match="scaled coefficients must be finite"):
         plan_from_dict(doc)
 
 

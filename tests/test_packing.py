@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modpack.fitting import fit_modp
+from modpack.fitting import fit_modp, save_plan
 from modpack.hesim import OpStats, SimParams, decrypt, encrypt
 from modpack.packing import (BitStackLayout, CapacityError, ConcatStage,
                              CrtBasis, ImgPairStage, PackLayout, bitstack_pack,
@@ -54,7 +54,7 @@ def test_unpacked_lengths_per_stage():
     with pytest.raises(ValueError, match="expects 2 ciphertexts"):
         ConcatStage(groups=((4, 4), (3,))).unpacked_lengths([8])
     assert ImgPairStage(4, 2).unpacked_lengths([4, 4]) == [4, 2, 4, 2]
-    assert BitStackLayout.from_bit_widths((2, 2)).unpacked_lengths([6]) == [6, 6]
+    assert BitStackLayout((4, 4)).unpacked_lengths([6]) == [6, 6]
     assert CrtBasis((3, 5)).unpacked_lengths([4, 9]) == [4, 4, 9, 9]
 
 
@@ -172,18 +172,18 @@ def test_img_round_trip_random():
 
 
 def test_bitstack_pack_example():
-    layout = BitStackLayout.from_bit_widths([2, 2])
+    layout = BitStackLayout((4, 4))
     out = bitstack_pack([[3], [2]], layout)
     assert out[0] == 11  # 3 + 2*4
 
 
 def test_bitstack_pack_zeros():
-    layout = BitStackLayout.from_bit_widths([3, 3, 3])
+    layout = BitStackLayout((8, 8, 8))
     assert np.array_equal(bitstack_pack([[0], [0], [0]], layout), [0])
 
 
 def test_bitstack_pack_matches_shift_oracle():
-    layout = BitStackLayout.from_bit_widths([2, 2, 2])
+    layout = BitStackLayout((4, 4, 4))
     rng = np.random.default_rng(3)
     vals = [rng.integers(0, 4, 1000) for _ in range(3)]
     packed = bitstack_pack(vals, layout)
@@ -196,7 +196,7 @@ def test_bitstack_pack_matches_shift_oracle():
 
 
 def test_bitstack_pack_range_violation_names_element():
-    layout = BitStackLayout.from_bit_widths([2, 2])
+    layout = BitStackLayout((4, 4))
     with pytest.raises(ValueError, match="layer 1 element 2"):
         bitstack_pack([[0, 1, 2], [1, 0, 4]], layout)
 
@@ -458,17 +458,6 @@ def test_layout_json_round_trip(tmp_path):
         assert np.max(np.abs(decrypt(out)[:4].real - truth)) <= 1e-5
 
 
-def test_layout_json_custom_plan_dir(tmp_path):
-    layout = fig_layout(4, D=150)
-    path = tmp_path / "layout.json"
-    save_layout(layout, path, plan_dir=tmp_path / "plans")
-    assert (tmp_path / "plans").is_dir()
-    loaded = load_layout(path)
-    stack = loaded.stages[1]
-    assert np.array_equal(stack.plans[0].series.coeffs,
-                          layout.stages[1].plans[0].series.coeffs)
-
-
 def test_layout_json_template_form(tmp_path):
     import json
     plan = fit_modp(3, 14, 30, 100.0)
@@ -495,7 +484,7 @@ def test_layout_json_template_form(tmp_path):
 
 
 @pytest.mark.parametrize("radices,spelling", [
-    ((4, 4, 4), {"bit_widths": [2, 2, 2]}),  # power-of-two radices save as widths
+    ((4, 4, 4), {"radices": [4, 4, 4]}),  # power-of-two radices save as radices too
     ((3, 5), {"radices": [3, 5]}),
 ])
 def test_layout_json_bitstack_round_trip(tmp_path, radices, spelling):
@@ -516,3 +505,30 @@ def test_layout_json_bitstack_round_trip(tmp_path, radices, spelling):
     outs = pipeline_unpack([encrypt(packed[0], SimParams(n=16))], loaded)
     for truth, out in zip(data, outs):
         assert np.max(np.abs(decrypt(out)[:8].real - truth)) <= 1e-4
+
+
+def test_layout_json_bit_widths_entry_loads_as_radices(tmp_path):
+    import json
+    # A layout file that spells its bitstack layers as widths l_i loads them
+    # as radices 2^l_i, and saves them back as radices.
+    plans = tuple(fit_modp(p, B, 90, 100.0) for p, B in bitstack_plan_specs((4, 4, 4)))
+    files = [f"plan{i}.json" for i in range(len(plans))]
+    for name, plan in zip(files, plans):
+        save_plan(plan, tmp_path / name)
+    path = tmp_path / "widths.json"
+    path.write_text(json.dumps({"stages": [
+        {"kind": "bitstack", "plan_files": files, "bit_widths": [2, 2, 2]}]}))
+    loaded = load_layout(path)
+    assert loaded.stages[0].radices == (4, 4, 4)
+    rng = np.random.default_rng(12)
+    data = [rng.integers(0, 4, 8) for _ in range(3)]
+    outs = pipeline_unpack([encrypt(pipeline_pack(data, loaded)[0], SimParams(n=16))], loaded)
+    for truth, out in zip(data, outs):
+        assert np.max(np.abs(decrypt(out)[:8].real - truth)) <= 1e-4
+    save_layout(loaded, tmp_path / "saved.json")
+    entry = json.loads((tmp_path / "saved.json").read_text())["stages"][0]
+    assert entry["radices"] == [4, 4, 4] and "bit_widths" not in entry
+    reloaded = load_layout(tmp_path / "saved.json").stages[0]
+    assert reloaded.radices == (4, 4, 4)
+    assert all(np.array_equal(a.series.coeffs, b.series.coeffs)
+               for a, b in zip(reloaded.plans, plans))
