@@ -9,10 +9,10 @@ from .fitting import (ModPlan, StepSpec, build_system, fit_modp, fit_step,
 from .hesim import (LevelExhaustedError, OpStats, SimParams, SlotCiphertext,
                     conjugate, decrypt, encrypt, rotate, rotate_batch)
 from .packing import (BitStackLayout, ConcatStage, CrtBasis, ImgPairStage,
-                      PackLayout, bitstack_pack, bitstack_unpack, crt_pack,
-                      crt_unpack, img_pack, img_unpack, load_layout,
-                      pipeline_pack, pipeline_unpack, repack_repeat,
-                      save_layout, vec_pack, vec_unpack)
+                      bitstack_pack, bitstack_unpack, crt_pack, crt_unpack,
+                      img_pack, img_unpack, load_layout, pipeline_pack,
+                      pipeline_unpack, repack_repeat, save_layout, vec_pack,
+                      vec_unpack)
 from .psev import PsSchedule, compute_power_basis, eval_plan, eval_ps, plan_schedule
 from .roundshare import (ReconstructNode, ShareSet, build_comp_plan, ceil_he,
                          comp_step, floor_he, round_he, share_plan,

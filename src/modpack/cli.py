@@ -29,8 +29,7 @@ from .cheb import cheb_T, clenshaw, eval_clenshaw
 from .fitting import fit_modp, save_plan
 from .hesim import LevelExhaustedError, OpStats, SimParams, decrypt, encrypt
 from .packing import (BitStackLayout, ConcatStage, CrtBasis, ImgPairStage,
-                      PackLayout, bitstack_plan_specs, load_layout, pipeline_pack,
-                      pipeline_unpack)
+                      bitstack_plan_specs, load_layout, pipeline_pack, pipeline_unpack)
 
 MODP_INTERVAL = 29
 MODP_DEGREES = (35, 40, 45, 50)
@@ -143,7 +142,7 @@ def _fresh_params(cfg: RunConfig) -> SimParams:
     return replace(cfg.sim, stats=OpStats())
 
 
-def _run_layout(cfg: RunConfig, data, layout: PackLayout):
+def _run_layout(cfg: RunConfig, data, layout: tuple):
     """Pack `data` through `layout`, then time encrypting and unpacking it.
 
     Scores each unpacked vector against its truth over the truth's length.
@@ -167,7 +166,7 @@ def run_bitstack(cfg: RunConfig, D: int, radix: int = 4, layers: int = 3):
     data = [rng.integers(0, radix, cfg.sim.n) for _ in range(layers)]
     specs = bitstack_plan_specs([radix] * layers)
     plans = tuple(fit_modp(p, B, D, fitting.default_delta(D)) for p, B in specs)
-    return _run_layout(cfg, data, PackLayout((BitStackLayout((radix,) * layers, plans),)))
+    return _run_layout(cfg, data, (BitStackLayout((radix,) * layers, plans),))
 
 
 def _crt_basis() -> CrtBasis:
@@ -181,28 +180,25 @@ def run_crtstack(cfg: RunConfig):
     """Pack one random residue slot vector per modulus, unpack on the simulator."""
     rng = _rng(cfg, f"crtstack-{'-'.join(map(str, CRT_MODULI))}-{CRT_DEGREE}")
     data = [rng.integers(0, p, cfg.sim.n) for p in CRT_MODULI]
-    return _run_layout(cfg, data, PackLayout((_crt_basis(),)))
+    return _run_layout(cfg, data, (_crt_basis(),))
 
 
-def combine2_layout(slot_count: int) -> PackLayout:
+def combine2_layout(slot_count: int) -> tuple:
     """Concat to capacity, stack with the CRT basis, pair into complex slots."""
     per_ct = slot_count // COMBINE_LEN
     if per_ct < 1:
         raise ValueError(f"slot count {slot_count} cannot hold a length-{COMBINE_LEN} vector")
     group_len = per_ct * COMBINE_LEN
-    return PackLayout((
-        ConcatStage(template=(COMBINE_LEN,) * per_ct),
-        _crt_basis(),
-        ImgPairStage(group_len, group_len),
-    ))
+    return (ConcatStage(((COMBINE_LEN,) * per_ct,)), _crt_basis(),
+            ImgPairStage(group_len, group_len))
 
 
 def run_combine2(cfg: RunConfig):
     rng = _rng(cfg, "combine2")
     data = [rng.integers(0, 4, COMBINE_LEN) for _ in range(COMBINE_VECTORS)]
     layout = combine2_layout(cfg.sim.n)
-    counts = {"concat": len(pipeline_pack(data, PackLayout(layout.stages[:1]))),
-              "crt": len(pipeline_pack(data, PackLayout(layout.stages[:2]))),
+    counts = {"concat": len(pipeline_pack(data, layout[:1])),
+              "crt": len(pipeline_pack(data, layout[:2])),
               "final": len(pipeline_pack(data, layout))}
     res = _run_layout(cfg, data, layout)
     return {"max_err": max(res["max_errors"]), "min_level": min(res["levels"]),
@@ -496,7 +492,7 @@ def cmd_unpack(args) -> int:
         print("unpacked 0 vectors")
         return 0
     sizes = [len(v) for v in packed]
-    for stage in reversed(layout.stages):
+    for stage in reversed(layout):
         sizes = stage.unpacked_lengths(sizes)
     expected = _read_vectors(args.expected) if args.expected else None
     if expected is not None and len(expected) != len(sizes):

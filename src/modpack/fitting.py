@@ -185,4 +185,10 @@ def save_plan(plan: ModPlan, path):
 
 
 def load_plan(path) -> ModPlan:
-    return plan_from_dict(json.loads(Path(path).read_text()))
+    """The plan of a JSON file; a missing or malformed field raises a ValueError naming it."""
+    try:
+        return plan_from_dict(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise ValueError(f"plan file {path} has no {exc} field") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"plan file {path}: {exc}") from exc

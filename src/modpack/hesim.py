@@ -60,8 +60,9 @@ class SimParams:
             raise ValueError(f"slot count must be a power of two, got {self.n}")
         if self.max_level < 0:
             raise ValueError("max_level must be non-negative")
-        if self.noise_stddev < 0:
-            raise ValueError("noise_stddev must be non-negative")
+        if not 0 <= self.noise_stddev < np.inf:  # False for NaN too
+            raise ValueError(f"noise_stddev must be finite and non-negative, got "
+                             f"{self.noise_stddev}")
         object.__setattr__(self, "rng", np.random.default_rng(self.seed & 0x7FFFFFFF))
 
 

@@ -4,8 +4,9 @@ Four schemes cover the two redundancy dimensions: VecConcat and ImgPair
 use spare slots (length dimension), BitStack and CrtStack stack small
 integers inside one slot (value dimension).  Value-stacked layers are
 recovered under encryption with fitted mod approximations; slot-packed
-layers with rotations, masks, and conjugation.  Schemes compose through
-PackLayout pipelines, unpacked strictly in reverse stage order.
+layers with rotations, masks, and conjugation.  Schemes compose into
+layouts, plain tuples of stages, packed in stage order and unpacked
+strictly in reverse.  A concat stage's groups repeat as the input needs.
 """
 
 from __future__ import annotations
@@ -98,57 +99,47 @@ def repack_repeat(ct: SlotCiphertext, d_x: int, r: int) -> SlotCiphertext:
 class ConcatStage:
     """Pipeline stage that groups consecutive vectors into concatenated ones.
 
-    Either `groups` lists each output's member sizes explicitly, or
-    `template` gives one group shape applied repeatedly.
+    `groups` lists each output's member sizes.  The groups repeat, in order,
+    as often as the input needs: one group is a shape applied to every run
+    of vectors, and groups the input covers once spell out each output.
     """
 
-    groups: tuple | None = None
-    template: tuple | None = None
+    groups: tuple
     plans = ()  # a class attribute, not a field: concatenation fits no plans
 
     def __post_init__(self):
-        if (self.groups is None) == (self.template is None):
-            raise ValueError("specify exactly one of groups or template")
-        if self.groups is not None:
-            groups = tuple(tuple(int(s) for s in g) for g in self.groups)
-            object.__setattr__(self, "groups", groups)
-        else:
-            groups = (tuple(int(s) for s in self.template),)
-            object.__setattr__(self, "template", groups[0])
+        groups = tuple(tuple(int(s) for s in g) for g in self.groups)
+        if not groups:
+            raise ValueError("concat stage needs at least one group")
         for g in groups:
             if not g or min(g) < 1:
                 raise ValueError(f"concat group {list(g)} needs sizes, each at least 1")
+        object.__setattr__(self, "groups", groups)
+
+    def _repeated(self, count: int, packed: bool) -> tuple:
+        """The groups repeated over `count` ciphertexts (packed) or vectors."""
+        cycle = len(self.groups) if packed else sum(len(g) for g in self.groups)
+        if count % cycle:
+            unit = "ciphertexts" if packed else "vectors"
+            raise ValueError(f"concat groups repeat every {cycle} {unit}, got {count}")
+        return self.groups * (count // cycle)
 
     def pack(self, vectors) -> list[np.ndarray]:
-        groups = self.groups
-        if groups is None:  # a template repeats as often as the inputs need
-            groups = (self.template,) * (len(vectors) // len(self.template))
-        if sum(len(g) for g in groups) != len(vectors):
-            raise ValueError(f"concat groups cover {sum(len(g) for g in groups)} vectors, "
-                             f"the stage has {len(vectors)}")
         out, idx = [], 0
-        for g in groups:
+        for g in self._repeated(len(vectors), packed=False):
             out.append(vec_pack(vectors[idx : idx + len(g)], g))
             idx += len(g)
         return out
 
-    def _packed_groups(self, n_cts: int) -> tuple:
-        # Each ciphertext holds one group, so a template repeats once per ciphertext.
-        groups = self.groups if self.groups is not None else (self.template,) * n_cts
-        if len(groups) != n_cts:
-            raise ValueError(f"concat stage expects {len(groups)} ciphertexts, got {n_cts}")
-        return groups
-
     def unpack(self, cts) -> list[SlotCiphertext]:
-        return [v for ct, g in zip(cts, self._packed_groups(len(cts))) for v in vec_unpack(ct, g)]
+        groups = self._repeated(len(cts), packed=True)
+        return [v for ct, g in zip(cts, groups) for v in vec_unpack(ct, g)]
 
     def unpacked_lengths(self, lengths) -> list[int]:
-        return [s for g in self._packed_groups(len(lengths)) for s in g]
+        return [s for g in self._repeated(len(lengths), packed=True) for s in g]
 
     def to_json(self, plan_files) -> dict:
-        if self.groups is not None:
-            return {"kind": "concat", "groups": [list(g) for g in self.groups]}
-        return {"kind": "concat", "sizes": list(self.template)}
+        return {"kind": "concat", "groups": [list(g) for g in self.groups]}
 
 
 # ---------------------------------------------------------------------------
@@ -394,34 +385,25 @@ def crt_unpack(ct: SlotCiphertext, basis: CrtBasis) -> list[SlotCiphertext]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PackLayout:
-    """Ordered packing stages; unpacking replays them in reverse.
+def pipeline_pack(data, layout: tuple) -> list[np.ndarray]:
+    """Run a layout's packing stages over a list of plaintext vectors.
 
-    A stage is a ConcatStage, BitStackLayout, CrtBasis or ImgPairStage.
-    Each has pack(vectors) and unpack(cts), which map a list to a list,
-    unpacked_lengths(lengths), the lengths unpack yields from vectors of
-    those lengths, its `plans`, and to_json(plan_files), its JSON entry.
+    A layout is a tuple of stages, each a ConcatStage, BitStackLayout,
+    CrtBasis or ImgPairStage.  Each has pack(vectors) and unpack(cts), which
+    map a list to a list, unpacked_lengths(lengths), the lengths unpack
+    yields from vectors of those lengths, its `plans`, and
+    to_json(plan_files), its JSON entry.
     """
-
-    stages: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-
-
-def pipeline_pack(data, layout: PackLayout) -> list[np.ndarray]:
-    """Run the packing stages over a list of plaintext vectors."""
     current = [np.asarray(v) for v in data]
-    for stage in layout.stages:
+    for stage in layout:
         current = stage.pack(current)
     return current
 
 
-def pipeline_unpack(cts, layout: PackLayout) -> list[SlotCiphertext]:
+def pipeline_unpack(cts, layout: tuple) -> list[SlotCiphertext]:
     """Invert the packing stages over ciphertexts, in reverse stage order."""
     current = list(cts)
-    for stage in reversed(layout.stages):
+    for stage in reversed(layout):
         current = stage.unpack(current)
     return current
 
@@ -431,12 +413,12 @@ def pipeline_unpack(cts, layout: PackLayout) -> list[SlotCiphertext]:
 # ---------------------------------------------------------------------------
 
 
-def save_layout(layout: PackLayout, path):
+def save_layout(layout: tuple, path):
     """Write a layout as JSON, each stage plan as <stem>-stage<i>-layer<j>.plan.json beside it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     stages = []
-    for si, stage in enumerate(layout.stages):
+    for si, stage in enumerate(layout):
         files = [f"{path.stem}-stage{si}-layer{li}.plan.json" for li in range(len(stage.plans))]
         for name, plan in zip(files, stage.plans):
             save_plan(plan, path.parent / name)
@@ -444,30 +426,31 @@ def save_layout(layout: PackLayout, path):
     path.write_text(json.dumps({"stages": stages}, indent=2) + "\n")
 
 
-def load_layout(path) -> PackLayout:
+def load_layout(path) -> tuple:
     """Read a layout JSON; plan files resolve relative to the layout file.
 
-    A bitstack entry's "bit_widths" l_i, the older spelling, load as radices 2^l_i.
+    Older spellings still load: a concat entry's "sizes" as its one group, and
+    a bitstack entry's "bit_widths" l_i as radices 2^l_i.
     """
     path = Path(path)
     doc = json.loads(path.read_text())
     entries = doc.get("stages") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise ValueError(f"layout {path} must be a JSON object with a \"stages\" list")
-    return PackLayout(tuple(_load_stage(path.parent, i, entry) for i, entry in enumerate(entries)))
+    return tuple(_load_stage(path.parent, i, entry) for i, entry in enumerate(entries))
 
 
 def _load_stage(root: Path, i: int, entry):
     """The stage of layout entry i, its plan files resolved against root."""
     if not isinstance(entry, dict):
         raise ValueError(f"layout stage {i} must be a JSON object, got {type(entry).__name__}")
-    kind = entry["kind"]
     try:
+        kind = entry["kind"]
         plans = tuple(load_plan(root / f) for f in entry.get("plan_files") or ())
-        if kind == "concat" and "groups" in entry:
-            return ConcatStage(groups=entry["groups"])
+        if kind == "concat" and "sizes" in entry:
+            return ConcatStage((entry["sizes"],))
         if kind == "concat":
-            return ConcatStage(template=entry["sizes"])
+            return ConcatStage(entry["groups"])
         if kind == "crt":
             return CrtBasis(entry["moduli"], plans)
         if kind == "bitstack" and "bit_widths" in entry:
@@ -476,6 +459,8 @@ def _load_stage(root: Path, i: int, entry):
             return BitStackLayout(entry["radices"], plans)
         if kind == "imgpair":
             return ImgPairStage(int(entry["n1"]), int(entry["n2"]))
+    except KeyError as exc:
+        raise ValueError(f"layout stage {i} has no {exc} field") from exc
     except TypeError as exc:
         raise ValueError(f"layout stage {i} ({kind}) has a field of the wrong type: {exc}") from exc
     raise ValueError(f"unknown stage kind {kind!r} in layout stage {i}")

@@ -9,7 +9,7 @@ import pytest
 from modpack import cli
 from modpack.fitting import fit_modp, load_plan, suggest_delta
 from modpack.hesim import SimParams
-from modpack.packing import ConcatStage, CrtBasis, ImgPairStage, PackLayout, save_layout
+from modpack.packing import ConcatStage, CrtBasis, ImgPairStage, save_layout
 
 
 def run(*argv):
@@ -69,11 +69,11 @@ def write_lines(path, vectors):
 @pytest.fixture
 def fig_files(tmp_path):
     plans = tuple(fit_modp(p, 89, 150) for p in (9, 10))
-    layout = PackLayout((
-        ConcatStage(groups=((4, 4), (4, 4), (4,), (4,))),
+    layout = (
+        ConcatStage(((4, 4), (4, 4), (4,), (4,))),
         CrtBasis((9, 10), plans),
         ImgPairStage(8, 4),
-    ))
+    )
     layout_path = tmp_path / "layout.json"
     save_layout(layout, layout_path)
     rng = np.random.default_rng(0)
@@ -102,14 +102,13 @@ def test_pack_unpack_round_trip(fig_files, tmp_path, capsys):
 
 
 def test_pack_unpack_template_layout(tmp_path):
-    # A "sizes" concat stage: without --expected, unpack trims each vector to
-    # the length the stage resolves for it.
+    # A one-group concat stage repeats its group: without --expected, unpack
+    # trims each vector to the length the stage resolves for it.
     plans = (fit_modp(3, 14, 30, 100.0), fit_modp(5, 14, 30, 100.0))
     layout_path = tmp_path / "layout.json"
-    save_layout(PackLayout((ConcatStage(template=(4, 4)), CrtBasis((3, 5), plans))),
-                layout_path)
+    save_layout((ConcatStage(((4, 4),)), CrtBasis((3, 5), plans)), layout_path)
     assert json.loads(layout_path.read_text())["stages"][0] == {"kind": "concat",
-                                                                "sizes": [4, 4]}
+                                                                "groups": [[4, 4]]}
     rng = np.random.default_rng(5)
     data = [[int(x) for x in rng.integers(0, 3, 4)] for _ in range(8)]
     data_path, packed_path = tmp_path / "data.ndjson", tmp_path / "packed.ndjson"
@@ -127,7 +126,7 @@ def test_pack_unpack_template_layout(tmp_path):
 
 def _lone_stage_round_trip(tmp_path, stage, data, *extra):
     layout_path = tmp_path / "layout.json"
-    save_layout(PackLayout((stage,)), layout_path)
+    save_layout((stage,), layout_path)
     data_path, packed_path = tmp_path / "data.ndjson", tmp_path / "packed.ndjson"
     write_lines(data_path, data)
     assert run("pack", "--layout", layout_path, "--data", data_path, "--out", packed_path) == 0
@@ -140,6 +139,26 @@ def _lone_stage_round_trip(tmp_path, stage, data, *extra):
 def _crt35_stage():
     plans = (fit_modp(3, 14, 30, 100.0), fit_modp(5, 14, 30, 100.0))
     return CrtBasis((3, 5), plans), [[0, 1, 2, 1], [4, 0, 3, 2]]
+
+
+def test_pack_unpack_repeats_multi_group_layout(tmp_path):
+    # Two groups of uneven members, given twice the vectors they cover: the
+    # groups repeat, and without --expected each vector comes out at its own
+    # length.
+    layout_path = tmp_path / "layout.json"
+    save_layout((ConcatStage(((4, 2), (3,))), ImgPairStage(6, 3)), layout_path)
+    data = [[1, 2, 3, 4], [5, 6], [7, 8, 9], [9, 8, 7, 6], [5, 4], [3, 2, 1]]
+    data_path, packed_path = tmp_path / "data.ndjson", tmp_path / "packed.ndjson"
+    write_lines(data_path, data)
+    assert run("pack", "--layout", layout_path, "--data", data_path, "--out", packed_path) == 0
+    assert len(packed_path.read_text().splitlines()) == 2
+    out_path = tmp_path / "recovered.ndjson"
+    assert run("unpack", "--layout", layout_path, "--data", packed_path,
+               "--out", out_path, "--n", 16) == 0
+    recovered = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert [len(v) for v in recovered] == [len(v) for v in data]
+    for got, want in zip(recovered, data):
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-9
 
 
 @pytest.mark.parametrize("stage_kind", ["crt", "imgpair"])
@@ -194,7 +213,7 @@ def test_unpack_rejects_inconsistent_plan_file(tmp_path, capsys, field, value, m
     # level, flipping the sign or decoding NaN
     stage, data = _crt35_stage()
     layout_path = tmp_path / "layout.json"
-    save_layout(PackLayout((stage,)), layout_path)
+    save_layout((stage,), layout_path)
     plan_path = tmp_path / "layout-stage0-layer0.plan.json"
     plan_path.write_text(json.dumps({**json.loads(plan_path.read_text()), field: value}))
     data_path, out_path = tmp_path / "data.ndjson", tmp_path / "out.ndjson"
@@ -277,6 +296,15 @@ MALFORMED_INPUTS = {
                                 "layout stage 1 must be a JSON object"),
     "layout-field-type": ("pack", '{"stages": [{"kind": "crt", "moduli": 5}]}',
                           "layout stage 0 (crt) has a field of the wrong type"),
+    "layout-no-kind": ("pack", '{"stages": [{"moduli": [3, 5]}]}',
+                       "layout stage 0 has no 'kind' field"),
+    "layout-missing-field": ("pack", '{"stages": [{"kind": "imgpair", "n1": 4, "n2": 4}, '
+                             '{"kind": "concat"}]}', "layout stage 1 has no 'groups' field"),
+    # "plan": the text is a plan file that a crt layout stage names
+    "plan-field-type": ("plan", '{"coeffs": [0.5], "p": 3, "B": null, "D": 0, "delta": 1.0, '
+                        '"residual": 0.0}', "input.json: float() argument"),
+    "config-noise-nan": ("table", '{"sim": {"noise_stddev": NaN}}',
+                         "noise_stddev must be finite and non-negative, got nan"),
 }
 
 
@@ -289,6 +317,10 @@ def test_malformed_config_or_layout_exits_two(tmp_path, capsys, command, text, m
     if command == "table":
         argv = ("table", "--name", "modp4", "--config", path, "--output-dir", tmp_path / "out")
     else:
+        if command == "plan":
+            layout = {"stages": [{"kind": "crt", "moduli": [3], "plan_files": [path.name]}]}
+            path = tmp_path / "layout.json"
+            path.write_text(json.dumps(layout))
         argv = ("pack", "--layout", path, "--data", data, "--out", tmp_path / "o.ndjson")
     assert run(*argv) == 2
     err = capsys.readouterr().err

@@ -222,3 +222,10 @@ def test_params_validation():
         SimParams(n=24)
     with pytest.raises(ValueError):
         SimParams(max_level=-1)
+
+
+@pytest.mark.parametrize("sigma", [-1e-9, float("nan"), float("inf")])
+def test_params_reject_negative_or_non_finite_noise(sigma):
+    # NaN would run noise-off (sigma > 0 is False) and inf would turn slots to inf
+    with pytest.raises(ValueError, match="noise_stddev must be finite and non-negative"):
+        SimParams(noise_stddev=sigma)

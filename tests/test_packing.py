@@ -4,7 +4,7 @@ import pytest
 from modpack.fitting import fit_modp, save_plan
 from modpack.hesim import OpStats, SimParams, decrypt, encrypt
 from modpack.packing import (BitStackLayout, CapacityError, ConcatStage,
-                             CrtBasis, ImgPairStage, PackLayout, bitstack_pack,
+                             CrtBasis, ImgPairStage, bitstack_pack,
                              bitstack_plan_specs, bitstack_unpack, crt_pack,
                              crt_unpack, img_pack, img_unpack, load_layout,
                              pipeline_pack, pipeline_unpack, repack_repeat,
@@ -43,16 +43,18 @@ def test_vec_pack_capacity_arithmetic():
 
 def test_concat_stage_rejects_bad_groups_at_construction():
     with pytest.raises(ValueError, match="each at least 1"):
-        ConcatStage(template=(4, 0))
+        ConcatStage(((4, 0),))
     with pytest.raises(ValueError, match="needs sizes"):
-        ConcatStage(groups=((),))
+        ConcatStage(((),))
+    with pytest.raises(ValueError, match="at least one group"):
+        ConcatStage(())
 
 
 def test_unpacked_lengths_per_stage():
-    assert ConcatStage(groups=((4, 4), (3,))).unpacked_lengths([8, 3]) == [4, 4, 3]
-    assert ConcatStage(template=(2, 5)).unpacked_lengths([7, 7]) == [2, 5, 2, 5]
-    with pytest.raises(ValueError, match="expects 2 ciphertexts"):
-        ConcatStage(groups=((4, 4), (3,))).unpacked_lengths([8])
+    assert ConcatStage(((4, 4), (3,))).unpacked_lengths([8, 3]) == [4, 4, 3]
+    assert ConcatStage(((2, 5),)).unpacked_lengths([7, 7]) == [2, 5, 2, 5]
+    with pytest.raises(ValueError, match="repeat every 2 ciphertexts, got 1"):
+        ConcatStage(((4, 4), (3,))).unpacked_lengths([8])
     assert ImgPairStage(4, 2).unpacked_lengths([4, 4]) == [4, 2, 4, 2]
     assert BitStackLayout((4, 4)).unpacked_lengths([6]) == [6, 6]
     assert CrtBasis((3, 5)).unpacked_lengths([4, 9]) == [4, 4, 9, 9]
@@ -401,11 +403,11 @@ def fig_layout(vec_len, D=150):
     """Six vectors -> concat to 4 -> CrtStack (9, 10) to 2 -> ImgPair to 1."""
     P = 90
     plans = tuple(fit_modp(p, P - 1, D) for p in (9, 10))  # auto-suggested delta
-    return PackLayout((
-        ConcatStage(groups=((vec_len, vec_len), (vec_len, vec_len), (vec_len,), (vec_len,))),
+    return (
+        ConcatStage(((vec_len, vec_len), (vec_len, vec_len), (vec_len,), (vec_len,))),
         CrtBasis((9, 10), plans),
         ImgPairStage(2 * vec_len, vec_len),
-    ))
+    )
 
 
 def test_pipeline_fig_combination_round_trip():
@@ -422,7 +424,7 @@ def test_pipeline_fig_combination_round_trip():
 
 
 def test_pipeline_empty_is_identity():
-    layout = PackLayout(())
+    layout = ()
     data = [np.arange(3.0)]
     assert np.array_equal(pipeline_pack(data, layout)[0], data[0])
     params = SimParams(n=8)
@@ -430,14 +432,38 @@ def test_pipeline_empty_is_identity():
     assert pipeline_unpack([ct], layout) == [ct]
 
 
+def test_pipeline_repeats_multi_group_layout():
+    # Twice the vectors the concat groups cover: the groups repeat in order,
+    # through the CRT and pairing stages, and back.
+    layout = fig_layout(4)
+    rng = np.random.default_rng(13)
+    data = [rng.integers(0, 9, 4) for _ in range(12)]
+    packed = pipeline_pack(data, layout)
+    assert len(packed) == 2
+    outs = pipeline_unpack([encrypt(v, SimParams(n=32)) for v in packed], layout)
+    assert len(outs) == 12
+    for truth, out in zip(data, outs):
+        assert np.max(np.abs(decrypt(out)[:4].real - truth)) <= 1e-5
+
+
+def test_concat_count_off_the_cycle_raises():
+    # two groups cycle every 3 vectors when packing and every 2 ciphertexts
+    # when unpacking
+    stage = ConcatStage(((4, 2), (3,)))
+    with pytest.raises(ValueError, match="repeat every 3 vectors, got 4"):
+        stage.pack([np.zeros(4), np.zeros(2), np.zeros(3), np.zeros(4)])
+    with pytest.raises(ValueError, match="repeat every 2 ciphertexts, got 3"):
+        stage.unpack([encrypt(np.zeros(4), SimParams(n=8))] * 3)
+
+
 def test_pipeline_shape_mismatch_errors():
-    layout = PackLayout((ConcatStage(groups=((2, 2),)),))
+    layout = (ConcatStage(((2, 2),)),)
     with pytest.raises(ValueError):
         pipeline_pack([np.zeros(2)], layout)  # group wants two vectors
-    stack = PackLayout((CrtBasis((4, 5)),))
+    stack = (CrtBasis((4, 5)),)
     with pytest.raises(ValueError):
         pipeline_pack([np.zeros(4), np.zeros(5)], stack)  # unequal lengths
-    img = PackLayout((ImgPairStage(3, 3),))
+    img = (ImgPairStage(3, 3),)
     with pytest.raises(ValueError):
         pipeline_pack([np.zeros(3)], img)  # odd count
 
@@ -462,14 +488,14 @@ def test_layout_json_template_form(tmp_path):
     import json
     plan = fit_modp(3, 14, 30, 100.0)
     plan2 = fit_modp(5, 14, 30, 100.0)
-    layout = PackLayout((
-        ConcatStage(template=(4, 4)),
+    layout = (
+        ConcatStage(((4, 4),)),
         CrtBasis((3, 5), (plan, plan2)),
-    ))
+    )
     path = tmp_path / "layout.json"
     save_layout(layout, path)
     doc = json.loads(path.read_text())
-    assert doc["stages"][0] == {"kind": "concat", "sizes": [4, 4]}
+    assert doc["stages"][0] == {"kind": "concat", "groups": [[4, 4]]}
     assert doc["stages"][1]["kind"] == "crt"
     loaded = load_layout(path)
     rng = np.random.default_rng(10)
@@ -483,6 +509,22 @@ def test_layout_json_template_form(tmp_path):
         assert np.max(np.abs(decrypt(out)[:4].real - truth)) <= 1e-4
 
 
+def test_layout_json_sizes_entry_loads_as_one_group(tmp_path):
+    import json
+    # A concat entry spelled as "sizes" loads as one repeating group, packs
+    # each run of len(sizes) vectors into one, and saves back as "groups".
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps({"stages": [{"kind": "concat", "sizes": [4, 4]}]}))
+    loaded = load_layout(path)
+    assert loaded == (ConcatStage(((4, 4),)),)
+    data = [np.arange(4) + 4 * i for i in range(4)]
+    packed = pipeline_pack(data, loaded)
+    assert [v.tolist() for v in packed] == [list(range(8)), list(range(8, 16))]
+    save_layout(loaded, tmp_path / "saved.json")
+    entry = json.loads((tmp_path / "saved.json").read_text())["stages"][0]
+    assert entry == {"kind": "concat", "groups": [[4, 4]]}
+
+
 @pytest.mark.parametrize("radices,spelling", [
     ((4, 4, 4), {"radices": [4, 4, 4]}),  # power-of-two radices save as radices too
     ((3, 5), {"radices": [3, 5]}),
@@ -490,7 +532,7 @@ def test_layout_json_template_form(tmp_path):
 def test_layout_json_bitstack_round_trip(tmp_path, radices, spelling):
     import json
     plans = tuple(fit_modp(p, B, 90, 100.0) for p, B in bitstack_plan_specs(radices))
-    layout = PackLayout((BitStackLayout(radices, plans),))
+    layout = (BitStackLayout(radices, plans),)
     rng = np.random.default_rng(11)
     data = [rng.integers(0, r, 8) for r in radices]
     path = tmp_path / "layout.json"
@@ -499,7 +541,7 @@ def test_layout_json_bitstack_round_trip(tmp_path, radices, spelling):
     doc = {"stages": [{"kind": "bitstack", "plan_files": files, **spelling}]}
     assert path.read_text() == json.dumps(doc, indent=2) + "\n"
     loaded = load_layout(path)
-    assert loaded.stages[0].radices == radices
+    assert loaded[0].radices == radices
     packed = pipeline_pack(data, loaded)
     assert np.array_equal(packed[0], pipeline_pack(data, layout)[0])
     outs = pipeline_unpack([encrypt(packed[0], SimParams(n=16))], loaded)
@@ -519,7 +561,7 @@ def test_layout_json_bit_widths_entry_loads_as_radices(tmp_path):
     path.write_text(json.dumps({"stages": [
         {"kind": "bitstack", "plan_files": files, "bit_widths": [2, 2, 2]}]}))
     loaded = load_layout(path)
-    assert loaded.stages[0].radices == (4, 4, 4)
+    assert loaded[0].radices == (4, 4, 4)
     rng = np.random.default_rng(12)
     data = [rng.integers(0, 4, 8) for _ in range(3)]
     outs = pipeline_unpack([encrypt(pipeline_pack(data, loaded)[0], SimParams(n=16))], loaded)
@@ -528,7 +570,7 @@ def test_layout_json_bit_widths_entry_loads_as_radices(tmp_path):
     save_layout(loaded, tmp_path / "saved.json")
     entry = json.loads((tmp_path / "saved.json").read_text())["stages"][0]
     assert entry["radices"] == [4, 4, 4] and "bit_widths" not in entry
-    reloaded = load_layout(tmp_path / "saved.json").stages[0]
+    reloaded = load_layout(tmp_path / "saved.json")[0]
     assert reloaded.radices == (4, 4, 4)
     assert all(np.array_equal(a.series.coeffs, b.series.coeffs)
                for a, b in zip(reloaded.plans, plans))
