@@ -142,22 +142,40 @@ def _fresh_params(cfg: RunConfig) -> SimParams:
     return replace(cfg.sim, stats=OpStats())
 
 
-def _run_layout(cfg: RunConfig, data, layout: tuple):
-    """Pack `data` through `layout`, then time encrypting and unpacking it.
+def _unpack(cfg: RunConfig, packed, layout: tuple, truths=None):
+    """Encrypt `packed`, unpack it through `layout`, decrypt each vector at its unpacked length.
 
-    Scores each unpacked vector against its truth over the truth's length.
-    Returns per-vector mean and max errors, remaining levels, the op stats
-    and the wall time.
+    `truths`, if given, must match those lengths before anything is encrypted.
+    Returns the vectors and a result: levels, op stats, the wall time of
+    encrypting and unpacking, and per-vector mean and max errors against `truths`.
     """
+    sizes = [len(v) for v in packed]
+    for stage in reversed(layout):
+        sizes = stage.unpacked_lengths(sizes)
+    if truths is not None and len(truths) != len(sizes):
+        raise ValueError(f"--expected holds {len(truths)} vectors, "
+                         f"the layout unpacks {len(sizes)}")
+    for i, (want, size) in enumerate(zip(truths or (), sizes)):
+        if len(want) != size:
+            raise ValueError(f"expected vector {i} has length {len(want)}, "
+                             f"the layout unpacks length {size}")
     params = _fresh_params(cfg)
-    packed = pipeline_pack(data, layout)
     start = time.perf_counter()
     outs = pipeline_unpack([encrypt(v, params) for v in packed], layout)
     wall = time.perf_counter() - start
-    diffs = [np.abs(decrypt(ct)[: truth.size].real - truth) for truth, ct in zip(data, outs)]
-    return {"errors": [float(np.mean(d)) for d in diffs],
-            "max_errors": [float(np.max(d)) for d in diffs],
-            "levels": [ct.level for ct in outs], "stats": params.stats, "wall": wall}
+    # Copies, so no full decrypted slot vector outlives its trimmed slice.
+    recovered = [decrypt(ct).real[:size].copy() for ct, size in zip(outs, sizes)]
+    res = {"levels": [ct.level for ct in outs], "stats": params.stats, "wall": wall}
+    if truths is not None:
+        diffs = [np.abs(got - want) for got, want in zip(recovered, truths)]
+        res["errors"] = [float(np.mean(d)) for d in diffs]
+        res["max_errors"] = [float(np.max(d)) for d in diffs]
+    return recovered, res
+
+
+def _run_layout(cfg: RunConfig, data, layout: tuple):
+    """Pack `data` through `layout` and unpack it, scoring each vector against its input."""
+    return _unpack(cfg, pipeline_pack(data, layout), layout, data)[1]
 
 
 def run_bitstack(cfg: RunConfig, D: int, radix: int = 4, layers: int = 3):
@@ -473,10 +491,6 @@ def _write_vectors(path, vectors):
 def cmd_pack(args) -> int:
     layout = load_layout(args.layout)
     data = _read_vectors(args.data)
-    if not data:
-        _write_vectors(args.out, [])
-        print("packed 0 vectors")
-        return 0
     packed = pipeline_pack(data, layout)
     _write_vectors(args.out, packed)
     print(f"packed {len(data)} vectors into {len(packed)}")
@@ -491,33 +505,18 @@ def cmd_unpack(args) -> int:
         _write_vectors(args.out, [])
         print("unpacked 0 vectors")
         return 0
-    sizes = [len(v) for v in packed]
-    for stage in reversed(layout):
-        sizes = stage.unpacked_lengths(sizes)
     expected = _read_vectors(args.expected) if args.expected else None
-    if expected is not None and len(expected) != len(sizes):
-        raise ValueError(f"--expected holds {len(expected)} vectors, "
-                         f"the layout unpacks {len(sizes)}")
-    for i, (want, size) in enumerate(zip(expected or [], sizes)):
-        if len(want) != size:
-            raise ValueError(f"expected vector {i} has length {len(want)}, "
-                             f"the layout unpacks length {size}")
-    params = _fresh_params(cfg)
-    outs = pipeline_unpack([encrypt(v, params) for v in packed], layout)
-    recovered = [decrypt(ct).real[:size] for ct, size in zip(outs, sizes)]
+    recovered, res = _unpack(cfg, packed, layout, expected)
     _write_vectors(args.out, recovered)
-    min_level = min(ct.level for ct in outs)
-    print(f"unpacked {len(outs)} vectors; remaining level >= {min_level}")
+    print(f"unpacked {len(recovered)} vectors; remaining level >= {min(res['levels'])}")
     if expected is not None:
-        errs = [np.abs(got - np.asarray(want, dtype=float))
-                for got, want in zip(recovered, expected)]
-        if len(errs) <= 12:
-            for i, err in enumerate(errs):
-                print(f"  vector {i}: max={err.max():.6e} mean={err.mean():.6e} "
-                      f"level={outs[i].level}")
+        if len(recovered) <= 12:
+            for i, (worst, mean, level) in enumerate(
+                    zip(res["max_errors"], res["errors"], res["levels"])):
+                print(f"  vector {i}: max={worst:.6e} mean={mean:.6e} level={level}")
         # np.max, unlike max(), lets a NaN error through to the report
-        print(f"error report: max={np.max([e.max() for e in errs]):.6e} "
-              f"worst_mean={np.max([e.mean() for e in errs]):.6e}")
+        print(f"error report: max={np.max(res['max_errors']):.6e} "
+              f"worst_mean={np.max(res['errors']):.6e}")
     return 0
 
 

@@ -29,7 +29,6 @@ class OpStats:
     plain_mults: int = 0
     adds: int = 0
     rotations: int = 0
-    rotate_batches: int = 0
     conjugations: int = 0
 
     @property
@@ -161,12 +160,9 @@ def rotate_batch(a: SlotCiphertext, steps) -> list[SlotCiphertext]:
     """Several rotations of the same ciphertext.
 
     Stands in for hoisted rotation: the shared precomputation is not
-    modeled, but callers batch their steps here so rotation budgets can be
-    audited per batch.
+    modeled, but callers batch their steps here.
     """
-    out = [a._op("rotations", np.roll(a.slots, -int(s))) for s in steps]
-    a.params.stats.rotate_batches += 1
-    return out
+    return [a._op("rotations", np.roll(a.slots, -int(s))) for s in steps]
 
 
 def conjugate(a: SlotCiphertext) -> SlotCiphertext:

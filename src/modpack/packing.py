@@ -138,7 +138,7 @@ class ConcatStage:
     def unpacked_lengths(self, lengths) -> list[int]:
         return [s for g in self._repeated(len(lengths), packed=True) for s in g]
 
-    def to_json(self, plan_files) -> dict:
+    def to_json(self) -> dict:
         return {"kind": "concat", "groups": [list(g) for g in self.groups]}
 
 
@@ -191,7 +191,7 @@ class ImgPairStage:
     def unpacked_lengths(self, lengths) -> list[int]:
         return [n for _ in lengths for n in (self.n1, self.n2)]
 
-    def to_json(self, plan_files) -> dict:
+    def to_json(self) -> dict:
         return {"kind": "imgpair", "n1": self.n1, "n2": self.n2}
 
 
@@ -215,17 +215,21 @@ def _checked_plans(plans, specs) -> tuple:
 
 
 def _layers(values, bounds) -> list[np.ndarray]:
-    """The layers as integer arrays of one shape, layer i checked against [0, bounds[i])."""
+    """The layers as integer arrays of one shape, layer i holding integers in [0, bounds[i])."""
     if len(values) != len(bounds):
         raise ValueError(f"expected {len(bounds)} layers, got {len(values)}")
-    arrays = [np.asarray(v, dtype=np.int64) for v in values]
+    arrays = [np.asarray(v) for v in values]
     if len({arr.shape for arr in arrays}) != 1:
         raise ValueError("stacked vectors must share the same length")
     for i, (arr, r) in enumerate(zip(arrays, bounds)):
         bad = (arr < 0) | (arr >= r)
+        if arr.dtype.kind not in "biu":  # a fraction or a NaN would truncate in the cast
+            bad |= arr != np.rint(arr)
         if np.any(bad):
-            raise ValueError(f"layer {i} element {int(np.argmax(bad))} out of range [0, {r})")
-    return arrays
+            j = int(np.argmax(bad))
+            raise ValueError(f"layer {i} element {j} out of range: {arr.flat[j]} is not an "
+                             f"integer in [0, {r})")
+    return [arr.astype(np.int64, copy=False) for arr in arrays]
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +268,8 @@ class BitStackLayout:
     def unpacked_lengths(self, lengths) -> list[int]:
         return [n for n in lengths for _ in self.radices]
 
-    def to_json(self, plan_files) -> dict:
-        return {"kind": "bitstack", "plan_files": plan_files, "radices": list(self.radices)}
+    def to_json(self) -> dict:
+        return {"kind": "bitstack", "radices": list(self.radices)}
 
 
 def bitstack_plan_specs(radices) -> list[tuple[int, int]]:
@@ -356,8 +360,8 @@ class CrtBasis:
     def unpacked_lengths(self, lengths) -> list[int]:
         return [n for n in lengths for _ in self.moduli]
 
-    def to_json(self, plan_files) -> dict:
-        return {"kind": "crt", "moduli": list(self.moduli), "plan_files": plan_files}
+    def to_json(self) -> dict:
+        return {"kind": "crt", "moduli": list(self.moduli)}
 
 
 def crt_pack(values, basis: CrtBasis) -> np.ndarray:
@@ -391,8 +395,8 @@ def pipeline_pack(data, layout: tuple) -> list[np.ndarray]:
     A layout is a tuple of stages, each a ConcatStage, BitStackLayout,
     CrtBasis or ImgPairStage.  Each has pack(vectors) and unpack(cts), which
     map a list to a list, unpacked_lengths(lengths), the lengths unpack
-    yields from vectors of those lengths, its `plans`, and
-    to_json(plan_files), its JSON entry.
+    yields from vectors of those lengths, its `plans`, and to_json(), its
+    JSON entry without plan files, which save_layout names and writes.
     """
     current = [np.asarray(v) for v in data]
     for stage in layout:
@@ -422,12 +426,13 @@ def save_layout(layout: tuple, path):
         files = [f"{path.stem}-stage{si}-layer{li}.plan.json" for li in range(len(stage.plans))]
         for name, plan in zip(files, stage.plans):
             save_plan(plan, path.parent / name)
-        stages.append(stage.to_json(files))
+        entry = stage.to_json()
+        stages.append({"kind": entry["kind"], "plan_files": files, **entry} if files else entry)
     path.write_text(json.dumps({"stages": stages}, indent=2) + "\n")
 
 
 def load_layout(path) -> tuple:
-    """Read a layout JSON; plan files resolve relative to the layout file.
+    """Read a layout JSON; crt and bitstack plan files resolve relative to the layout file.
 
     Older spellings still load: a concat entry's "sizes" as its one group, and
     a bitstack entry's "bit_widths" l_i as radices 2^l_i.
@@ -446,21 +451,19 @@ def _load_stage(root: Path, i: int, entry):
         raise ValueError(f"layout stage {i} must be a JSON object, got {type(entry).__name__}")
     try:
         kind = entry["kind"]
-        plans = tuple(load_plan(root / f) for f in entry.get("plan_files") or ())
-        if kind == "concat" and "sizes" in entry:
-            return ConcatStage((entry["sizes"],))
         if kind == "concat":
-            return ConcatStage(entry["groups"])
-        if kind == "crt":
-            return CrtBasis(entry["moduli"], plans)
-        if kind == "bitstack" and "bit_widths" in entry:
-            return BitStackLayout(tuple(1 << int(l) for l in entry["bit_widths"]), plans)
-        if kind == "bitstack":
-            return BitStackLayout(entry["radices"], plans)
+            return ConcatStage((entry["sizes"],) if "sizes" in entry else entry["groups"])
         if kind == "imgpair":
             return ImgPairStage(int(entry["n1"]), int(entry["n2"]))
+        if kind not in ("crt", "bitstack"):
+            raise ValueError(f"unknown stage kind {kind!r} in layout stage {i}")
+        plans = tuple(load_plan(root / f) for f in entry.get("plan_files") or ())
+        if kind == "crt":
+            return CrtBasis(entry["moduli"], plans)
+        if "bit_widths" in entry:
+            return BitStackLayout(tuple(1 << int(l) for l in entry["bit_widths"]), plans)
+        return BitStackLayout(entry["radices"], plans)
     except KeyError as exc:
         raise ValueError(f"layout stage {i} has no {exc} field") from exc
     except TypeError as exc:
         raise ValueError(f"layout stage {i} ({kind}) has a field of the wrong type: {exc}") from exc
-    raise ValueError(f"unknown stage kind {kind!r} in layout stage {i}")

@@ -362,6 +362,51 @@ def test_pack_out_of_range_element_names_index(fig_files, tmp_path, capsys):
     assert "out of range" in err and "element" in err
 
 
+@pytest.mark.parametrize("data,code,message", [
+    ([[1.5, 2.7, 0, 1], [4.9, 0, 3, 2]], 2, "layer 0 element 0 out of range: 1.5"),
+    ([[1, float("nan"), 0, 1], [4, 0, 3, 2]], 2, "layer 0 element 1 out of range: nan"),
+    ([[1.0, 2.0, 0, 1], [4.0, 0, 3, 2]], 0, "packed 2 vectors into 1"),
+], ids=["fraction", "nan", "integral"])
+def test_pack_rejects_non_integer_stacked_values(tmp_path, capsys, data, code, message):
+    # A fraction or a NaN used to truncate silently into the packing of other values.
+    layout_path, data_path, out = tmp_path / "l.json", tmp_path / "d.ndjson", tmp_path / "o.ndjson"
+    layout_path.write_text(json.dumps({"stages": [{"kind": "crt", "moduli": [3, 5]}]}))
+    write_lines(data_path, data)
+    assert run("pack", "--layout", layout_path, "--data", data_path, "--out", out) == code
+    captured = capsys.readouterr()
+    assert message in (captured.err if code else captured.out)
+    if code:
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_text()) == [4.0, 5.0, 3.0, 7.0]
+
+
+@pytest.mark.parametrize("entry", [{"kind": "concat", "groups": [[2, 2]]},
+                                   {"kind": "imgpair", "n1": 2, "n2": 2}])
+def test_pack_ignores_plan_files_of_stages_without_plans(tmp_path, entry):
+    # concat and imgpair fit no plans, so they do not open the files an entry names
+    layout_path, data_path, out = tmp_path / "l.json", tmp_path / "d.ndjson", tmp_path / "o.ndjson"
+    layout_path.write_text(json.dumps({"stages": [{**entry, "plan_files": ["nope.json"]}]}))
+    write_lines(data_path, [[1, 2], [3, 4]])
+    assert run("pack", "--layout", layout_path, "--data", data_path, "--out", out) == 0
+
+
+def test_unpack_scores_equal_the_table_runners(tmp_path, capsys):
+    # `unpack --expected` and the table runners score through one helper.
+    stage, data = _crt35_stage()
+    expected = tmp_path / "expected.ndjson"
+    write_lines(expected, data)
+    code, _ = _lone_stage_round_trip(tmp_path, stage, data, "--expected", expected)
+    assert code == 0
+    res = cli._run_layout(cli.RunConfig(sim=SimParams(n=1024)), [np.array(v) for v in data],
+                          (stage,))
+    lines = [f"  vector {i}: max={worst:.6e} mean={mean:.6e} level={level}"
+             for i, (worst, mean, level)
+             in enumerate(zip(res["max_errors"], res["errors"], res["levels"]))]
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  vector")] == lines
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------

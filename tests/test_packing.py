@@ -74,7 +74,6 @@ def test_vec_unpack_single_message_rotation_step_zero():
     ct = encrypt([9, 9, 9], params)
     (only,) = vec_unpack(ct, (3,))
     assert np.array_equal(decrypt(only)[:3], [9, 9, 9])
-    assert params.stats.rotate_batches == 1
     assert params.stats.rotations == 1  # the identity step still goes through the batch
 
 
@@ -85,7 +84,6 @@ def test_vec_unpack_rotation_budget():
     vectors = [rng.normal(size=s) for s in sizes]
     ct = encrypt(vec_pack(vectors, sizes), params)
     outs = vec_unpack(ct, sizes)
-    assert params.stats.rotate_batches == 1
     assert params.stats.rotations == len(sizes)
     for v, out in zip(vectors, outs):
         got = decrypt(out)
@@ -327,6 +325,23 @@ def test_crt_recombinants_inverse_property():
 def test_crt_range_violation():
     with pytest.raises(ValueError, match="layer 1 element 0"):
         crt_pack([[1], [5]], CrtBasis((4, 5)))
+
+
+@pytest.mark.parametrize("pack,stage", [(crt_pack, CrtBasis((3, 5))),
+                                        (bitstack_pack, BitStackLayout((3, 5)))])
+@pytest.mark.parametrize("value", [1.5, float("nan")])
+def test_stacking_rejects_non_integer_values(pack, stage, value):
+    # the int64 cast would truncate a fraction and turn a NaN into garbage
+    with pytest.raises(ValueError, match="layer 1 element 2 out of range"):
+        pack([[1.0, 2.0, 0.0], [0.0, 1.0, value]], stage)
+
+
+@pytest.mark.parametrize("pack,stage", [(crt_pack, CrtBasis((3, 5))),
+                                        (bitstack_pack, BitStackLayout((3, 5)))])
+def test_stacking_accepts_integral_floats(pack, stage):
+    ints = [[1, 2, 0, 1], [4, 0, 3, 2]]
+    got = pack([np.asarray(v, dtype=float) for v in ints], stage)
+    assert got.dtype == np.int64 and np.array_equal(got, pack(ints, stage))
 
 
 def test_crt_basis_validation():
@@ -574,3 +589,36 @@ def test_layout_json_bit_widths_entry_loads_as_radices(tmp_path):
     assert reloaded.radices == (4, 4, 4)
     assert all(np.array_equal(a.series.coeffs, b.series.coeffs)
                for a, b in zip(reloaded.plans, plans))
+
+
+def test_layout_json_plan_files_only_for_stages_that_fit_plans(tmp_path):
+    import json
+    # Only crt and bitstack entries read plan files, so a concat entry naming
+    # a missing one loads.  The crt entry lists its plan files after its
+    # moduli and the bitstack entry an empty list, as files written before
+    # "plan_files" moved behind "kind" do; both still load.
+    plans = (fit_modp(3, 14, 30, 100.0), fit_modp(5, 14, 30, 100.0))
+    for name, plan in zip(("p3.json", "p5.json"), plans):
+        save_plan(plan, tmp_path / name)
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps({"stages": [
+        {"kind": "concat", "groups": [[2, 2]], "plan_files": ["nope.json"]},
+        {"kind": "crt", "moduli": [3, 5], "plan_files": ["p3.json", "p5.json"]},
+        {"kind": "bitstack", "plan_files": [], "radices": [16]}]}))
+    loaded = load_layout(path)
+    data = [[1, 2], [0, 1], [4, 0], [3, 2]]
+    packed = pipeline_pack(data, loaded)
+    built = (ConcatStage(((2, 2),)), CrtBasis((3, 5), plans), BitStackLayout((16,)))
+    assert [v.tolist() for v in packed] == [[4, 5, 3, 7]]
+    assert np.array_equal(packed[0], pipeline_pack(data, built)[0])
+    assert all(np.array_equal(a.series.coeffs, b.series.coeffs)
+               for a, b in zip(loaded[1].plans, plans))
+    # Saving writes plan_files for the crt entry only, right after its kind.
+    save_layout(loaded, tmp_path / "saved.json")
+    stages = json.loads((tmp_path / "saved.json").read_text())["stages"]
+    assert stages[0] == {"kind": "concat", "groups": [[2, 2]]}
+    assert list(stages[1].items()) == [
+        ("kind", "crt"),
+        ("plan_files", ["saved-stage1-layer0.plan.json", "saved-stage1-layer1.plan.json"]),
+        ("moduli", [3, 5])]
+    assert stages[2] == {"kind": "bitstack", "radices": [16]}
