@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fitting, psev, roundshare
 from .cheb import cheb_T, clenshaw, eval_clenshaw
-from .fitting import fit_modp, save_plan
+from .fitting import _whole, fit_modp, save_plan
 from .hesim import LevelExhaustedError, OpStats, SimParams, decrypt, encrypt
 from .packing import (BitStackLayout, ConcatStage, CrtBasis, ImgPairStage,
                       bitstack_plan_specs, load_layout, pipeline_pack, pipeline_unpack)
@@ -82,7 +82,7 @@ class RunConfig:
 
 
 # The "sim" keys a config may set, with their casts; absent keys keep SimParams' defaults.
-SIM_KEYS = {"n": int, "max_level": int, "noise_stddev": float, "seed": int}
+SIM_KEYS = {"n": _whole, "max_level": _whole, "noise_stddev": float, "seed": _whole}
 
 
 def _load_config(args) -> RunConfig:
@@ -92,9 +92,10 @@ def _load_config(args) -> RunConfig:
     if not isinstance(sim, dict):
         raise ValueError(f"config {args.config} must be a JSON object whose \"sim\" is an object")
     try:
-        sim = SimParams(**{key: cast(sim[key]) for key, cast in SIM_KEYS.items() if key in sim})
-        seed = int(doc.get("seed", 0))
-    except (TypeError, OverflowError) as exc:
+        sim = SimParams(**{key: cast(sim[key], key) if cast is _whole else cast(sim[key])
+                           for key, cast in SIM_KEYS.items() if key in sim})
+        seed = _whole(doc.get("seed", 0), "seed")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"config {args.config}: {exc}") from exc
     if args.n:
         sim = replace(sim, n=args.n)
@@ -462,18 +463,20 @@ def cmd_fit(args) -> int:
 
 
 def _read_vectors(path) -> list[np.ndarray]:
+    """One vector per non-blank line: a JSON array of numbers, or of [re, im] pairs."""
     vectors = []
     for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
-        doc = json.loads(line)
-        if not isinstance(doc, list):
-            raise ValueError(f"{path}:{line_no}: expected a JSON array")
-        if doc and isinstance(doc[0], list):
-            vectors.append(np.array([complex(re, im) for re, im in doc]))
-        else:
-            vectors.append(np.asarray(doc, dtype=float))
+        try:
+            arr = np.asarray(json.loads(line), dtype=float)
+        except (TypeError, ValueError) as exc:  # not JSON, ragged, or not numbers
+            raise ValueError(f"{path}:{line_no}: {exc}") from exc
+        if arr.ndim == 2 and arr.shape[1] == 2:
+            arr = arr.view(complex)[:, 0]  # each [re, im] row read as one complex value
+        elif arr.ndim != 1:
+            raise ValueError(f"{path}:{line_no}: not an array of numbers or of [re, im] pairs")
+        vectors.append(arr)
     return vectors
 
 

@@ -27,6 +27,17 @@ class RankDeficientError(ValueError):
     """The sample matrix lost full row rank (degree too small or duplicate points)."""
 
 
+def _whole(value, name: str) -> int:
+    """int(value), but a ValueError naming `name` for a value int() would truncate or reject."""
+    try:
+        whole = int(value)  # None raises its TypeError; a whole-number string such as "7" converts
+        if whole == value or isinstance(value, str):
+            return whole
+    except (ValueError, OverflowError):  # NaN, infinity, "7.5"
+        pass
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StepSpec:
     """Integer sample points (x, y) on [0, B] to be matched by a degree-D fit."""
@@ -36,7 +47,7 @@ class StepSpec:
     D: int
 
     def __post_init__(self):
-        samples = tuple((int(x), float(y)) for x, y in self.samples)
+        samples = tuple((_whole(x, "sample abscissa"), float(y)) for x, y in self.samples)
         xs = [x for x, _ in samples]
         if len(set(xs)) != len(xs):
             raise ValueError("sample abscissae must be distinct")
@@ -171,9 +182,9 @@ def plan_to_dict(plan: ModPlan) -> dict:
 def plan_from_dict(d: dict) -> ModPlan:
     series = ChebSeries(np.array(d["coeffs"], dtype=float), float(d["B"]))
     return ModPlan(
-        p=d["p"] if d["p"] is None else int(d["p"]),
-        B=int(d["B"]),
-        D=int(d["D"]),
+        p=d["p"] if d["p"] is None else _whole(d["p"], "p"),
+        B=_whole(d["B"], "B"),
+        D=_whole(d["D"], "D"),
         delta=float(d["delta"]),
         residual=float(d["residual"]),
         series=series,

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fitting import load_plan, save_plan
-from .hesim import SlotCiphertext, conjugate, rotate, rotate_batch
+from .fitting import _whole, load_plan, save_plan
+from .hesim import SlotCiphertext, conjugate, rotate_batch
 from .psev import eval_plan, mul_by_int_additively
 
 # Packed integers live in double-precision slots; keep them exactly
@@ -69,32 +69,6 @@ def vec_unpack(ct: SlotCiphertext, sizes) -> list[SlotCiphertext]:
     return [r_ct * np.ones(size) for r_ct, size in zip(rotated, sizes)]
 
 
-def repack_repeat(ct: SlotCiphertext, d_x: int, r: int) -> SlotCiphertext:
-    """Tile the leading d_x slots r times using only additions and rotations.
-
-    Doubles the repetition count along the binary expansion of r, then
-    shifts the partial tilings into place: at most 2*floor(log2 r) + 1
-    rotations and zero multiplicative levels.
-    """
-    if d_x < 1 or r < 1:
-        raise ValueError("d_x and r must be positive")
-    if r * d_x > ct.params.n:
-        raise CapacityError(f"{r} repetitions of {d_x} slots exceed {ct.params.n}")
-    if r == 1:
-        return ct
-    ell = r.bit_length() - 1
-    reps = [ct]  # reps[i] holds x repeated 2^i times
-    for i in range(1, ell + 1):
-        prev = reps[-1]
-        reps.append(prev + rotate(prev, -(1 << (i - 1)) * d_x))
-    acc = reps[ell]
-    for i in range(ell):
-        if (r >> i) & 1:
-            offset = sum(1 << j for j in range(i + 1, ell + 1) if (r >> j) & 1)
-            acc = acc + rotate(reps[i], -d_x * offset)
-    return acc
-
-
 @dataclass(frozen=True)
 class ConcatStage:
     """Pipeline stage that groups consecutive vectors into concatenated ones.
@@ -108,7 +82,7 @@ class ConcatStage:
     plans = ()  # a class attribute, not a field: concatenation fits no plans
 
     def __post_init__(self):
-        groups = tuple(tuple(int(s) for s in g) for g in self.groups)
+        groups = tuple(tuple(_whole(s, "concat group size") for s in g) for g in self.groups)
         if not groups:
             raise ValueError("concat stage needs at least one group")
         for g in groups:
@@ -137,9 +111,6 @@ class ConcatStage:
 
     def unpacked_lengths(self, lengths) -> list[int]:
         return [s for g in self._repeated(len(lengths), packed=True) for s in g]
-
-    def to_json(self) -> dict:
-        return {"kind": "concat", "groups": [list(g) for g in self.groups]}
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +145,10 @@ class ImgPairStage:
     n2: int
     plans = ()  # a class attribute, not a field: pairing fits no plans
 
+    def __post_init__(self):
+        object.__setattr__(self, "n1", _whole(self.n1, "imgpair length n1"))
+        object.__setattr__(self, "n2", _whole(self.n2, "imgpair length n2"))
+
     def pack(self, vectors) -> list[np.ndarray]:
         out = []
         for a, b in _chunk(vectors, 2):
@@ -190,9 +165,6 @@ class ImgPairStage:
 
     def unpacked_lengths(self, lengths) -> list[int]:
         return [n for _ in lengths for n in (self.n1, self.n2)]
-
-    def to_json(self) -> dict:
-        return {"kind": "imgpair", "n1": self.n1, "n2": self.n2}
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +195,9 @@ def _layers(values, bounds) -> list[np.ndarray]:
         raise ValueError("stacked vectors must share the same length")
     for i, (arr, r) in enumerate(zip(arrays, bounds)):
         bad = (arr < 0) | (arr >= r)
-        if arr.dtype.kind not in "biu":  # a fraction or a NaN would truncate in the cast
-            bad |= arr != np.rint(arr)
+        if arr.dtype.kind not in "biu":  # the cast would lose a fraction, NaN or imaginary part
+            bad |= arr != np.rint(arr.real)
+            arrays[i] = arr.real
         if np.any(bad):
             j = int(np.argmax(bad))
             raise ValueError(f"layer {i} element {j} out of range: {arr.flat[j]} is not an "
@@ -250,7 +223,7 @@ class BitStackLayout:
     plans: tuple = ()
 
     def __post_init__(self):
-        radices = tuple(int(r) for r in self.radices)
+        radices = tuple(_whole(r, "radix") for r in self.radices)
         if not radices or any(r < 2 for r in radices):
             raise ValueError("radices must all be at least 2")
         if math.prod(radices) > PACKED_VALUE_LIMIT:
@@ -268,13 +241,10 @@ class BitStackLayout:
     def unpacked_lengths(self, lengths) -> list[int]:
         return [n for n in lengths for _ in self.radices]
 
-    def to_json(self) -> dict:
-        return {"kind": "bitstack", "radices": list(self.radices)}
-
 
 def bitstack_plan_specs(radices) -> list[tuple[int, int]]:
     """(modulus, interval bound) per layer boundary: layer i sees the residual range."""
-    radices = tuple(int(r) for r in radices)
+    radices = tuple(_whole(r, "radix") for r in radices)
     return [(radices[i], math.prod(radices[i:]) - 1) for i in range(len(radices) - 1)]
 
 
@@ -330,7 +300,7 @@ class CrtBasis:
     plans: tuple = ()
 
     def __post_init__(self):
-        moduli = tuple(int(p) for p in self.moduli)
+        moduli = tuple(_whole(p, "modulus") for p in self.moduli)
         if not moduli or any(p < 2 for p in moduli):
             raise ValueError("moduli must all be at least 2")
         for i in range(len(moduli)):
@@ -359,9 +329,6 @@ class CrtBasis:
 
     def unpacked_lengths(self, lengths) -> list[int]:
         return [n for n in lengths for _ in self.moduli]
-
-    def to_json(self) -> dict:
-        return {"kind": "crt", "moduli": list(self.moduli)}
 
 
 def crt_pack(values, basis: CrtBasis) -> np.ndarray:
@@ -395,8 +362,8 @@ def pipeline_pack(data, layout: tuple) -> list[np.ndarray]:
     A layout is a tuple of stages, each a ConcatStage, BitStackLayout,
     CrtBasis or ImgPairStage.  Each has pack(vectors) and unpack(cts), which
     map a list to a list, unpacked_lengths(lengths), the lengths unpack
-    yields from vectors of those lengths, its `plans`, and to_json(), its
-    JSON entry without plan files, which save_layout names and writes.
+    yields from vectors of those lengths, and its `plans`.  Its layout-file
+    entry is named in _KINDS.
     """
     current = [np.asarray(v) for v in data]
     for stage in layout:
@@ -417,17 +384,29 @@ def pipeline_unpack(cts, layout: tuple) -> list[SlotCiphertext]:
 # ---------------------------------------------------------------------------
 
 
+# Each layout-file kind: its stage type, then the fields its entry holds in
+# order.  A stage with plans also holds "plan_files", written after "kind".
+_KINDS = {
+    "concat": (ConcatStage, "groups"),
+    "imgpair": (ImgPairStage, "n1", "n2"),
+    "crt": (CrtBasis, "moduli"),
+    "bitstack": (BitStackLayout, "radices"),
+}
+
+
 def save_layout(layout: tuple, path):
     """Write a layout as JSON, each stage plan as <stem>-stage<i>-layer<j>.plan.json beside it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     stages = []
     for si, stage in enumerate(layout):
+        kind = next(k for k, (stage_type, *_) in _KINDS.items() if type(stage) is stage_type)
         files = [f"{path.stem}-stage{si}-layer{li}.plan.json" for li in range(len(stage.plans))]
         for name, plan in zip(files, stage.plans):
             save_plan(plan, path.parent / name)
-        entry = stage.to_json()
-        stages.append({"kind": entry["kind"], "plan_files": files, **entry} if files else entry)
+        entry = {"kind": kind, "plan_files": files} if files else {"kind": kind}
+        entry.update((name, getattr(stage, name)) for name in _KINDS[kind][1:])
+        stages.append(entry)
     path.write_text(json.dumps({"stages": stages}, indent=2) + "\n")
 
 
@@ -451,18 +430,17 @@ def _load_stage(root: Path, i: int, entry):
         raise ValueError(f"layout stage {i} must be a JSON object, got {type(entry).__name__}")
     try:
         kind = entry["kind"]
-        if kind == "concat":
-            return ConcatStage((entry["sizes"],) if "sizes" in entry else entry["groups"])
-        if kind == "imgpair":
-            return ImgPairStage(int(entry["n1"]), int(entry["n2"]))
-        if kind not in ("crt", "bitstack"):
+        if kind not in _KINDS:
             raise ValueError(f"unknown stage kind {kind!r} in layout stage {i}")
-        plans = tuple(load_plan(root / f) for f in entry.get("plan_files") or ())
-        if kind == "crt":
-            return CrtBasis(entry["moduli"], plans)
+        stage_type, *names = _KINDS[kind]
+        if "sizes" in entry:
+            entry = {**entry, "groups": [entry["sizes"]]}
         if "bit_widths" in entry:
-            return BitStackLayout(tuple(1 << int(l) for l in entry["bit_widths"]), plans)
-        return BitStackLayout(entry["radices"], plans)
+            entry = {**entry, "radices": [1 << l for l in entry["bit_widths"]]}
+        args = [entry[name] for name in names]
+        if "plans" in stage_type.__dataclass_fields__:
+            args.append(tuple(load_plan(root / f) for f in entry.get("plan_files") or ()))
+        return stage_type(*args)
     except KeyError as exc:
         raise ValueError(f"layout stage {i} has no {exc} field") from exc
     except TypeError as exc:

@@ -103,7 +103,7 @@ class ShareSet:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("share modulus must be at least 2")
-        shares = tuple(np.asarray(s, dtype=np.int64) for s in self.shares)
+        shares = tuple(_share_array(s) for s in self.shares)
         if not shares:
             raise ValueError("need at least one share")
         for i, s in enumerate(shares):
@@ -113,6 +113,14 @@ class ShareSet:
 
     def secret(self) -> np.ndarray:
         return np.sum(np.stack(self.shares), axis=0) % self.p
+
+
+def _share_array(s) -> np.ndarray:
+    """A share as an int64 array; a fraction or a NaN raises instead of truncating."""
+    s = np.asarray(s)
+    if s.dtype.kind not in "biu" and not np.all(s == np.rint(s)):
+        raise ValueError(f"shares must hold whole numbers, got {s[s != np.rint(s)][0]}")
+    return s.astype(np.int64, copy=False)
 
 
 def share_plan(p: int, n_parties: int, D: int | None = None) -> ModPlan:

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from argparse import Namespace
 from dataclasses import replace
 
@@ -305,6 +306,16 @@ MALFORMED_INPUTS = {
                         '"residual": 0.0}', "input.json: float() argument"),
     "config-noise-nan": ("table", '{"sim": {"noise_stddev": NaN}}',
                          "noise_stddev must be finite and non-negative, got nan"),
+    # values int() used to truncate: each ran as the whole number below it
+    "config-fractional-n": ("table", '{"sim": {"n": 64.9}}', "n must be a whole number, got 64.9"),
+    "layout-fractional-group": ("pack", '{"stages": [{"kind": "concat", "groups": [[2.7, 2]]}]}',
+                                "concat group size must be a whole number, got 2.7"),
+    "layout-fractional-radix": ("pack", '{"stages": [{"kind": "bitstack", "radices": [4.9, 4]}]}',
+                                "radix must be a whole number, got 4.9"),
+    "layout-fractional-n1": ("pack", '{"stages": [{"kind": "imgpair", "n1": 2.5, "n2": 2}]}',
+                             "imgpair length n1 must be a whole number, got 2.5"),
+    "plan-fractional-B": ("plan", '{"coeffs": [0.5], "p": 3, "B": 2.5, "D": 0, "delta": 1.0, '
+                          '"residual": 0.0}', "input.json: B must be a whole number, got 2.5"),
 }
 
 
@@ -379,6 +390,29 @@ def test_pack_rejects_non_integer_stacked_values(tmp_path, capsys, data, code, m
         assert not out.exists()
     else:
         assert json.loads(out.read_text()) == [4.0, 5.0, 3.0, 7.0]
+
+
+@pytest.mark.parametrize("rows,code,message", [
+    ([[[1, 0], [2, 0]], [1, 2]], 0, "packed 2 vectors into 1"),
+    ([[[1, 0.5], [2, 0]], [1, 2]], 2, "layer 0 element 0 out of range: (1+0.5j) is not an integer"),
+    ([[[1, 2], [2, 0]], [1, 2]], 2, "layer 0 element 0 out of range: (1+2j) is not an integer"),
+    ([[[1, 2], 3]], 2, "d.ndjson:1: setting an array element with a sequence"),
+    ([[1, 2], [[1, 2, 3]]], 2, "d.ndjson:2: not an array of numbers or of [re, im] pairs"),
+], ids=["complex-real-valued", "complex-half-imaginary", "complex-whole-imaginary",
+        "ragged-row", "triple-row"])
+def test_pack_reads_data_rows(tmp_path, capsys, rows, code, message):
+    # A complex row with zero imaginary parts packs without a ComplexWarning;
+    # a malformed row is a usage error naming its line, not a traceback.
+    layout_path, data_path, out = tmp_path / "l.json", tmp_path / "d.ndjson", tmp_path / "o.ndjson"
+    layout_path.write_text(json.dumps({"stages": [{"kind": "crt", "moduli": [3, 5]}]}))
+    write_lines(data_path, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("pack", "--layout", layout_path, "--data", data_path, "--out", out) == code
+    captured = capsys.readouterr()
+    assert message in (captured.err if code else captured.out)
+    if not code:
+        assert json.loads(out.read_text()) == [1.0, 2.0]
 
 
 @pytest.mark.parametrize("entry", [{"kind": "concat", "groups": [[2, 2]]},

@@ -163,6 +163,8 @@ def test_step_spec_validation():
         StepSpec(((0, 1.0), (9, 2.0)), 5, 10)  # outside interval
     with pytest.raises(ValueError):
         StepSpec(((0, 1.0), (1, 2.0), (2, 0.0)), 5, 1)  # degree too small
+    with pytest.raises(ValueError, match="sample abscissa must be a whole number, got 0.6"):
+        StepSpec(((0.6, 1.0), (1.4, 0.0)), 3, 4)  # used to truncate to abscissae 0 and 1
 
 
 def test_serialization_round_trip(tmp_path):

@@ -7,8 +7,8 @@ from modpack.packing import (BitStackLayout, CapacityError, ConcatStage,
                              CrtBasis, ImgPairStage, bitstack_pack,
                              bitstack_plan_specs, bitstack_unpack, crt_pack,
                              crt_unpack, img_pack, img_unpack, load_layout,
-                             pipeline_pack, pipeline_unpack, repack_repeat,
-                             save_layout, vec_pack, vec_unpack)
+                             pipeline_pack, pipeline_unpack, save_layout,
+                             vec_pack, vec_unpack)
 
 
 def params_with_stats(n=64):
@@ -89,39 +89,6 @@ def test_vec_unpack_rotation_budget():
         got = decrypt(out)
         assert np.max(np.abs(got[: len(v)].real - v)) <= 1e-12
         assert np.max(np.abs(got[len(v):])) == 0.0
-
-
-def test_repack_repeat_basic():
-    params = params_with_stats(8)
-    ct = encrypt([7, 8], params)
-    out = repack_repeat(ct, 2, 3)
-    assert np.array_equal(decrypt(out), [7, 8, 7, 8, 7, 8, 0, 0])
-    assert out.level == ct.level  # additions and rotations only
-
-
-def test_repack_repeat_identity():
-    params = params_with_stats(8)
-    ct = encrypt([1, 2, 3], params)
-    assert repack_repeat(ct, 3, 1) is ct
-
-
-def test_repack_repeat_matches_tiling_and_rotation_budget():
-    params = params_with_stats(32)
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=3)
-    ct = encrypt(x, params)
-    r = 5
-    out = repack_repeat(ct, 3, r)
-    want = np.zeros(32)
-    want[: 3 * r] = np.tile(x, r)
-    assert np.max(np.abs(decrypt(out).real - want)) <= 1e-12
-    assert params.stats.rotations <= 2 * int(np.floor(np.log2(r))) + 1
-
-
-def test_repack_repeat_capacity_guard():
-    ct = encrypt([1, 2], SimParams(n=8))
-    with pytest.raises(CapacityError):
-        repack_repeat(ct, 2, 5)
 
 
 # ---------------------------------------------------------------------------

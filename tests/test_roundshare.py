@@ -152,6 +152,15 @@ def test_shareset_validation_and_secret():
         ShareSet(16, (np.array([16]),))
 
 
+@pytest.mark.parametrize("share,message", [([1.5, 2.7], "got 1.5"), ([1, np.nan], "got nan")])
+def test_shareset_rejects_fractions_and_nan(share, message):
+    # np.int64 casting used to truncate [1.5, 2.7] to [1, 2]
+    with pytest.raises(ValueError, match=f"shares must hold whole numbers, {message}"):
+        ShareSet(4, (share, [0, 1]))
+    whole = ShareSet(4, ([1.0, 2.0], [0, 1]))
+    assert whole.shares[0].dtype == np.int64 and np.array_equal(whole.secret(), [1, 3])
+
+
 def test_shares_examples():
     plan = share_plan(16, 3)
     cts = [enc([v]) for v in (3.0, 5.0, 7.0)]
