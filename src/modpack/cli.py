@@ -547,13 +547,17 @@ def cmd_selftest(args) -> int:
     if np.max(np.abs(np.array([cheb_T(7, x) for x in xs]) - np.cos(7 * np.arccos(xs)))) > 1e-10:
         failures.append("chebyshev recurrence vs trig form")
     rng = np.random.default_rng(0)
+    us = np.linspace(-1, 1, 64)
     for _ in range(50):
         D = int(rng.integers(1, 200))
         coeffs = rng.uniform(-1, 1, D + 1)
         t = float(rng.uniform(-1, 1))
         sched = psev.plan_schedule(D)
-        got = psev.eval_ps(fitting.ChebSeries(coeffs, 1.0), t, sched)
-        if abs(got - clenshaw(coeffs, t)) > 1e-8:
+        series = fitting.ChebSeries(coeffs, 1.0)
+        # floats sum each leaf term by term, ciphertexts in one product over the baby steps
+        got = decrypt(psev.eval_ps(series, encrypt(us, SimParams(n=64)), sched)).real
+        if max(abs(psev.eval_ps(series, t, sched) - clenshaw(coeffs, t)),
+               np.max(np.abs(got - clenshaw(coeffs, us)))) > 1e-8:
             failures.append(f"paterson-stockmeyer vs clenshaw at degree {D}")
             break
     plan = fit_modp(5, 29, 45, 100.0)

@@ -93,13 +93,16 @@ class SlotCiphertext:
             arr = np.pad(arr, (0, self.params.n - arr.size))
         return arr
 
-    def _op(self, count: str | None, slots: np.ndarray, other=None) -> SlotCiphertext:
+    def _op(self, count: str | None, slots: np.ndarray, other=None, terms: int = 1,
+            adds: int = 0) -> SlotCiphertext:
         """The one place an op's result is built: level, noise and OpStats.
 
         The result sits at the lowest level of self and a ciphertext
         `other`.  count names the OpStats counter the op adds to (None adds
         to none); "mults" is a multiplication, which spends one level,
         draws noise and counts as ct_mults or plain_mults by its operand.
+        A sum of `terms` multiplications counts and draws noise for each;
+        `adds` more additions are counted with it.
         """
         is_ct = isinstance(other, SlotCiphertext)
         level = min(self.level, other.level) if is_ct else self.level
@@ -110,9 +113,12 @@ class SlotCiphertext:
             count = "ct_mults" if is_ct else "plain_mults"
             sigma = self.params.noise_stddev
             if sigma > 0:
-                slots = slots + sigma * self.params.rng.standard_normal(2 * slots.size).view(complex)
+                noise = self.params.rng.standard_normal((terms, 2 * slots.size)).sum(axis=0)
+                slots = slots + sigma * noise.view(complex)
+        stats = self.params.stats
         if count is not None:
-            setattr(self.params.stats, count, getattr(self.params.stats, count) + 1)
+            setattr(stats, count, getattr(stats, count) + terms)
+        stats.adds += adds
         return SlotCiphertext(slots, level, self.params)
 
     # -- ring operations ----------------------------------------------
@@ -135,6 +141,22 @@ class SlotCiphertext:
         return self._op("mults", self.slots * self._operand(other), other)
 
     __rmul__ = __mul__
+
+
+def lincomb(stack: np.ndarray, cts, coeffs, const: float = 0.0) -> SlotCiphertext:
+    """sum_i coeffs[i] * cts[i] + const as one product over `stack`, the cts' slots as rows.
+
+    It costs what the per-term operators would: a plaintext multiplication,
+    with its noise, per nonzero coefficient (at least one), at the lowest of
+    their levels, and an addition per further term and for a nonzero const.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    nonzero = np.flatnonzero(c)
+    low = min((cts[i] for i in nonzero), key=lambda ct: ct.level)
+    slots = (c @ stack[: c.size].view(float)).view(complex)
+    if const != 0.0:
+        slots += const
+    return low._op("mults", slots, terms=nonzero.size, adds=nonzero.size - (const == 0.0))
 
 
 def encrypt(v, params: SimParams) -> SlotCiphertext:

@@ -4,7 +4,9 @@ The backend contract is duck-typed: any value supporting +, -, unary -,
 and * against itself and against Python scalars works.  Plain floats and
 numpy arrays satisfy it natively; hesim.SlotCiphertext satisfies it with
 level accounting.  The same code path therefore evaluates on plaintext
-and on simulated ciphertexts.
+and on simulated ciphertexts, except at the leaves: on ciphertexts each
+leaf sum_i c_i T_i(u) is one hesim.lincomb, a matrix product over the
+stacked baby steps that counts what the per-term operators would.
 
 Depth schedule.  The series is decomposed by repeated Chebyshev-basis
 long division against the precomputed powers T_{k*2^j}, resting on the
@@ -21,11 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .cheb import ChebSeries
-from .fitting import ModPlan
+from .fitting import ModPlan, _whole
+from .hesim import SlotCiphertext, lincomb
 
 # Cap on repeated-addition exponents; packing layers stay far below this.
 POW2_ADD_LIMIT = 24
@@ -71,23 +75,22 @@ def plan_schedule(D: int) -> PsSchedule:
 def compute_power_basis(u, sched: PsSchedule):
     """Chebyshev powers of u: bs = (T_1..T_k), gs = (T_k, T_2k, ..., T_{k*2^(m-1)}).
 
-    Every power comes from one memoized balanced split of the product
-    identity T_j = 2*T_ceil(j/2)*T_floor(j/2) - T_(j mod 2); a giant step
-    T_2n is the doubling 2*T_n^2 - 1.  The multiplication dag stays at log
-    depth.  On a level-tracked backend the consumption is read off the
-    returned elements' level fields.
+    Every baby step comes, in ascending order, from the balanced split of
+    the product identity T_j = 2*T_ceil(j/2)*T_floor(j/2) - T_(j mod 2); a
+    giant step T_2n is the doubling 2*T_n^2 - 1.  The multiplication dag
+    stays at log depth.  On a level-tracked backend the consumption is read
+    off the returned elements' level fields.
     """
-    cache = {1: u}
-
-    def build(j):
-        if j not in cache:
-            prod = build((j + 1) // 2) * build(j // 2)
-            two = prod + prod
-            cache[j] = (two - 1.0) if j % 2 == 0 else (two - cache[1])
-        return cache[j]
-
-    bs = [build(j) for j in range(1, sched.k + 1)]
-    return bs, [build(sched.k << j) for j in range(sched.m)]
+    bs = [u]
+    for j in range(2, sched.k + 1):
+        prod = bs[(j + 1) // 2 - 1] * bs[j // 2 - 1]
+        two = prod + prod
+        bs.append((two - 1.0) if j % 2 == 0 else (two - u))
+    gs = [bs[-1]]
+    for _ in range(1, sched.m):
+        prod = gs[-1] * gs[-1]
+        gs.append(prod + prod - 1.0)
+    return bs, gs
 
 
 def _degree(c: np.ndarray) -> int:
@@ -128,39 +131,47 @@ def eval_ps(series: ChebSeries, u, sched: PsSchedule):
         return (u - u) + float(coeffs[0])
 
     bs, gs = compute_power_basis(u, sched)
+    if isinstance(u, SlotCiphertext):
+        combine = partial(lincomb, np.stack([b.slots for b in bs]), bs)
+    else:
+        combine = partial(_sum_terms, bs)
     g = np.zeros(sched.capacity + 1)
     g[: coeffs.size] = coeffs
-
-    def leaf(cc):
-        acc = None
-        for i in range(1, len(cc)):
-            if cc[i] != 0.0:
-                term = bs[i - 1] * float(cc[i])
-                acc = term if acc is None else acc + term
-        if acc is None:
-            return (u - u) + float(cc[0])
-        return acc + float(cc[0]) if cc[0] != 0.0 else acc
-
-    def rec(ff, d):
-        # Divide by the largest giant step T_{k*2^j} <= d.
-        if d < sched.k:
-            return leaf(ff)
-        j = 0
-        while sched.k * (1 << (j + 1)) <= d:
-            j += 1
-        q, r = _div_by_T(ff, sched.k * (1 << j))
-        out = rec(q, _degree(q)) * gs[j]
-        if np.any(r != 0.0):
-            out = out + rec(r, _degree(r))
-        return out
-
     # At the capacity the first division is by gs[m-1], also when D < k*2^(m-1):
     # the zero quotient times gs[m-1] then spends the schedule's top level.
-    return rec(g, sched.capacity)
+    return _rec(g, sched.capacity, sched.k, u, gs, combine)
+
+
+def _sum_terms(bs, coeffs, const: float):
+    """sum_i coeffs[i] * bs[i] + const by the operators; the leaf of floats and numpy values."""
+    terms = [b * float(c) for b, c in zip(bs, coeffs) if c != 0.0]
+    acc = sum(terms[1:], terms[0])
+    return acc + const if const != 0.0 else acc
+
+
+def _rec(ff: np.ndarray, d: int, k: int, u, gs, combine):
+    """Evaluate the coefficients ff of exact degree d (or the capacity d at the top).
+
+    Below k it is a leaf, combine(c_1..c_d, c_0) over the baby steps;
+    otherwise divide by the largest giant step T_{k*2^j} <= d.
+    """
+    if d == 0:
+        return (u - u) + float(ff[0])
+    if d < k:
+        return combine(ff[1 : d + 1], float(ff[0]))
+    j = 0
+    while k * (1 << (j + 1)) <= d:
+        j += 1
+    q, r = _div_by_T(ff, k * (1 << j))
+    out = _rec(q, _degree(q), k, u, gs, combine) * gs[j]
+    if np.any(r != 0.0):
+        out = out + _rec(r, _degree(r), k, u, gs, combine)
+    return out
 
 
 def mul_by_int_additively(e, c: int):
-    """e * c for integer c >= 1 by double-and-add; no multiplicative levels."""
+    """e * c for a whole number c >= 1 by double-and-add; no multiplicative levels."""
+    c = _whole(c, "multiplier")
     if c < 1:
         raise ValueError("multiplier must be a positive integer")
     if c.bit_length() - 1 > POW2_ADD_LIMIT:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from modpack.hesim import (LevelExhaustedError, OpStats, SimParams,
-                           conjugate, decrypt, encrypt, rotate, rotate_batch)
+from modpack.hesim import (LevelExhaustedError, OpStats, SimParams, conjugate,
+                           decrypt, encrypt, lincomb, rotate, rotate_batch)
 
 P8 = SimParams(n=8, max_level=25)
 
@@ -214,6 +214,60 @@ def test_stats_count_without_being_passed():
     assert (params.stats.ct_mults, params.stats.adds, params.stats.rotations) == (1, 1, 2)
     # each SimParams counts on its own
     assert SimParams(n=8).stats.mults == 0
+
+
+def _at_levels(params, levels, rng):
+    """Ciphertexts of random slots at the given levels (each multiplication spends one)."""
+    cts = []
+    for level in levels:
+        ct = encrypt(rng.normal(size=params.n) + 1j * rng.normal(size=params.n), params)
+        while ct.level > level:
+            ct = ct * 1.0
+        cts.append(ct)
+    return cts
+
+
+def test_lincomb_costs_what_the_per_term_operators_cost():
+    rng = np.random.default_rng(8)
+    params = SimParams(n=8, max_level=9)
+    cts = _at_levels(params, (5, 3, 7, 2), rng)
+    stack = np.stack([ct.slots for ct in cts])
+    before = (params.stats.plain_mults, params.stats.adds)
+    # the level-3 term has a zero coefficient and the level-2 row is not used
+    out = lincomb(stack, cts, [2.0, 0.0, -1.5], 0.25)
+    assert out.level == 4
+    assert (params.stats.plain_mults - before[0], params.stats.adds - before[1]) == (2, 2)
+    want = 2.0 * cts[0].slots - 1.5 * cts[2].slots + 0.25
+    assert np.max(np.abs(out.slots - want)) <= 1e-14
+    lincomb(stack, cts, [0.0, 0.0, 0.0, 4.0])  # one term, no constant: no addition
+    assert (params.stats.plain_mults - before[0], params.stats.adds - before[1]) == (3, 2)
+
+
+def test_lincomb_draws_the_per_term_noise_stream():
+    coeffs, const = [0.5, 0.0, -2.0, 1.25], -0.75
+    outs, draws = [], []
+    for stacked in (True, False):
+        params = SimParams(n=8, max_level=9, noise_stddev=1e-6, seed=11)
+        cts = _at_levels(params, (8, 8, 7, 6), np.random.default_rng(2))
+        if stacked:
+            out = lincomb(np.stack([ct.slots for ct in cts]), cts, coeffs, const)
+        else:
+            terms = [ct * c for ct, c in zip(cts, coeffs) if c != 0.0]
+            out = terms[0] + terms[1] + terms[2] + const
+        outs.append(out)
+        draws.append(params.rng.standard_normal())
+    assert outs[0].level == outs[1].level == 5
+    assert np.max(np.abs(outs[0].slots - outs[1].slots)) <= 1e-12
+    assert draws[0] == draws[1]
+
+
+def test_lincomb_exhausts_on_a_nonzero_level_zero_term():
+    params = SimParams(n=4, max_level=1)
+    cts = _at_levels(params, (1, 0), np.random.default_rng(0))
+    stack = np.stack([ct.slots for ct in cts])
+    assert lincomb(stack, cts, [3.0, 0.0]).level == 0
+    with pytest.raises(LevelExhaustedError):
+        lincomb(stack, cts, [3.0, 1.0])
 
 
 def test_params_validation():

@@ -1,13 +1,14 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
 from modpack.cheb import ChebSeries, cheb_T, clenshaw
-from modpack.hesim import OpStats, SimParams, decrypt, encrypt
-from modpack.psev import (DegreeOverflowError, PsSchedule, compute_power_basis,
-                          eval_plan, eval_ps, mul_by_int_additively,
-                          plan_schedule)
+from modpack.hesim import LevelExhaustedError, OpStats, SimParams, decrypt, encrypt
+from modpack.psev import (DegreeOverflowError, PsSchedule, _degree, _div_by_T,
+                          compute_power_basis, eval_plan, eval_ps,
+                          mul_by_int_additively, plan_schedule)
 from modpack.fitting import ModPlan, fit_modp
 
 
@@ -173,6 +174,29 @@ def test_mul_by_int_additively():
         mul_by_int_additively(ct, 1 << 25)
 
 
+def test_mul_by_int_additively_takes_whole_numbers_of_any_type():
+    ct = encrypt([3.0], SimParams(n=4))
+    assert decrypt(mul_by_int_additively(ct, np.int64(5)))[0].real == 15.0
+    assert decrypt(mul_by_int_additively(ct, 4.0))[0].real == 12.0
+    for bad in (2.5, np.float64(0.5), float("nan")):
+        with pytest.raises(ValueError, match="multiplier must be a whole number"):
+            mul_by_int_additively(ct, bad)
+
+
+def test_eval_plan_leaves_no_reference_cycles():
+    # The evaluator's recursion holds no closures, so an evaluation's power
+    # basis and stacked baby steps are freed by reference counting alone.
+    plan = fit_modp(4, 29, 45, 100.0)
+    ct = encrypt(np.arange(30.0), SimParams(n=64))
+    gc.collect()
+    gc.disable()
+    try:
+        eval_plan(ct, plan)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_eval_plan_applies_map_and_delta():
     plan = fit_modp(4, 29, 45, 100.0)
     xs = np.arange(30, dtype=float)
@@ -213,3 +237,84 @@ def test_oracle_equivalence_sample():
         t = float(rng.uniform(-1, 1))
         got = eval_ps(unit_series(coeffs), t, plan_schedule(D))
         assert abs(got - clenshaw(coeffs, t)) <= 1e-8
+
+
+def _reference_eval_ps(coeffs, u, sched):
+    """The evaluator with a per-term operator leaf: each baby step times its
+    coefficient, summed term by term.  The tree and power basis are psev's."""
+    if _degree(coeffs) == 0:
+        return (u - u) + float(coeffs[0])
+    bs, gs = compute_power_basis(u, sched)
+    g = np.zeros(sched.capacity + 1)
+    g[: coeffs.size] = coeffs
+
+    def rec(ff, d):
+        if d < sched.k:
+            acc = None
+            for i in range(1, d + 1):
+                if ff[i] != 0.0:
+                    term = bs[i - 1] * float(ff[i])
+                    acc = term if acc is None else acc + term
+            if acc is None:
+                return (u - u) + float(ff[0])
+            return acc + float(ff[0]) if ff[0] != 0.0 else acc
+        j = 0
+        while sched.k * (1 << (j + 1)) <= d:
+            j += 1
+        q, r = _div_by_T(ff, sched.k * (1 << j))
+        out = rec(q, _degree(q)) * gs[j]
+        if np.any(r != 0.0):
+            out = out + rec(r, _degree(r))
+        return out
+
+    return rec(g, sched.capacity)
+
+
+LEAF_PATTERNS = ["random", "lead_minus_one", "even", "zero_run"]
+
+
+def _leaf_series(D, pattern, rng):
+    c = rng.uniform(-1, 1, D + 1)
+    if pattern == "lead_minus_one":
+        c[D] = -1.0
+    elif pattern == "even":
+        c[1::2] = 0.0
+    elif pattern == "zero_run":
+        lo = int(rng.integers(0, D + 1))
+        c[lo : lo + max(1, D // 2)] = 0.0  # whole leaves and quotients vanish
+        c[D] = 1.0
+    return c
+
+
+def _run(fn, coeffs, xs, sched, level, sigma=0.0):
+    stats = OpStats()
+    params = SimParams(n=xs.size, max_level=level, noise_stddev=sigma, seed=3, stats=stats)
+    out = fn(coeffs, encrypt(xs, params), sched)
+    return out, (stats.ct_mults, stats.plain_mults, stats.adds), params
+
+
+def _stacked(coeffs, u, sched):
+    return eval_ps(unit_series(coeffs), u, sched)
+
+
+@pytest.mark.parametrize("pattern", LEAF_PATTERNS)
+def test_lincomb_leaf_matches_per_term_reference(pattern):
+    # Every degree 1..600: the stacked-product leaf agrees with Clenshaw and,
+    # with noise on, spends the per-term operator leaf's counts and levels,
+    # gives its values and leaves the noise stream where it leaves it.
+    rng = np.random.default_rng(LEAF_PATTERNS.index(pattern))
+    xs = np.array([-1.0, -0.37, 0.5, 1.0])
+    for D in range(1, 601):
+        c = _leaf_series(D, pattern, rng)
+        sched = plan_schedule(D)
+        exact, _, _ = _run(_stacked, c, xs, sched, 12)
+        # |sum_i c_i T_i| <= sum|c|: the bound is relative to the largest possible value.
+        assert np.max(np.abs(exact.slots - clenshaw(c, xs))) <= 1e-12 * np.abs(c).sum(), D
+        got, got_counts, got_params = _run(_stacked, c, xs, sched, 12, sigma=1e-6)
+        want, want_counts, want_params = _run(_reference_eval_ps, c, xs, sched, 12, sigma=1e-6)
+        assert got_counts == want_counts and got.level == want.level == exact.level, D
+        assert np.max(np.abs(got.slots - want.slots)) <= 1e-12, D
+        assert got_params.rng.standard_normal() == want_params.rng.standard_normal(), D
+        if exact.level < 12:  # a constant series (even at D=1) spends no level
+            with pytest.raises(LevelExhaustedError):
+                _run(_stacked, c, xs, sched, 12 - exact.level - 1)
