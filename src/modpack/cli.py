@@ -97,7 +97,7 @@ def _load_config(args) -> RunConfig:
         seed = _whole(doc.get("seed", 0), "seed")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"config {args.config}: {exc}") from exc
-    if args.n:
+    if args.n is not None:
         sim = replace(sim, n=args.n)
     return RunConfig(sim=sim, seed=seed)
 
@@ -551,13 +551,11 @@ def cmd_selftest(args) -> int:
     for _ in range(50):
         D = int(rng.integers(1, 200))
         coeffs = rng.uniform(-1, 1, D + 1)
-        t = float(rng.uniform(-1, 1))
-        sched = psev.plan_schedule(D)
+        xs = np.append(us, rng.uniform(-1, 1))  # the grid and one random point
         series = fitting.ChebSeries(coeffs, 1.0)
-        # floats sum each leaf term by term, ciphertexts in one product over the baby steps
-        got = decrypt(psev.eval_ps(series, encrypt(us, SimParams(n=64)), sched)).real
-        if max(abs(psev.eval_ps(series, t, sched) - clenshaw(coeffs, t)),
-               np.max(np.abs(got - clenshaw(coeffs, us)))) > 1e-8:
+        ct = encrypt(xs, SimParams(n=128))  # noise off: exact complex arithmetic
+        got = decrypt(psev.eval_ps(series, ct, psev.plan_schedule(D)))[: xs.size].real
+        if np.max(np.abs(got - clenshaw(coeffs, xs))) > 1e-8:
             failures.append(f"paterson-stockmeyer vs clenshaw at degree {D}")
             break
     plan = fit_modp(5, 29, 45, 100.0)

@@ -84,7 +84,7 @@ class SlotCiphertext:
         broadcast, short vectors zero-pad."""
         if isinstance(other, SlotCiphertext):
             return other.slots
-        if np.isscalar(other) or isinstance(other, (int, float, complex)):
+        if np.isscalar(other):
             return complex(other)
         arr = np.asarray(other, dtype=complex)
         if arr.ndim != 1 or arr.size > self.params.n:

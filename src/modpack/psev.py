@@ -1,12 +1,12 @@
-"""Paterson-Stockmeyer evaluation of Chebyshev series over a generic backend.
+"""Paterson-Stockmeyer evaluation of Chebyshev series on simulated ciphertexts.
 
-The backend contract is duck-typed: any value supporting +, -, unary -,
-and * against itself and against Python scalars works.  Plain floats and
-numpy arrays satisfy it natively; hesim.SlotCiphertext satisfies it with
-level accounting.  The same code path therefore evaluates on plaintext
-and on simulated ciphertexts, except at the leaves: on ciphertexts each
-leaf sum_i c_i T_i(u) is one hesim.lincomb, a matrix product over the
-stacked baby steps that counts what the per-term operators would.
+The evaluated value is a hesim.SlotCiphertext.  The power basis and the
+giant-step tree use only its operators (+, -, unary -, and * against
+itself and against Python scalars), which track levels and count ops;
+each leaf sum_i c_i T_i(u) is one hesim.lincomb, a matrix product over the
+baby steps, stacked once per evaluation, that counts what the per-term
+operators would.  For plaintext values, encrypt them with the noise off:
+the simulator is then exact complex arithmetic.
 
 Depth schedule.  The series is decomposed by repeated Chebyshev-basis
 long division against the precomputed powers T_{k*2^j}, resting on the
@@ -29,7 +29,7 @@ import numpy as np
 
 from .cheb import ChebSeries
 from .fitting import ModPlan, _whole
-from .hesim import SlotCiphertext, lincomb
+from .hesim import lincomb
 
 # Cap on repeated-addition exponents; packing layers stay far below this.
 POW2_ADD_LIMIT = 24
@@ -78,8 +78,8 @@ def compute_power_basis(u, sched: PsSchedule):
     Every baby step comes, in ascending order, from the balanced split of
     the product identity T_j = 2*T_ceil(j/2)*T_floor(j/2) - T_(j mod 2); a
     giant step T_2n is the doubling 2*T_n^2 - 1.  The multiplication dag
-    stays at log depth.  On a level-tracked backend the consumption is read
-    off the returned elements' level fields.
+    stays at log depth.  On a ciphertext the consumption is read off the
+    returned elements' level fields.
     """
     bs = [u]
     for j in range(2, sched.k + 1):
@@ -115,10 +115,10 @@ def _div_by_T(f: np.ndarray, N: int):
 
 
 def eval_ps(series: ChebSeries, u, sched: PsSchedule):
-    """Evaluate sum_i c_i T_i(u); u must already live in [-1, 1].
+    """Evaluate sum_i c_i T_i(u) on the ciphertext u, whose slots must live in [-1, 1].
 
     The series' source domain is the caller's concern: map x into u first
-    (on a ciphertext backend that mapping costs the one extra level).
+    (that mapping costs the one extra level).
     """
     coeffs = np.asarray(series.coeffs, dtype=float)
     D = _degree(coeffs)
@@ -131,22 +131,12 @@ def eval_ps(series: ChebSeries, u, sched: PsSchedule):
         return (u - u) + float(coeffs[0])
 
     bs, gs = compute_power_basis(u, sched)
-    if isinstance(u, SlotCiphertext):
-        combine = partial(lincomb, np.stack([b.slots for b in bs]), bs)
-    else:
-        combine = partial(_sum_terms, bs)
+    combine = partial(lincomb, np.stack([b.slots for b in bs]), bs)
     g = np.zeros(sched.capacity + 1)
     g[: coeffs.size] = coeffs
     # At the capacity the first division is by gs[m-1], also when D < k*2^(m-1):
     # the zero quotient times gs[m-1] then spends the schedule's top level.
     return _rec(g, sched.capacity, sched.k, u, gs, combine)
-
-
-def _sum_terms(bs, coeffs, const: float):
-    """sum_i coeffs[i] * bs[i] + const by the operators; the leaf of floats and numpy values."""
-    terms = [b * float(c) for b, c in zip(bs, coeffs) if c != 0.0]
-    acc = sum(terms[1:], terms[0])
-    return acc + const if const != 0.0 else acc
 
 
 def _rec(ff: np.ndarray, d: int, k: int, u, gs, combine):
@@ -186,9 +176,9 @@ def mul_by_int_additively(e, c: int):
 
 
 def eval_plan(x, plan: ModPlan, extra_scale: float = 1.0):
-    """Apply a fitted plan to backend value x over its source interval [0, B].
+    """Apply a fitted plan to the ciphertext x over its source interval [0, B].
 
-    Maps u = 2x/B - 1 (one level on a ciphertext backend), then evaluates
+    Maps u = 2x/B - 1 (one level), then evaluates
     the series with its coefficients scaled by delta * extra_scale: the
     leaves' plaintext multiplications apply the scale, so it never costs an
     extra level.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import ModPlan, StepSpec, fit_modp, fit_step
+from .fitting import ModPlan, StepSpec, _whole, fit_modp, fit_step
 from .hesim import SlotCiphertext
 from .psev import eval_plan
 
@@ -101,6 +101,7 @@ class ShareSet:
     shares: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _whole(self.p, "share modulus"))
         if self.p < 2:
             raise ValueError("share modulus must be at least 2")
         shares = tuple(_share_array(s) for s in self.shares)
@@ -187,6 +188,10 @@ def _reduce(node: ReconstructNode, share_cts) -> SlotCiphertext:
             f"plan interval [0, {node.plan.B}] cannot hold a {len(node.children)}-party sum "
             f"(needs {needed})"
         )
+    for child in node.children:
+        if isinstance(child, ReconstructNode) and child.plan.p != node.plan.p:
+            raise ValueError(f"a subtree reducing modulo {child.plan.p} sits under a node "
+                             f"reducing modulo {node.plan.p}; a tree has one modulus")
     total = None
     for child in node.children:
         val = (_reduce(child, share_cts) if isinstance(child, ReconstructNode)

@@ -250,6 +250,14 @@ def test_table_out_of_levels_exits_two(tmp_path, capsys):
     assert "error:" in err and "level" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_table_rejects_bad_slot_count(n, tmp_path, capsys):
+    # --n 0 used to be ignored: the table ran at the config's n and exited 0
+    assert run("table", "--name", "modp4", "--n", n, "--output-dir", tmp_path / "out") == 2
+    assert f"error: slot count must be a power of two, got {n}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unpack_out_of_levels_exits_two(tmp_path, capsys):
     stage, data = _crt35_stage()
     code, out_path = _lone_stage_round_trip(tmp_path, stage, data,

@@ -161,6 +161,15 @@ def test_shareset_rejects_fractions_and_nan(share, message):
     assert whole.shares[0].dtype == np.int64 and np.array_equal(whole.secret(), [1, 3])
 
 
+def test_shareset_modulus_must_be_whole():
+    # a fractional modulus used to load: ShareSet(4.5, ...).secret() was [4.0, 0.5]
+    with pytest.raises(ValueError, match="share modulus must be a whole number, got 4.5"):
+        ShareSet(4.5, ([1, 2], [3, 3]))
+    whole = ShareSet(4.0, ([1, 2], [3, 3]))
+    assert whole.p == 4 and type(whole.p) is int
+    assert np.array_equal(whole.secret(), [0, 1])
+
+
 def test_shares_examples():
     plan = share_plan(16, 3)
     cts = [enc([v]) for v in (3.0, 5.0, 7.0)]
@@ -279,6 +288,17 @@ def test_tree_node_interval_overflow_rejected():
                            fit_modp(16, 30, 128))
     with pytest.raises(ValueError, match="cannot hold a 2-party sum"):
         shares_to_ct_tree(cts, root)
+
+
+def test_tree_with_mixed_moduli_rejected():
+    # Subtrees reducing mod 16 feed a root reducing mod 4 on [0, 6] values up
+    # to 30: these shares of 0 used to decode to 3.4e21 without an error.
+    cts = [enc([v]) for v in (7.0, 8.0, 0.0, 1.0)]
+    child = share_plan(16, 2)
+    node = ReconstructNode((ReconstructNode((0, 1), child), ReconstructNode((2, 3), child)),
+                           fit_modp(4, 6, 24))
+    with pytest.raises(ValueError, match="modulo 16 sits under a node reducing modulo 4"):
+        shares_to_ct_tree(cts, node)
 
 
 def test_tree_node_without_children_rejected():
