@@ -158,8 +158,9 @@ def fit_modp(p: int, B: int, D: int, delta: float | None = None) -> ModPlan:
     """Fit x mod p at the integers 0..B with a degree-D scaled Chebyshev series.
 
     delta=None picks the smallest power of ten keeping coefficients below
-    DELTA_HEADROOM.
+    DELTA_HEADROOM.  p, B and D must be whole numbers (4.0 is taken as 4).
     """
+    p, B, D = _whole(p, "p"), _whole(B, "B"), _whole(D, "D")
     if p < 2:
         raise ValueError(f"modulus must be at least 2, got {p}")
     if D <= B:

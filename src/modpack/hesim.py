@@ -143,20 +143,27 @@ class SlotCiphertext:
     __rmul__ = __mul__
 
 
-def lincomb(stack: np.ndarray, cts, coeffs, const: float = 0.0) -> SlotCiphertext:
-    """sum_i coeffs[i] * cts[i] + const as one product over `stack`, the cts' slots as rows.
+def lincomb(cts, coeffs, consts):
+    """Rows sum_i coeffs[r, i] * cts[i] + consts[r] of one matrix product over the cts' slots.
 
-    It costs what the per-term operators would: a plaintext multiplication,
-    with its noise, per nonzero coefficient (at least one), at the lowest of
-    their levels, and an addition per further term and for a nonzero const.
+    The product runs at once; the returned iterator yields the rows' ciphertexts
+    in order, each built by `_op` only when taken, so a caller can interleave
+    other ops and keep the per-term operators' order of noise draws.  A row
+    costs what its per-term operators would: a plaintext multiplication, with
+    its noise, per nonzero coefficient, at the lowest of their levels, and an
+    addition per further term and for a nonzero const.  Every row needs a
+    nonzero coefficient.
     """
     c = np.asarray(coeffs, dtype=float)
-    nonzero = np.flatnonzero(c)
-    low = min((cts[i] for i in nonzero), key=lambda ct: ct.level)
-    slots = (c @ stack[: c.size].view(float)).view(complex)
-    if const != 0.0:
-        slots += const
-    return low._op("mults", slots, terms=nonzero.size, adds=nonzero.size - (const == 0.0))
+    consts = np.asarray(consts, dtype=float)
+    terms = np.count_nonzero(c, axis=1)
+    if not terms.all():
+        raise ValueError(f"lincomb row {int(np.argmin(terms))} has no nonzero coefficient")
+    lows = np.where(c != 0.0, [ct.level for ct in cts], np.inf).argmin(axis=1)
+    slots = (c @ np.stack([ct.slots for ct in cts]).view(float)).view(complex)
+    slots += consts[:, None]
+    return (cts[i]._op("mults", row, terms=t, adds=t - (k == 0.0))
+            for i, row, t, k in zip(lows.tolist(), slots, terms.tolist(), consts.tolist()))
 
 
 def encrypt(v, params: SimParams) -> SlotCiphertext:

@@ -2,11 +2,14 @@
 
 The evaluated value is a hesim.SlotCiphertext.  The power basis and the
 giant-step tree use only its operators (+, -, unary -, and * against
-itself and against Python scalars), which track levels and count ops;
-each leaf sum_i c_i T_i(u) is one hesim.lincomb, a matrix product over the
-baby steps, stacked once per evaluation, that counts what the per-term
-operators would.  For plaintext values, encrypt them with the noise off:
-the simulator is then exact complex arithmetic.
+itself and against Python scalars), which track levels and count ops.
+An evaluation runs in two passes: a coefficient pass does the divisions
+and collects every leaf sum_i c_i T_i(u) as a row of coefficients, and
+one hesim.lincomb computes all the rows as one matrix product over the
+stacked baby steps; the ciphertext walk over the tree then takes each
+leaf at its place, where it counts, levels and draws noise as its
+per-term operators would.  For plaintext values, encrypt them with the
+noise off: the simulator is then exact complex arithmetic.
 
 Depth schedule.  The series is decomposed by repeated Chebyshev-basis
 long division against the precomputed powers T_{k*2^j}, resting on the
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -130,33 +132,48 @@ def eval_ps(series: ChebSeries, u, sched: PsSchedule):
         # Constant polynomial: a zero ciphertext plus a constant, no mults.
         return (u - u) + float(coeffs[0])
 
-    bs, gs = compute_power_basis(u, sched)
-    combine = partial(lincomb, np.stack([b.slots for b in bs]), bs)
     g = np.zeros(sched.capacity + 1)
     g[: coeffs.size] = coeffs
+    rows = []
     # At the capacity the first division is by gs[m-1], also when D < k*2^(m-1):
     # the zero quotient times gs[m-1] then spends the schedule's top level.
-    return _rec(g, sched.capacity, sched.k, u, gs, combine)
+    tree = _split(g, sched.capacity, sched.k, rows)
+    C = np.zeros((len(rows), sched.k + 1))  # column 0 holds the leaves' constants
+    for i, row in enumerate(rows):
+        C[i, : row.size] = row
+    bs, gs = compute_power_basis(u, sched)
+    return _walk(tree, u, gs, lincomb(bs, C[:, 1:], C[:, 0]))
 
 
-def _rec(ff: np.ndarray, d: int, k: int, u, gs, combine):
-    """Evaluate the coefficients ff of exact degree d (or the capacity d at the top).
+def _split(ff: np.ndarray, d: int, k: int, rows: list):
+    """Coefficient pass: the division tree of ff, of exact degree d (the capacity at the top).
 
-    Below k it is a leaf, combine(c_1..c_d, c_0) over the baby steps;
-    otherwise divide by the largest giant step T_{k*2^j} <= d.
+    A node is a float c_0 (a constant); None (a leaf, d < k, whose
+    coefficients c_0..c_d are appended to rows); or (j, q, r) for
+    q*T_{k*2^j} + r, divided by the largest giant step <= d, with r left
+    out when it vanishes.  Leaves are appended in the order _walk meets them.
     """
     if d == 0:
-        return (u - u) + float(ff[0])
+        return float(ff[0])
     if d < k:
-        return combine(ff[1 : d + 1], float(ff[0]))
+        rows.append(ff[: d + 1])
+        return None
     j = 0
     while k * (1 << (j + 1)) <= d:
         j += 1
     q, r = _div_by_T(ff, k * (1 << j))
-    out = _rec(q, _degree(q), k, u, gs, combine) * gs[j]
-    if np.any(r != 0.0):
-        out = out + _rec(r, _degree(r), k, u, gs, combine)
-    return out
+    node = (j, _split(q, _degree(q), k, rows))
+    return node + (_split(r, _degree(r), k, rows),) if np.any(r != 0.0) else node
+
+
+def _walk(node, u, gs, leaves):
+    """The ciphertext pass over a _split tree, taking each leaf from `leaves` in turn."""
+    if node is None:
+        return next(leaves)
+    if isinstance(node, float):
+        return (u - u) + node
+    out = _walk(node[1], u, gs, leaves) * gs[node[0]]
+    return out + _walk(node[2], u, gs, leaves) if len(node) == 3 else out
 
 
 def mul_by_int_additively(e, c: int):

@@ -179,6 +179,23 @@ def test_serialization_round_trip(tmp_path):
     assert set(doc) == {"p", "B", "D", "delta", "residual", "coeffs"}
 
 
+@pytest.mark.parametrize("p,B,D,name", [(4.5, 29, 45, "p"), (4, 29.5, 45, "B"),
+                                         (4, 29, 45.5, "D")])
+def test_fit_modp_rejects_fractional_arguments(p, B, D, name):
+    # 4.5 used to fit "x mod 4.5" into a plan that load_plan rejects; 29.5 died in range()
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        fit_modp(p, B, D, 100.0)
+
+
+def test_fit_modp_takes_whole_floats_as_integers(tmp_path):
+    plan = fit_modp(4.0, 29.0, 45.0, 100.0)
+    assert (plan.p, plan.B, plan.D) == (4, 29, 45)
+    assert all(type(v) is int for v in (plan.p, plan.B, plan.D))
+    assert np.array_equal(plan.series.coeffs, fit_modp(4, 29, 45, 100.0).series.coeffs)
+    save_plan(plan, tmp_path / "plan.json")
+    assert load_plan(tmp_path / "plan.json").p == 4
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("D", 60, "D=60 does not match the series degree 30"),
     ("delta", -100.0, "delta must be positive"),

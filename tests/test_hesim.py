@@ -231,15 +231,16 @@ def test_lincomb_costs_what_the_per_term_operators_cost():
     rng = np.random.default_rng(8)
     params = SimParams(n=8, max_level=9)
     cts = _at_levels(params, (5, 3, 7, 2), rng)
-    stack = np.stack([ct.slots for ct in cts])
     before = (params.stats.plain_mults, params.stats.adds)
-    # the level-3 term has a zero coefficient and the level-2 row is not used
-    out = lincomb(stack, cts, [2.0, 0.0, -1.5], 0.25)
+    # the level-3 term has a zero coefficient and the first row leaves the level-2 one out;
+    # the second row is one term with no constant: no addition
+    leaves = lincomb(cts, [[2.0, 0.0, -1.5, 0.0], [0.0, 0.0, 0.0, 4.0]], [0.25, 0.0])
+    out = next(leaves)
     assert out.level == 4
     assert (params.stats.plain_mults - before[0], params.stats.adds - before[1]) == (2, 2)
     want = 2.0 * cts[0].slots - 1.5 * cts[2].slots + 0.25
     assert np.max(np.abs(out.slots - want)) <= 1e-14
-    lincomb(stack, cts, [0.0, 0.0, 0.0, 4.0])  # one term, no constant: no addition
+    next(leaves)
     assert (params.stats.plain_mults - before[0], params.stats.adds - before[1]) == (3, 2)
 
 
@@ -250,7 +251,7 @@ def test_lincomb_draws_the_per_term_noise_stream():
         params = SimParams(n=8, max_level=9, noise_stddev=1e-6, seed=11)
         cts = _at_levels(params, (8, 8, 7, 6), np.random.default_rng(2))
         if stacked:
-            out = lincomb(np.stack([ct.slots for ct in cts]), cts, coeffs, const)
+            (out,) = lincomb(cts, [coeffs], [const])
         else:
             terms = [ct * c for ct, c in zip(cts, coeffs) if c != 0.0]
             out = terms[0] + terms[1] + terms[2] + const
@@ -264,10 +265,18 @@ def test_lincomb_draws_the_per_term_noise_stream():
 def test_lincomb_exhausts_on_a_nonzero_level_zero_term():
     params = SimParams(n=4, max_level=1)
     cts = _at_levels(params, (1, 0), np.random.default_rng(0))
-    stack = np.stack([ct.slots for ct in cts])
-    assert lincomb(stack, cts, [3.0, 0.0]).level == 0
+    leaves = lincomb(cts, [[3.0, 0.0], [3.0, 1.0]], [0.0, 0.0])
+    assert next(leaves).level == 0
     with pytest.raises(LevelExhaustedError):
-        lincomb(stack, cts, [3.0, 1.0])
+        next(leaves)
+
+
+def test_lincomb_rejects_a_row_without_a_nonzero_coefficient():
+    params = SimParams(n=4, max_level=3)
+    cts = _at_levels(params, (3, 3), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="row 1 has no nonzero coefficient"):
+        lincomb(cts, [[1.0, 0.0], [0.0, 0.0]], [0.0, 1.0])
+    assert (params.stats.plain_mults, params.stats.adds) == (0, 0)
 
 
 def test_params_validation():

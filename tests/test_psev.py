@@ -98,6 +98,21 @@ def test_eval_plan_degree210_spends_ten_levels():
     assert (stats.ct_mults, stats.plain_mults, stats.adds) == (34, 190, 239)
 
 
+@pytest.mark.parametrize("D,cost", [
+    (35, (7, 16, 27, 52)), (45, (7, 16, 36, 61)), (90, (8, 23, 78, 113)),
+    (128, (8, 27, 112, 152)), (139, (9, 30, 122, 166)), (210, (9, 34, 189, 238)),
+    (400, (10, 47, 372, 439)),
+])
+def test_eval_ps_exact_cost_per_degree(D, cost):
+    # (levels, ct x ct mults, plaintext mults, adds) of a dense series: a
+    # count that moves is a change of the evaluator, not of the data
+    stats = OpStats()
+    coeffs = np.random.default_rng(D).uniform(-1, 1, D + 1)
+    u = encrypt(np.array([-1.0, 0.3, 1.0]), SimParams(n=4, max_level=12, stats=stats))
+    out = eval_ps(unit_series(coeffs), u, plan_schedule(D))
+    assert (12 - out.level, stats.ct_mults, stats.plain_mults, stats.adds) == cost
+
+
 # Every degree a table or a benchmark workload evaluates, plus a stride.
 LEDGER_DEGREES = sorted(set(range(8, 19)) | set(range(35, 51)) | {90}
                         | set(range(96, 257)) | {400} | set(range(1, 601, 23)))
