@@ -7,6 +7,13 @@ modeling beyond an optional per-multiplication Gaussian knob: with the
 noise turned off the simulator is an exact complex-arithmetic machine, so
 downstream error measurements isolate pure approximation error.
 
+Slots are stored as float64 while every slot is real, which halves the
+bytes each op moves, and as complex128 once a complex message, a complex
+operand or a noisy multiplication makes them complex; they never turn
+back.  Only `encrypt`, `SlotCiphertext._operand` and `lincomb` pick a
+dtype; every other op follows numpy's promotion, and `decrypt` always
+returns complex128.
+
 SimParams alone holds the simulator's defaults; a CLI config overrides them key by key.
 """
 
@@ -15,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .fitting import _whole
 
 
 class LevelExhaustedError(RuntimeError):
@@ -67,7 +76,10 @@ class SimParams:
 
 @dataclass(frozen=True)
 class SlotCiphertext:
-    """Immutable simulated ciphertext: n complex slots and a remaining level."""
+    """Immutable simulated ciphertext: n slots and a remaining level.
+
+    `slots` is float64 while every slot is real and complex128 otherwise.
+    """
 
     slots: np.ndarray
     level: int
@@ -81,16 +93,17 @@ class SlotCiphertext:
 
     def _operand(self, other) -> np.ndarray | complex:
         """Slots of a ciphertext operand, or a coerced plaintext: scalars
-        broadcast, short vectors zero-pad."""
+        broadcast, short vectors zero-pad; a real plaintext stays real."""
         if isinstance(other, SlotCiphertext):
             return other.slots
         if np.isscalar(other):
-            return complex(other)
-        arr = np.asarray(other, dtype=complex)
+            is_complex = isinstance(other, (complex, np.complexfloating))
+            return complex(other) if is_complex else float(other)
+        arr = _real_or_complex(other)
         if arr.ndim != 1 or arr.size > self.params.n:
             raise ValueError("plaintext vector must be 1-d with length <= slot count")
         if arr.size < self.params.n:
-            arr = np.pad(arr, (0, self.params.n - arr.size))
+            arr = _zero_padded(arr, self.params.n)
         return arr
 
     def _op(self, count: str | None, slots: np.ndarray, other=None, terms: int = 1,
@@ -143,6 +156,19 @@ class SlotCiphertext:
     __rmul__ = __mul__
 
 
+def _real_or_complex(v) -> np.ndarray:
+    """v as a float64 array, or as complex128 if its dtype is complex."""
+    arr = np.asarray(v)
+    return arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
+
+
+def _zero_padded(arr: np.ndarray, n: int) -> np.ndarray:
+    """A fresh length-n array of arr's dtype: arr, then zeros."""
+    out = np.zeros(n, dtype=arr.dtype)
+    out[: arr.size] = arr
+    return out
+
+
 def lincomb(cts, coeffs, consts):
     """Rows sum_i coeffs[r, i] * cts[i] + consts[r] of one matrix product over the cts' slots.
 
@@ -160,29 +186,36 @@ def lincomb(cts, coeffs, consts):
     if not terms.all():
         raise ValueError(f"lincomb row {int(np.argmin(terms))} has no nonzero coefficient")
     lows = np.where(c != 0.0, [ct.level for ct in cts], np.inf).argmin(axis=1)
-    slots = (c @ np.stack([ct.slots for ct in cts]).view(float)).view(complex)
+    stack = np.stack([ct.slots for ct in cts])
+    # a complex stack runs as a real product over its interleaved parts
+    slots = (c @ stack.view(float)).view(complex) if np.iscomplexobj(stack) else c @ stack
     slots += consts[:, None]
     return (cts[i]._op("mults", row, terms=t, adds=t - (k == 0.0))
             for i, row, t, k in zip(lows.tolist(), slots, terms.tolist(), consts.tolist()))
 
 
 def encrypt(v, params: SimParams) -> SlotCiphertext:
-    """Pack a message vector into slots (zero-padded) at the full level."""
-    arr = np.asarray(v, dtype=complex).reshape(-1)
+    """Pack a finite message vector into slots (zero-padded) at the full level.
+
+    A real message is stored as float64 slots, a complex one as complex128.
+    """
+    arr = _real_or_complex(v).reshape(-1)
     if arr.size > params.n:
         raise ValueError(f"message length {arr.size} exceeds slot count {params.n}")
-    slots = np.zeros(params.n, dtype=complex)
-    slots[: arr.size] = arr
-    return SlotCiphertext(slots, params.max_level, params)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"message element {bad[0]} is not finite: {arr[bad[0]]}")
+    return SlotCiphertext(_zero_padded(arr, params.n), params.max_level, params)
 
 
 def decrypt(a: SlotCiphertext) -> np.ndarray:
-    return a.slots.copy()
+    """A complex128 copy of the slots."""
+    return a.slots.astype(complex)
 
 
 def rotate(a: SlotCiphertext, i: int) -> SlotCiphertext:
     """Cyclic left rotation by i slots (negative i rotates right)."""
-    return a._op("rotations", np.roll(a.slots, -int(i)))
+    return a._op("rotations", np.roll(a.slots, -_whole(i, "rotation step")))
 
 
 def rotate_batch(a: SlotCiphertext, steps) -> list[SlotCiphertext]:
@@ -191,7 +224,7 @@ def rotate_batch(a: SlotCiphertext, steps) -> list[SlotCiphertext]:
     Stands in for hoisted rotation: the shared precomputation is not
     modeled, but callers batch their steps here.
     """
-    return [a._op("rotations", np.roll(a.slots, -int(s))) for s in steps]
+    return [a._op("rotations", np.roll(a.slots, -_whole(s, "rotation step"))) for s in steps]
 
 
 def conjugate(a: SlotCiphertext) -> SlotCiphertext:

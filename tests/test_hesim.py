@@ -23,6 +23,75 @@ def test_encrypt_oversize_rejected():
         encrypt(np.ones(9), P8)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+def test_encrypt_rejects_non_finite_messages(bad):
+    with pytest.raises(ValueError, match="message element 2 is not finite"):
+        encrypt([1.0, 2.0, bad, np.nan], SimParams(n=4))
+
+
+@pytest.mark.parametrize("message,dtype", [
+    ([1, 2], np.float64), ([1.5, -2.0], np.float64), (np.arange(3), np.float64),
+    ([True], np.float64), ([1 + 2j], np.complex128), ([1.0 + 0j], np.complex128),
+    (np.ones(2, dtype=np.complex64), np.complex128),
+])
+def test_encrypt_stores_real_as_float64_and_complex_as_complex128(message, dtype):
+    ct = encrypt(message, SimParams(n=4))
+    assert ct.slots.dtype == dtype
+    assert decrypt(ct).dtype == np.complex128
+
+
+def _real_ct(params=P8):
+    return encrypt(np.arange(1.0, 9.0), params)
+
+
+@pytest.mark.parametrize("op", [
+    lambda a: a + a, lambda a: a - 2.0, lambda a: 3 - a, lambda a: -a, lambda a: a * a,
+    lambda a: a * 0.5, lambda a: np.float64(2.0) * a, lambda a: a * np.int64(3),
+    lambda a: a * np.ones(3), lambda a: a + [1, 2], lambda a: rotate(a, 3),
+    lambda a: rotate_batch(a, [1])[0], lambda a: conjugate(a),
+    lambda a: next(lincomb([a, a * 2.0], [[1.0, -1.0]], [0.5])),
+], ids=["add", "sub_scalar", "rsub", "neg", "mul_ct", "mul_scalar", "mul_np_float",
+        "mul_np_int", "mul_vector", "add_list", "rotate", "rotate_batch", "conjugate", "lincomb"])
+def test_real_ops_on_real_slots_stay_float64(op):
+    out = op(_real_ct())
+    assert out.slots.dtype == np.float64
+    assert decrypt(out).dtype == np.complex128
+
+
+@pytest.mark.parametrize("op", [
+    lambda a: a * 1j, lambda a: a + np.complex128(1.0), lambda a: a * np.complex64(2.0),
+    lambda a: a * np.array([1.0, 2j]), lambda a: a - [0j], lambda a: a + encrypt([1j], P8),
+    lambda a: encrypt([1j], P8) * a, lambda a: conjugate(a + 1j),
+    lambda a: next(lincomb([a, encrypt([1j], P8)], [[1.0, 1.0]], [0.0])),
+], ids=["mul_1j", "add_np_complex128", "mul_np_complex64", "mul_vector", "sub_list",
+        "add_ct", "ct_mul", "conjugate", "lincomb"])
+def test_complex_operands_make_slots_complex128(op):
+    assert op(_real_ct()).slots.dtype == np.complex128
+
+
+def test_noisy_multiplication_makes_slots_complex128():
+    a = _real_ct(SimParams(n=8, noise_stddev=1e-9, seed=1))
+    assert (a + a).slots.dtype == np.float64  # additions draw no noise
+    assert (a * 2.0).slots.dtype == (a * a).slots.dtype == np.complex128
+
+
+def test_short_plaintexts_pad_like_explicit_zeros():
+    # Each short operand is zero-padded to the slot count: same bits, same counts.
+    rng = np.random.default_rng(9)
+    for slots in (rng.normal(size=8), rng.normal(size=8) + 1j * rng.normal(size=8)):
+        for short in (rng.normal(size=3), rng.normal(size=5) - 1j * rng.normal(size=5)):
+            padded = np.concatenate([short, np.zeros(8 - short.size)])
+            for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: b - a):
+                outs = []
+                for operand in (short, padded):
+                    params = SimParams(n=8)
+                    outs.append((op(encrypt(slots, params), operand), params.stats))
+                (got, got_stats), (want, want_stats) = outs
+                assert got.slots.dtype == want.slots.dtype
+                assert got.slots.tobytes() == want.slots.tobytes()
+                assert got.level == want.level and got_stats == want_stats
+
+
 def test_round_trip_random():
     rng = np.random.default_rng(0)
     params = SimParams(n=32)
@@ -90,6 +159,26 @@ def test_rotate_zero_and_negative():
     ct = encrypt([1, 2, 3, 4], SimParams(n=4))
     assert np.array_equal(decrypt(rotate(ct, 0)), [1, 2, 3, 4])
     assert np.array_equal(decrypt(rotate(ct, -1)), [4, 1, 2, 3])
+
+
+def test_rotate_takes_whole_steps_of_any_type():
+    ct = encrypt([1, 2, 3, 4], SimParams(n=4))
+    assert np.array_equal(decrypt(rotate(ct, np.int64(1))), [2, 3, 4, 1])
+    assert np.array_equal(decrypt(rotate(ct, 2.0)), [3, 4, 1, 2])
+    got = rotate_batch(ct, [np.int64(1), 2.0, -1.0])
+    assert [decrypt(r)[0] for r in got] == [2, 3, 4]
+
+
+def test_rotate_rejects_fractional_steps():
+    params = SimParams(n=4)
+    ct = encrypt([1, 2, 3, 4], params)
+    with pytest.raises(ValueError, match="rotation step must be a whole number, got 1.5"):
+        rotate(ct, 1.5)
+    with pytest.raises(ValueError, match="rotation step must be a whole number, got 0.9"):
+        rotate_batch(ct, [0.9, 2.0])
+    with pytest.raises(ValueError, match="rotation step must be a whole number, got nan"):
+        rotate(ct, float("nan"))
+    assert params.stats.rotations == 0
 
 
 def test_rotate_group_law():
@@ -260,6 +349,26 @@ def test_lincomb_draws_the_per_term_noise_stream():
     assert outs[0].level == outs[1].level == 5
     assert np.max(np.abs(outs[0].slots - outs[1].slots)) <= 1e-12
     assert draws[0] == draws[1]
+
+
+def test_lincomb_real_stack_matches_complex_stack():
+    # The real product c @ stack and the complex one over interleaved parts
+    # give the same bits; the complex rows' imaginary parts stay zero.
+    rng = np.random.default_rng(12)
+    coeffs = rng.uniform(-1, 1, (6, 5))
+    coeffs[coeffs < -0.6] = 0.0
+    coeffs[:, 0] = 0.25
+    consts = rng.uniform(-1, 1, 6)
+    data = rng.normal(size=(5, 64))
+    rows = []
+    for dtype in (float, complex):
+        params = SimParams(n=64, max_level=4)
+        cts = [encrypt(v.astype(dtype), params) for v in data]
+        rows.append([(r.slots, r.level) for r in lincomb(cts, coeffs, consts)])
+    for (real, real_level), (cplx, cplx_level) in zip(*rows):
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert real.tobytes() == cplx.real.copy().tobytes()
+        assert not cplx.imag.any() and real_level == cplx_level
 
 
 def test_lincomb_exhausts_on_a_nonzero_level_zero_term():

@@ -113,6 +113,29 @@ def test_eval_ps_exact_cost_per_degree(D, cost):
     assert (12 - out.level, stats.ct_mults, stats.plain_mults, stats.adds) == cost
 
 
+@pytest.mark.parametrize("D", [35, 45, 90, 128, 139, 210, 400])
+@pytest.mark.parametrize("sigma", [0.0, 1e-9])
+def test_eval_ps_same_on_real_and_complex_slots(D, sigma):
+    # float64 slots are a storage choice: a real input stored as complex
+    # gives the same real parts, levels and counts, and with noise on the
+    # same bytes for the same seed.
+    rng = np.random.default_rng(D)
+    series = unit_series(rng.uniform(-1, 1, D + 1))
+    xs = rng.uniform(-1, 1, 16)
+    outs = []
+    for message in (xs, xs.astype(complex)):
+        stats = OpStats()
+        params = SimParams(n=16, max_level=12, noise_stddev=sigma, seed=5, stats=stats)
+        out = eval_ps(series, encrypt(message, params), plan_schedule(D))
+        outs.append((decrypt(out), out.level, stats))
+    (real, real_level, real_stats), (cplx, cplx_level, cplx_stats) = outs
+    assert real_level == cplx_level and real_stats == cplx_stats
+    if sigma:
+        assert real.tobytes() == cplx.tobytes()
+    else:
+        assert real.real.tobytes() == cplx.real.tobytes()
+
+
 # Every degree a table or a benchmark workload evaluates, plus a stride.
 LEDGER_DEGREES = sorted(set(range(8, 19)) | set(range(35, 51)) | {90}
                         | set(range(96, 257)) | {400} | set(range(1, 601, 23)))
