@@ -80,6 +80,10 @@ class RunConfig:
     sim: SimParams
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
 
 # The "sim" keys a config may set, with their casts; absent keys keep SimParams' defaults.
 SIM_KEYS = {"n": _whole, "max_level": _whole, "noise_stddev": float, "seed": _whole}
@@ -94,16 +98,16 @@ def _load_config(args) -> RunConfig:
     try:
         sim = SimParams(**{key: cast(sim[key], key) if cast is _whole else cast(sim[key])
                            for key, cast in SIM_KEYS.items() if key in sim})
-        seed = _whole(doc.get("seed", 0), "seed")
+        cfg = RunConfig(sim=sim, seed=_whole(doc.get("seed", 0), "seed"))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"config {args.config}: {exc}") from exc
     if args.n is not None:
-        sim = replace(sim, n=args.n)
-    return RunConfig(sim=sim, seed=seed)
+        cfg.sim = replace(cfg.sim, n=args.n)
+    return cfg
 
 
 def _rng(cfg: RunConfig, job: str) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed & 0x7FFFFFFF, zlib.crc32(job.encode())])
+    return np.random.default_rng([cfg.seed, zlib.crc32(job.encode())])
 
 
 def _bytes_per_ciphertext(level: int, n: int) -> int:

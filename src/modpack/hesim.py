@@ -5,7 +5,10 @@ multiplicative level; every multiplication (including by plaintext
 constants) burns one level.  No lattice arithmetic, keys, or noise-growth
 modeling beyond an optional per-multiplication Gaussian knob: with the
 noise turned off the simulator is an exact complex-arithmetic machine, so
-downstream error measurements isolate pure approximation error.
+downstream error measurements isolate pure approximation error.  With it
+on, each multiplication result draws one Gaussian vector, of variance
+t*sigma^2 for a sum of t multiplications such as a `lincomb` row: the
+distribution of t independent per-term draws' sum, at one draw's cost.
 
 Slots are stored as float64 while every slot is real, which halves the
 bytes each op moves, and as complex128 once a complex message, a complex
@@ -19,6 +22,7 @@ SimParams alone holds the simulator's defaults; a CLI config overrides them key 
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,11 +53,13 @@ class OpStats:
 class SimParams:
     """Simulator configuration.
 
-    noise_stddev > 0 adds independent Gaussian noise to each slot after
-    every multiplication.  The noise comes from one generator per SimParams,
-    seeded from `seed` and drawn in evaluation order, so the same seed and
-    the same sequence of ops give bit-identical output.  `dataclasses.replace`
-    builds a fresh generator and keeps the same `stats`.
+    noise_stddev = sigma > 0 adds independent Gaussian noise to each slot
+    after every multiplication: N(0, sigma^2) to its real and its imaginary
+    part, or N(0, t*sigma^2) for a result that sums t multiplications, one
+    draw per result.  The noise comes from one generator per SimParams,
+    seeded from the whole non-negative `seed` and drawn in evaluation order,
+    so the same seed and the same sequence of ops give bit-identical output.
+    `dataclasses.replace` builds a fresh generator and keeps the same `stats`.
     """
 
     n: int = 2**15
@@ -71,7 +77,9 @@ class SimParams:
         if not 0 <= self.noise_stddev < np.inf:  # False for NaN too
             raise ValueError(f"noise_stddev must be finite and non-negative, got "
                              f"{self.noise_stddev}")
-        object.__setattr__(self, "rng", np.random.default_rng(self.seed & 0x7FFFFFFF))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "rng", np.random.default_rng(self.seed))
 
 
 @dataclass(frozen=True)
@@ -114,8 +122,9 @@ class SlotCiphertext:
         `other`.  count names the OpStats counter the op adds to (None adds
         to none); "mults" is a multiplication, which spends one level,
         draws noise and counts as ct_mults or plain_mults by its operand.
-        A sum of `terms` multiplications counts and draws noise for each;
-        `adds` more additions are counted with it.
+        A sum of `terms` multiplications counts each and draws one noise
+        vector scaled by sqrt(terms), distributed as the sum of a draw per
+        term; `adds` more additions are counted with it.
         """
         is_ct = isinstance(other, SlotCiphertext)
         level = min(self.level, other.level) if is_ct else self.level
@@ -126,8 +135,8 @@ class SlotCiphertext:
             count = "ct_mults" if is_ct else "plain_mults"
             sigma = self.params.noise_stddev
             if sigma > 0:
-                noise = self.params.rng.standard_normal((terms, 2 * slots.size)).sum(axis=0)
-                slots = slots + sigma * noise.view(complex)
+                noise = self.params.rng.standard_normal(2 * slots.size)
+                slots = slots + sigma * math.sqrt(terms) * noise.view(complex)
         stats = self.params.stats
         if count is not None:
             setattr(stats, count, getattr(stats, count) + terms)
@@ -174,11 +183,12 @@ def lincomb(cts, coeffs, consts):
 
     The product runs at once; the returned iterator yields the rows' ciphertexts
     in order, each built by `_op` only when taken, so a caller can interleave
-    other ops and keep the per-term operators' order of noise draws.  A row
-    costs what its per-term operators would: a plaintext multiplication, with
-    its noise, per nonzero coefficient, at the lowest of their levels, and an
-    addition per further term and for a nonzero const.  Every row needs a
-    nonzero coefficient.
+    other ops and the noise is still drawn in evaluation order.  A row costs
+    what its per-term operators would: a plaintext multiplication per nonzero
+    coefficient, at the lowest of their levels, and an addition per further
+    term and for a nonzero const.  Its t terms' noise is one draw of variance
+    t*sigma^2 per slot part, distributed as the per-term draws' sum.  Every
+    row needs a nonzero coefficient.
     """
     c = np.asarray(coeffs, dtype=float)
     consts = np.asarray(consts, dtype=float)

@@ -7,9 +7,10 @@ An evaluation runs in two passes: a coefficient pass does the divisions
 and collects every leaf sum_i c_i T_i(u) as a row of coefficients, and
 one hesim.lincomb computes all the rows as one matrix product over the
 stacked baby steps; the ciphertext walk over the tree then takes each
-leaf at its place, where it counts, levels and draws noise as its
-per-term operators would.  For plaintext values, encrypt them with the
-noise off: the simulator is then exact complex arithmetic.
+leaf at its place, where it counts and levels as its per-term operators
+would and draws its noise, one draw of variance t*sigma^2 for a t-term
+leaf.  For plaintext values, encrypt them with the noise off: the
+simulator is then exact complex arithmetic.
 
 Depth schedule.  The series is decomposed by repeated Chebyshev-basis
 long division against the precomputed powers T_{k*2^j}, resting on the

@@ -294,6 +294,13 @@ def test_config_sim_keys_default_to_sim_params(tmp_path):
     assert load({"sim": {"n": 64, "seed": 5}}, n=128).sim == replace(SimParams(), n=128, seed=5)
 
 
+def test_run_seed_is_used_whole():
+    # a masked seed gave 2**31 the inputs of seed 0
+    draws = {cli._rng(cli.RunConfig(sim=SimParams(), seed=seed), "job").random()
+             for seed in (0, 2**31)}
+    assert len(draws) == 2
+
+
 # command, JSON text of the config or layout it reads, part of the error
 MALFORMED_INPUTS = {
     "config-not-object": ("table", "[1, 2]", 'whose "sim" is an object'),
@@ -314,6 +321,9 @@ MALFORMED_INPUTS = {
                         '"residual": 0.0}', "input.json: float() argument"),
     "config-noise-nan": ("table", '{"sim": {"noise_stddev": NaN}}',
                          "noise_stddev must be finite and non-negative, got nan"),
+    "config-negative-seed": ("table", '{"seed": -1}', "seed must be non-negative, got -1"),
+    "config-negative-sim-seed": ("table", '{"sim": {"seed": -1}}',
+                                 "seed must be non-negative, got -1"),
     # values int() used to truncate: each ran as the whole number below it
     "config-fractional-n": ("table", '{"sim": {"n": 64.9}}', "n must be a whole number, got 64.9"),
     "layout-fractional-group": ("pack", '{"stages": [{"kind": "concat", "groups": [[2.7, 2]]}]}',

@@ -333,22 +333,56 @@ def test_lincomb_costs_what_the_per_term_operators_cost():
     assert (params.stats.plain_mults - before[0], params.stats.adds - before[1]) == (3, 2)
 
 
-def test_lincomb_draws_the_per_term_noise_stream():
-    coeffs, const = [0.5, 0.0, -2.0, 1.25], -0.75
-    outs, draws = [], []
-    for stacked in (True, False):
-        params = SimParams(n=8, max_level=9, noise_stddev=1e-6, seed=11)
-        cts = _at_levels(params, (8, 8, 7, 6), np.random.default_rng(2))
-        if stacked:
-            (out,) = lincomb(cts, [coeffs], [const])
-        else:
-            terms = [ct * c for ct, c in zip(cts, coeffs) if c != 0.0]
-            out = terms[0] + terms[1] + terms[2] + const
-        outs.append(out)
-        draws.append(params.rng.standard_normal())
-    assert outs[0].level == outs[1].level == 5
-    assert np.max(np.abs(outs[0].slots - outs[1].slots)) <= 1e-12
-    assert draws[0] == draws[1]
+SIGMA = 1e-3
+# rows of 1, 3 and 5 terms, two with a const
+NOISE_COEFFS = [[0.0, 0.0, 0.0, 0.0, 2.0], [0.5, 0.0, -2.0, 0.0, 1.25], [1.0, -1.0, 3.0, 0.25, -0.5]]
+NOISE_CONSTS = [0.0, -0.75, 0.5]
+
+
+def _lincomb_residuals(seed):
+    """Each NOISE_COEFFS row at n=2^15, noise on minus noise off."""
+    data = np.random.default_rng(7).normal(size=(5, 2**15))
+    rows = []
+    for sigma in (SIGMA, 0.0):
+        params = SimParams(n=2**15, max_level=1, noise_stddev=sigma, seed=seed)
+        cts = [encrypt(v, params) for v in data]
+        rows.append([row.slots for row in lincomb(cts, NOISE_COEFFS, NOISE_CONSTS)])
+    return [noisy - exact for noisy, exact in zip(*rows)]
+
+
+def test_lincomb_row_noise_is_one_draw_of_variance_t_sigma_squared():
+    # a t-term row's noise is distributed as the sum of t per-term draws:
+    # variance t*sigma^2 in each slot's real and imaginary part
+    for coeffs, residual in zip(NOISE_COEFFS, _lincomb_residuals(seed=5)):
+        t = np.count_nonzero(coeffs)
+        for part in (residual.real, residual.imag):
+            assert abs(np.var(part) / (t * SIGMA**2) - 1) < 0.03, t
+
+
+def test_lincomb_rows_draw_uncorrelated_noise():
+    residuals = _lincomb_residuals(seed=5)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for part in ("real", "imag"):
+            a, b = getattr(residuals[i], part), getattr(residuals[j], part)
+            assert abs(np.corrcoef(a, b)[0, 1]) < 0.03, (i, j, part)
+
+
+def test_ct_product_noise_has_variance_sigma_squared():
+    data = np.random.default_rng(9).normal(size=(2, 2**15))
+    outs = []
+    for sigma in (SIGMA, 0.0):
+        params = SimParams(n=2**15, noise_stddev=sigma, seed=6)
+        a, b = (encrypt(v, params) for v in data)
+        outs.append((a * b).slots)
+    residual = outs[0] - outs[1]
+    for part in (residual.real, residual.imag):
+        assert abs(np.var(part) / SIGMA**2 - 1) < 0.03
+
+
+def test_lincomb_noise_is_fixed_by_the_seed():
+    first, again, other = (_lincomb_residuals(seed) for seed in (5, 5, 6))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+    assert all(not np.array_equal(a, b) for a, b in zip(first, other))
 
 
 def test_lincomb_real_stack_matches_complex_stack():
@@ -393,6 +427,14 @@ def test_params_validation():
         SimParams(n=24)
     with pytest.raises(ValueError):
         SimParams(max_level=-1)
+
+
+def test_params_seed_is_used_whole():
+    # a masked seed drew 2**31's noise for seed 0 and wrapped negative seeds
+    draws = [SimParams(seed=seed).rng.standard_normal() for seed in (0, 2**31, 2**32)]
+    assert len(set(draws)) == 3
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SimParams(seed=-1)
 
 
 @pytest.mark.parametrize("sigma", [-1e-9, float("nan"), float("inf")])

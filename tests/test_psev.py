@@ -327,10 +327,8 @@ def _leaf_series(D, pattern, rng):
 
 
 def _run(fn, coeffs, xs, sched, level, sigma=0.0):
-    stats = OpStats()
-    params = SimParams(n=xs.size, max_level=level, noise_stddev=sigma, seed=3, stats=stats)
-    out = fn(coeffs, encrypt(xs, params), sched)
-    return out, (stats.ct_mults, stats.plain_mults, stats.adds), params
+    params = SimParams(n=xs.size, max_level=level, noise_stddev=sigma, seed=3)
+    return fn(coeffs, encrypt(xs, params), sched), params.stats
 
 
 def _stacked(coeffs, u, sched):
@@ -339,22 +337,22 @@ def _stacked(coeffs, u, sched):
 
 @pytest.mark.parametrize("pattern", LEAF_PATTERNS)
 def test_lincomb_leaf_matches_per_term_reference(pattern):
-    # Every degree 1..600: the stacked-product leaf agrees with Clenshaw and,
-    # with noise on, spends the per-term operator leaf's counts and levels,
-    # gives its values and leaves the noise stream where it leaves it.
+    # Every degree 1..600: the stacked-product leaf agrees with Clenshaw and
+    # gives the per-term operator leaf's values, OpStats and levels; with
+    # noise on it spends the same counts and levels.
     rng = np.random.default_rng(LEAF_PATTERNS.index(pattern))
     xs = np.array([-1.0, -0.37, 0.5, 1.0])
     for D in range(1, 601):
         c = _leaf_series(D, pattern, rng)
         sched = plan_schedule(D)
-        exact, _, _ = _run(_stacked, c, xs, sched, 12)
+        exact, stats = _run(_stacked, c, xs, sched, 12)
         # |sum_i c_i T_i| <= sum|c|: the bound is relative to the largest possible value.
         assert np.max(np.abs(exact.slots - clenshaw(c, xs))) <= 1e-12 * np.abs(c).sum(), D
-        got, got_counts, got_params = _run(_stacked, c, xs, sched, 12, sigma=1e-6)
-        want, want_counts, want_params = _run(_reference_eval_ps, c, xs, sched, 12, sigma=1e-6)
-        assert got_counts == want_counts and got.level == want.level == exact.level, D
-        assert np.max(np.abs(got.slots - want.slots)) <= 1e-12, D
-        assert got_params.rng.standard_normal() == want_params.rng.standard_normal(), D
+        want, want_stats = _run(_reference_eval_ps, c, xs, sched, 12)
+        assert stats == want_stats and exact.level == want.level, D
+        assert np.max(np.abs(exact.slots - want.slots)) <= 1e-12, D
+        noisy, noisy_stats = _run(_stacked, c, xs, sched, 12, sigma=1e-6)
+        assert noisy_stats == stats and noisy.level == exact.level, D
         if exact.level < 12:  # a constant series (even at D=1) spends no level
             with pytest.raises(LevelExhaustedError):
                 _run(_stacked, c, xs, sched, 12 - exact.level - 1)
