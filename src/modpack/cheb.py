@@ -20,23 +20,26 @@ class DomainError(ValueError):
     """Raised when an evaluation point lies outside the supported interval."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChebSeries:
     """A finite Chebyshev expansion sum_i coeffs[i] * T_i over [0, domain_upper].
 
     Evaluation maps the source interval [0, domain_upper] onto [-1, 1]
-    before applying the basis.
+    before applying the basis.  The series owns a read-only copy of its
+    coefficients, and compares and hashes by identity, so evaluators may
+    key compiled forms on it.
     """
 
     coeffs: np.ndarray
     domain_upper: float
 
     def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        coeffs = np.array(self.coeffs, dtype=float, ndmin=1)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coeffs must be a non-empty 1-d sequence")
         if not self.domain_upper > 0:
             raise ValueError(f"domain_upper must be positive, got {self.domain_upper}")
+        coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "domain_upper", float(self.domain_upper))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,7 @@ class StepSpec:
         object.__setattr__(self, "samples", samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModPlan:
     """A fitted, scaled approximation ready for homomorphic evaluation.
 
@@ -66,6 +67,8 @@ class ModPlan:
     sample point i up to `residual`.  D is the series degree, delta is
     finite and positive, and every coefficient is finite and below 1 in
     magnitude.  For mod fits `p` is the modulus; step fits carry p = None.
+    A plan is an immutable value that compares and hashes by identity, so
+    one plan may be shared by every caller of its fit key.
     """
 
     p: int | None
@@ -159,8 +162,15 @@ def fit_modp(p: int, B: int, D: int, delta: float | None = None) -> ModPlan:
 
     delta=None picks the smallest power of ten keeping coefficients below
     DELTA_HEADROOM.  p, B and D must be whole numbers (4.0 is taken as 4).
+    A plan is a pure function of (p, B, D, delta), so fits are memoised:
+    a repeated key returns the plan fitted first, and a rejected key raises
+    on every call.
     """
-    p, B, D = _whole(p, "p"), _whole(B, "B"), _whole(D, "D")
+    return _fit_modp(_whole(p, "p"), _whole(B, "B"), _whole(D, "D"), delta)
+
+
+@lru_cache(maxsize=128)  # one pass over the tables fits 39 distinct keys
+def _fit_modp(p: int, B: int, D: int, delta: float | None) -> ModPlan:
     if p < 2:
         raise ValueError(f"modulus must be at least 2, got {p}")
     if D <= B:

@@ -12,6 +12,9 @@ would and draws its noise, one draw of variance t*sigma^2 for a t-term
 leaf.  For plaintext values, encrypt them with the noise off: the
 simulator is then exact complex arithmetic.
 
+The coefficient pass, a pure function of the immutable series and the
+schedule, runs once per series; a plan is scaled once per extra scale.
+
 Depth schedule.  The series is decomposed by repeated Chebyshev-basis
 long division against the precomputed powers T_{k*2^j}, resting on the
 product identity 2*T_a*T_b = T_{a+b} + T_{|a-b|}.  The first division is
@@ -26,6 +29,7 @@ coefficients, which the leaf plaintext multiplications apply at no level.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,8 @@ from .hesim import lincomb
 
 # Cap on repeated-addition exponents; packing layers stay far below this.
 POW2_ADD_LIMIT = 24
+# Values computed once per live plan or series: {owner: {key: value}}.
+_MEMO = weakref.WeakKeyDictionary()
 
 
 class DegreeOverflowError(ValueError):
@@ -121,18 +127,34 @@ def eval_ps(series: ChebSeries, u, sched: PsSchedule):
     """Evaluate sum_i c_i T_i(u) on the ciphertext u, whose slots must live in [-1, 1].
 
     The series' source domain is the caller's concern: map x into u first
-    (that mapping costs the one extra level).
+    (that mapping costs the one extra level).  The series is compiled for
+    sched on its first evaluation; later ones only run the program.
     """
-    coeffs = np.asarray(series.coeffs, dtype=float)
-    D = _degree(coeffs)
+    tree, C = _memo(series, sched, lambda: _compile(series, sched))
+    if C is None:
+        # Constant polynomial: a zero ciphertext plus a constant, no mults.
+        return (u - u) + tree
+    bs, gs = compute_power_basis(u, sched)
+    return _walk(tree, u, gs, lincomb(bs, C[:, 1:], C[:, 0]))
+
+
+def _memo(owner, key, make):
+    """make(), computed once per (owner, key) and kept for as long as owner lives."""
+    memo = _MEMO.setdefault(owner, {})
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def _compile(series: ChebSeries, sched: PsSchedule):
+    """The program of a series: its division tree and leaf matrix (None for a constant)."""
+    coeffs = series.coeffs
     if coeffs.size - 1 > sched.capacity:
         raise DegreeOverflowError(
             f"series degree {coeffs.size - 1} exceeds schedule capacity {sched.capacity}"
         )
-    if D == 0:
-        # Constant polynomial: a zero ciphertext plus a constant, no mults.
-        return (u - u) + float(coeffs[0])
-
+    if _degree(coeffs) == 0:
+        return float(coeffs[0]), None
     g = np.zeros(sched.capacity + 1)
     g[: coeffs.size] = coeffs
     rows = []
@@ -142,8 +164,8 @@ def eval_ps(series: ChebSeries, u, sched: PsSchedule):
     C = np.zeros((len(rows), sched.k + 1))  # column 0 holds the leaves' constants
     for i, row in enumerate(rows):
         C[i, : row.size] = row
-    bs, gs = compute_power_basis(u, sched)
-    return _walk(tree, u, gs, lincomb(bs, C[:, 1:], C[:, 0]))
+    C.flags.writeable = False
+    return tree, C
 
 
 def _split(ff: np.ndarray, d: int, k: int, rows: list):
@@ -199,8 +221,11 @@ def eval_plan(x, plan: ModPlan, extra_scale: float = 1.0):
     Maps u = 2x/B - 1 (one level), then evaluates
     the series with its coefficients scaled by delta * extra_scale: the
     leaves' plaintext multiplications apply the scale, so it never costs an
-    extra level.
+    extra level.  Each finite extra_scale of a plan is scaled and compiled once.
     """
-    series = ChebSeries(plan.series.coeffs * (plan.delta * extra_scale), plan.B)
+    if not math.isfinite(extra_scale):
+        raise ValueError(f"extra_scale must be finite, got {extra_scale}")
+    series = _memo(plan, extra_scale, lambda: ChebSeries(
+        plan.series.coeffs * (plan.delta * extra_scale), plan.B))
     u = x * (2.0 / plan.B) - 1.0
     return eval_ps(series, u, plan_schedule(plan.D))

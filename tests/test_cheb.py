@@ -98,3 +98,19 @@ def test_series_validation():
     with pytest.raises(ValueError):
         ChebSeries([1.0], 0.0)
     assert ChebSeries([1.0, 2.0, 3.0], 4.0).degree == 2
+
+
+def test_series_owns_read_only_coefficients():
+    a = np.array([0.1, 0.2, 0.3])
+    s = ChebSeries(a, 1.0)
+    a[0] = 5.0  # the caller's array is not the series' array
+    assert s.coeffs[0] == 0.1
+    with pytest.raises(ValueError, match="read-only"):
+        s.coeffs[0] = 5.0
+    assert s.coeffs[0] == 0.1
+
+
+def test_series_compares_and_hashes_by_identity():
+    a, b = ChebSeries([0.1, 0.2], 1.0), ChebSeries([0.1, 0.2], 1.0)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from modpack import fitting
 from modpack.cheb import cheb_T, eval_clenshaw, map_to_unit
 from modpack.fitting import (RankDeficientError, StepSpec,
                              build_system, default_delta, fit_modp, fit_step,
@@ -236,3 +237,40 @@ def test_integer_point_residual_bound_for_acceptance_triples():
                     (16, 255, 400), (16, 120, 256)]:
         plan = fit_modp(p, B, D, 100.0)
         assert plan.residual <= 1e-4
+
+
+def test_fit_memo_takes_one_key_for_whole_floats_and_ints():
+    plan = fit_modp(4, 29, 35)
+    assert fit_modp(4.0, 29.0, 35) is plan
+    assert fit_modp(np.int64(4), 29, 35.0, None) is plan
+    assert fit_modp(4, 29, 35, 1000.0) is fit_modp(4.0, 29, 35, 1000.0) is not plan
+
+
+def test_fitted_plans_are_read_only_values():
+    plan = fit_modp(4, 29, 45, 100.0)
+    with pytest.raises(ValueError, match="read-only"):
+        plan.series.coeffs[0] = 0.5
+    copy = plan_from_dict(plan_to_dict(plan))
+    assert plan == plan and hash(plan) == hash(plan)
+    assert plan != copy  # identity equality: no array truth value is asked for
+    assert len({plan, copy, fit_modp(4, 29, 45, 100.0)}) == 2
+
+
+@pytest.mark.parametrize("p,B,D,delta,error", [
+    (4, 29, 29, 100.0, ValueError),  # D <= B
+    (4.5, 29, 45, 100.0, ValueError),
+    (4, 29, 45, float("nan"), ValueError),
+    (16, 127, 128, None, RankDeficientError),
+])
+def test_fit_memo_raises_for_a_rejected_key_on_every_call(p, B, D, delta, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            fit_modp(p, B, D, delta)
+
+
+def test_fit_memo_is_bounded():
+    size = fitting._fit_modp.cache_info().maxsize
+    assert 39 <= size <= 1024  # at least one pass over the tables; never unbounded
+    for D in range(3, size + 8):
+        fit_modp(2, 1, D, 1.0)
+    assert fitting._fit_modp.cache_info().currsize == size

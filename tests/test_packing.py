@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from modpack.fitting import fit_modp, save_plan
+from modpack import cli
+from modpack.fitting import fit_modp, plan_from_dict, plan_to_dict, save_plan
 from modpack.hesim import OpStats, SimParams, decrypt, encrypt
 from modpack.packing import (BitStackLayout, CapacityError, ConcatStage,
                              CrtBasis, ImgPairStage, bitstack_pack,
@@ -316,6 +317,17 @@ def test_crt_basis_validation():
         CrtBasis((4, 6))
     with pytest.raises(CapacityError):
         CrtBasis((1 << 13, (1 << 12) + 1))
+
+
+def test_stages_with_plans_compare_without_raising():
+    # Plans compare by identity: memoised fits make one key's stages equal, and
+    # an equal-valued copy of a plan makes a different, not an ambiguous, stage.
+    assert cli._crt_basis() == cli._crt_basis()
+    plans = tuple(fit_modp(p, B, 45, 100.0) for p, B in bitstack_plan_specs((4, 4)))
+    assert BitStackLayout((4, 4), plans) == BitStackLayout((4, 4), plans)
+    copies = tuple(plan_from_dict(plan_to_dict(plan)) for plan in plans)
+    assert BitStackLayout((4, 4), plans) != BitStackLayout((4, 4), copies)
+    assert hash(BitStackLayout((4, 4), plans)) == hash(BitStackLayout((4, 4), plans))
 
 
 def test_crt_unpack_acceptance_shape():

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from modpack import psev
 from modpack.cheb import ChebSeries, cheb_T, clenshaw
 from modpack.hesim import LevelExhaustedError, OpStats, SimParams, decrypt, encrypt
 from modpack.psev import (DegreeOverflowError, PsSchedule, _degree, _div_by_T,
                           compute_power_basis, eval_plan, eval_ps,
                           mul_by_int_additively, plan_schedule)
-from modpack.fitting import ModPlan, fit_modp
+from modpack.fitting import ModPlan, fit_modp, plan_from_dict, plan_to_dict
 
 
 def unit_series(coeffs):
@@ -356,3 +357,64 @@ def test_lincomb_leaf_matches_per_term_reference(pattern):
         if exact.level < 12:  # a constant series (even at D=1) spends no level
             with pytest.raises(LevelExhaustedError):
                 _run(_stacked, c, xs, sched, 12 - exact.level - 1)
+
+
+def fresh_plan(p=5, B=29, D=63):
+    """A plan object no evaluation has compiled yet (fit_modp's plans are shared)."""
+    return plan_from_dict(plan_to_dict(fit_modp(p, B, D, 100.0)))
+
+
+def counting_compile(monkeypatch):
+    calls = []
+    compile_ = psev._compile
+
+    def counted(series, sched):
+        calls.append(series)
+        return compile_(series, sched)
+
+    monkeypatch.setattr(psev, "_compile", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-9])
+def test_eval_plan_compiles_once_and_reruns_bit_identically(monkeypatch, sigma):
+    calls = counting_compile(monkeypatch)
+    plan = fresh_plan()
+    xs = np.arange(30, dtype=float)
+    runs = []
+    for _ in range(2):  # a cold run, then a warm one with the same noise seed
+        params = SimParams(n=32, max_level=12, noise_stddev=sigma, seed=11, stats=OpStats())
+        out = eval_plan(encrypt(xs, params), plan)
+        runs.append((decrypt(out).tobytes(), out.level, params.stats))
+    assert len(calls) == 1
+    assert runs[0] == runs[1]
+
+
+def test_eval_plan_keeps_one_program_per_extra_scale(monkeypatch):
+    # floor_he evaluates its plan at extra_scale 1/p; the rest at 1.0
+    calls = counting_compile(monkeypatch)
+    plan = fresh_plan(p=4, D=45)
+    xs = np.arange(30, dtype=float)
+    outs = {}
+    for s in (1.0, 1.0 / 4, 1.0, 1.0 / 4):
+        outs[s] = decrypt(eval_plan(encrypt(xs, SimParams(n=32)), plan, extra_scale=s))[:30].real
+    assert len(calls) == 2 and calls[0] is not calls[1]
+    assert np.max(np.abs(outs[1.0] - np.mod(xs, 4))) <= 1e-6
+    assert np.max(np.abs(outs[1.0 / 4] - np.mod(xs, 4) / 4)) <= 1e-6
+
+
+def test_compiled_programs_die_with_their_plan():
+    plan = fresh_plan()
+    eval_plan(encrypt(np.arange(30.0), SimParams(n=32)), plan)
+    gc.collect()
+    live = len(psev._MEMO)
+    del plan
+    gc.collect()
+    assert len(psev._MEMO) == live - 2  # the plan's scaled series and that series' program
+
+
+def test_eval_plan_rejects_non_finite_extra_scale():
+    ct = encrypt(np.arange(30.0), SimParams(n=32))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="extra_scale must be finite"):
+            eval_plan(ct, fresh_plan(), extra_scale=bad)
