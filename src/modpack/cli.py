@@ -152,11 +152,14 @@ def _unpack(cfg: RunConfig, packed, layout: tuple, truths=None):
 
     `truths`, if given, must match those lengths before anything is encrypted.
     Returns the vectors and a result: levels, op stats, the wall time of
-    encrypting and unpacking, and per-vector mean and max errors against `truths`.
+    encrypting and unpacking, per-vector mean and max errors against `truths`,
+    and counts, where counts[k] vectors leave the first k packing stages.
     """
     sizes = [len(v) for v in packed]
+    counts = [len(sizes)]
     for stage in reversed(layout):
         sizes = stage.unpacked_lengths(sizes)
+        counts.append(len(sizes))
     if truths is not None and len(truths) != len(sizes):
         raise ValueError(f"--expected holds {len(truths)} vectors, "
                          f"the layout unpacks {len(sizes)}")
@@ -170,7 +173,8 @@ def _unpack(cfg: RunConfig, packed, layout: tuple, truths=None):
     wall = time.perf_counter() - start
     # Copies, so no full decrypted slot vector outlives its trimmed slice.
     recovered = [decrypt(ct).real[:size].copy() for ct, size in zip(outs, sizes)]
-    res = {"levels": [ct.level for ct in outs], "stats": params.stats, "wall": wall}
+    res = {"levels": [ct.level for ct in outs], "stats": params.stats, "wall": wall,
+           "counts": counts[::-1]}
     if truths is not None:
         diffs = [np.abs(got - want) for got, want in zip(recovered, truths)]
         res["errors"] = [float(np.mean(d)) for d in diffs]
@@ -219,11 +223,8 @@ def combine2_layout(slot_count: int) -> tuple:
 def run_combine2(cfg: RunConfig):
     rng = _rng(cfg, "combine2")
     data = [rng.integers(0, 4, COMBINE_LEN) for _ in range(COMBINE_VECTORS)]
-    layout = combine2_layout(cfg.sim.n)
-    counts = {"concat": len(pipeline_pack(data, layout[:1])),
-              "crt": len(pipeline_pack(data, layout[:2])),
-              "final": len(pipeline_pack(data, layout))}
-    res = _run_layout(cfg, data, layout)
+    res = _run_layout(cfg, data, combine2_layout(cfg.sim.n))
+    counts = dict(zip(("concat", "crt", "final"), res["counts"][1:]))
     return {"max_err": max(res["max_errors"]), "min_level": min(res["levels"]),
             "counts": counts, "stats": res["stats"], "wall": res["wall"]}
 
@@ -508,15 +509,12 @@ def cmd_unpack(args) -> int:
     cfg = _load_config(args)
     layout = load_layout(args.layout)
     packed = _read_vectors(args.data)
-    if not packed:
-        _write_vectors(args.out, [])
-        print("unpacked 0 vectors")
-        return 0
     expected = _read_vectors(args.expected) if args.expected else None
     recovered, res = _unpack(cfg, packed, layout, expected)
     _write_vectors(args.out, recovered)
-    print(f"unpacked {len(recovered)} vectors; remaining level >= {min(res['levels'])}")
-    if expected is not None:
+    lowest = f"; remaining level >= {min(res['levels'])}" if recovered else ""
+    print(f"unpacked {len(recovered)} vectors{lowest}")
+    if expected is not None and recovered:
         if len(recovered) <= 12:
             for i, (worst, mean, level) in enumerate(
                     zip(res["max_errors"], res["errors"], res["levels"])):

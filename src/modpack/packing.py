@@ -31,6 +31,13 @@ class CapacityError(ValueError):
     """The packed data does not fit the available slots."""
 
 
+def _array(values, name: str) -> tuple:
+    """The values as a tuple; a string or a mapping raises, not read as characters or keys."""
+    if isinstance(values, (str, dict)):
+        raise TypeError(f"{name} must be an array, got {values!r}")
+    return tuple(values)
+
+
 def _chunk(items, size):
     if len(items) % size != 0:
         raise ValueError(f"stage needs groups of {size} vectors, got {len(items)} total")
@@ -82,7 +89,8 @@ class ConcatStage:
     plans = ()  # a class attribute, not a field: concatenation fits no plans
 
     def __post_init__(self):
-        groups = tuple(tuple(_whole(s, "concat group size") for s in g) for g in self.groups)
+        groups = tuple(tuple(_whole(s, "concat group size") for s in _array(g, "concat group"))
+                       for g in _array(self.groups, "groups"))
         if not groups:
             raise ValueError("concat stage needs at least one group")
         for g in groups:
@@ -186,10 +194,10 @@ def _checked_plans(plans, specs) -> tuple:
     return plans
 
 
-def _layers(values, bounds) -> list[np.ndarray]:
-    """The layers as integer arrays of one shape, layer i holding integers in [0, bounds[i])."""
+def _layers(values, bounds, noun: str = "layer") -> list[np.ndarray]:
+    """The values as integer arrays of one shape, `noun` i holding integers in [0, bounds[i])."""
     if len(values) != len(bounds):
-        raise ValueError(f"expected {len(bounds)} layers, got {len(values)}")
+        raise ValueError(f"expected {len(bounds)} {noun}s, got {len(values)}")
     arrays = [np.asarray(v) for v in values]
     if len({arr.shape for arr in arrays}) != 1:
         raise ValueError("stacked vectors must share the same length")
@@ -200,7 +208,7 @@ def _layers(values, bounds) -> list[np.ndarray]:
             arrays[i] = arr.real
         if np.any(bad):
             j = int(np.argmax(bad))
-            raise ValueError(f"layer {i} element {j} out of range: {arr.flat[j]} is not an "
+            raise ValueError(f"{noun} {i} element {j} out of range: {arr.flat[j]} is not an "
                              f"integer in [0, {r})")
     return [arr.astype(np.int64, copy=False) for arr in arrays]
 
@@ -223,7 +231,7 @@ class BitStackLayout:
     plans: tuple = ()
 
     def __post_init__(self):
-        radices = tuple(_whole(r, "radix") for r in self.radices)
+        radices = tuple(_whole(r, "radix") for r in _array(self.radices, "radices"))
         if not radices or any(r < 2 for r in radices):
             raise ValueError("radices must all be at least 2")
         if math.prod(radices) > PACKED_VALUE_LIMIT:
@@ -300,7 +308,7 @@ class CrtBasis:
     plans: tuple = ()
 
     def __post_init__(self):
-        moduli = tuple(_whole(p, "modulus") for p in self.moduli)
+        moduli = tuple(_whole(p, "modulus") for p in _array(self.moduli, "moduli"))
         if not moduli or any(p < 2 for p in moduli):
             raise ValueError("moduli must all be at least 2")
         for i in range(len(moduli)):
@@ -411,11 +419,7 @@ def save_layout(layout: tuple, path):
 
 
 def load_layout(path) -> tuple:
-    """Read a layout JSON; crt and bitstack plan files resolve relative to the layout file.
-
-    Older spellings still load: a concat entry's "sizes" as its one group, and
-    a bitstack entry's "bit_widths" l_i as radices 2^l_i.
-    """
+    """Read a layout JSON; crt and bitstack plan files resolve relative to the layout file."""
     path = Path(path)
     doc = json.loads(path.read_text())
     entries = doc.get("stages") if isinstance(doc, dict) else None
@@ -433,13 +437,10 @@ def _load_stage(root: Path, i: int, entry):
         if kind not in _KINDS:
             raise ValueError(f"unknown stage kind {kind!r} in layout stage {i}")
         stage_type, *names = _KINDS[kind]
-        if "sizes" in entry:
-            entry = {**entry, "groups": [entry["sizes"]]}
-        if "bit_widths" in entry:
-            entry = {**entry, "radices": [1 << l for l in entry["bit_widths"]]}
         args = [entry[name] for name in names]
         if "plans" in stage_type.__dataclass_fields__:
-            args.append(tuple(load_plan(root / f) for f in entry.get("plan_files") or ()))
+            files = _array(entry.get("plan_files") or (), "plan_files")
+            args.append(tuple(load_plan(root / f) for f in files))
         return stage_type(*args)
     except KeyError as exc:
         raise ValueError(f"layout stage {i} has no {exc} field") from exc

@@ -15,6 +15,7 @@ import numpy as np
 
 from .fitting import ModPlan, StepSpec, _whole, fit_modp, fit_step
 from .hesim import SlotCiphertext
+from .packing import _layers
 from .psev import eval_plan
 
 # Step-fit degree multiplier; the indicator only needs exactness at the p
@@ -40,7 +41,8 @@ def build_comp_plan(threshold: float, p: int) -> ModPlan:
     """Fit the indicator [r > threshold] at the integer points r = 0..p-1.
 
     The degree is COMP_DEGREE_FACTOR * p and delta the suggested one.  The
-    threshold must not hit an integer, so the tie case never arises.
+    threshold must not hit an integer, so the tie case never arises.  The
+    step tolerates inputs a few mod-plan residuals away from the integers.
     """
     if abs(threshold - round(threshold)) < 1e-9:
         raise ValueError(f"threshold {threshold} sits on an integer; ties are undefined")
@@ -48,26 +50,16 @@ def build_comp_plan(threshold: float, p: int) -> ModPlan:
     return fit_step(StepSpec(samples=samples, B=p - 1, D=COMP_DEGREE_FACTOR * p))
 
 
-def comp_step(ct: SlotCiphertext, p: int, plan: ModPlan) -> SlotCiphertext:
-    """~1 where the (near-integer) slot exceeds the plan's threshold, ~0 otherwise.
-
-    The threshold is part of the plan's samples (see build_comp_plan).  The
-    step fit tolerates inputs a small multiple of the producing mod plan's
-    residual away from exact integers.
-    """
-    if plan.B != p - 1:
-        raise ValueError(f"step plan covers [0, {plan.B}], inputs live in [0, {p - 1}]")
-    return eval_plan(ct, plan)
-
-
 def _floor_plus_step(ct: SlotCiphertext, p: int, mod_plan: ModPlan,
                      comp_plan: ModPlan) -> SlotCiphertext:
     """floor(x/p) + [x mod p > threshold of comp_plan], sharing one mod evaluation."""
     if mod_plan.p != p:
         raise ValueError(f"plan fits modulus {mod_plan.p}, requested {p}")
+    if comp_plan.B != p - 1:
+        raise ValueError(f"step plan covers [0, {comp_plan.B}], inputs live in [0, {p - 1}]")
     remainder = eval_plan(ct, mod_plan)
     floor_part = ct * (1.0 / p) - remainder * (1.0 / p)
-    return floor_part + comp_step(remainder, p, comp_plan)
+    return floor_part + eval_plan(remainder, comp_plan)
 
 
 def ceil_he(ct: SlotCiphertext, p: int, mod_plan: ModPlan, comp_plan: ModPlan) -> SlotCiphertext:
@@ -104,24 +96,13 @@ class ShareSet:
         object.__setattr__(self, "p", _whole(self.p, "share modulus"))
         if self.p < 2:
             raise ValueError("share modulus must be at least 2")
-        shares = tuple(_share_array(s) for s in self.shares)
+        shares = tuple(self.shares)
         if not shares:
             raise ValueError("need at least one share")
-        for i, s in enumerate(shares):
-            if np.any(s < 0) or np.any(s >= self.p):
-                raise ValueError(f"share {i} has entries outside [0, {self.p})")
-        object.__setattr__(self, "shares", shares)
+        object.__setattr__(self, "shares", tuple(_layers(shares, [self.p] * len(shares), "share")))
 
     def secret(self) -> np.ndarray:
         return np.sum(np.stack(self.shares), axis=0) % self.p
-
-
-def _share_array(s) -> np.ndarray:
-    """A share as an int64 array; a fraction or a NaN raises instead of truncating."""
-    s = np.asarray(s)
-    if s.dtype.kind not in "biu" and not np.all(s == np.rint(s)):
-        raise ValueError(f"shares must hold whole numbers, got {s[s != np.rint(s)][0]}")
-    return s.astype(np.int64, copy=False)
 
 
 def share_plan(p: int, n_parties: int, D: int | None = None) -> ModPlan:
@@ -158,7 +139,7 @@ class ReconstructNode:
             if isinstance(child, ReconstructNode):
                 out.extend(child.parties())
             else:
-                out.append(int(child))
+                out.append(_whole(child, "party index"))
         return out
 
 
@@ -195,6 +176,6 @@ def _reduce(node: ReconstructNode, share_cts) -> SlotCiphertext:
     total = None
     for child in node.children:
         val = (_reduce(child, share_cts) if isinstance(child, ReconstructNode)
-               else share_cts[int(child)])
+               else share_cts[_whole(child, "party index")])
         total = val if total is None else total + val
     return eval_plan(total, node.plan)

@@ -10,7 +10,8 @@ import pytest
 from modpack import cli
 from modpack.fitting import fit_modp, load_plan, suggest_delta
 from modpack.hesim import SimParams
-from modpack.packing import ConcatStage, CrtBasis, ImgPairStage, save_layout
+from modpack.packing import (BitStackLayout, ConcatStage, CrtBasis, ImgPairStage,
+                             bitstack_plan_specs, pipeline_pack, save_layout)
 
 
 def run(*argv):
@@ -334,6 +335,29 @@ MALFORMED_INPUTS = {
                              "imgpair length n1 must be a whole number, got 2.5"),
     "plan-fractional-B": ("plan", '{"coeffs": [0.5], "p": 3, "B": 2.5, "D": 0, "delta": 1.0, '
                           '"residual": 0.0}', "input.json: B must be a whole number, got 2.5"),
+    # strings where an array belongs: each used to be read digit by digit, as
+    # moduli (4, 5, 7), radices (4, 4), a group (4, 4) or plan files "a", "b",
+    # "c"; an object was read as its keys
+    "layout-string-moduli": ("pack", '{"stages": [{"kind": "crt", "moduli": "457"}]}',
+                             "layout stage 0 (crt) has a field of the wrong type: "
+                             "moduli must be an array, got '457'"),
+    "layout-string-radices": ("pack", '{"stages": [{"kind": "bitstack", "radices": "44"}]}',
+                              "layout stage 0 (bitstack) has a field of the wrong type: "
+                              "radices must be an array, got '44'"),
+    "layout-string-group": ("pack", '{"stages": [{"kind": "concat", "groups": ["44"]}]}',
+                            "layout stage 0 (concat) has a field of the wrong type: "
+                            "concat group must be an array, got '44'"),
+    "layout-object-moduli": ("pack", '{"stages": [{"kind": "crt", "moduli": {"3": 1}}]}',
+                             "moduli must be an array, got {'3': 1}"),
+    "layout-string-plan-files": ("pack", '{"stages": [{"kind": "crt", "moduli": [3], '
+                                 '"plan_files": "abc"}]}',
+                                 "layout stage 0 (crt) has a field of the wrong type: "
+                                 "plan_files must be an array, got 'abc'"),
+    # spellings no layout writer produces are missing fields, not aliases
+    "layout-sizes-only": ("pack", '{"stages": [{"kind": "concat", "sizes": [4]}]}',
+                          "layout stage 0 has no 'groups' field"),
+    "layout-bit-widths-only": ("pack", '{"stages": [{"kind": "bitstack", "bit_widths": [2, 2]}]}',
+                               "layout stage 0 has no 'radices' field"),
 }
 
 
@@ -377,6 +401,45 @@ def test_pack_empty_data_file(fig_files, tmp_path):
     out = tmp_path / "out.ndjson"
     assert run("pack", "--layout", layout_path, "--data", empty, "--out", out) == 0
     assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("expected", ["two", "missing", None])
+def test_unpack_empty_data_file(fig_files, tmp_path, capsys, expected):
+    # An empty data file used to exit 0 before --expected was read.  Zero
+    # packed vectors unpack to zero, which --expected is checked against.
+    layout_path, data_path, _ = fig_files
+    empty, out = tmp_path / "empty.ndjson", tmp_path / "out.ndjson"
+    empty.write_text("")
+    extra = {"two": ("--expected", data_path), "missing": ("--expected", tmp_path / "no.ndjson"),
+             None: ()}[expected]
+    write_lines(data_path, [[0, 1, 2, 3], [4, 5, 6, 7]])
+    code = run("unpack", "--layout", layout_path, "--data", empty, "--out", out, *extra)
+    captured = capsys.readouterr()
+    if expected is None:
+        assert code == 0 and out.read_text() == ""
+        assert captured.out == "unpacked 0 vectors\n"
+    else:
+        message = ("--expected holds 2 vectors, the layout unpacks 0" if expected == "two"
+                   else "No such file or directory")
+        assert code == 2 and message in captured.err and not out.exists()
+
+
+def test_unpack_counts_the_vectors_after_each_stage():
+    # counts[k] is the vector count after the first k packing stages, the
+    # counts the combine table reports, read off the fold of unpacked lengths.
+    rng = np.random.default_rng(6)
+    radices = (4, 4)
+    bitstack = BitStackLayout(radices, tuple(fit_modp(p, B, 90, 100.0)
+                                             for p, B in bitstack_plan_specs(radices)))
+    cases = [(cli.combine2_layout(4096), [rng.integers(0, 4, cli.COMBINE_LEN) for _ in range(12)],
+              4096),
+             ((ConcatStage(((4, 4),)), bitstack), [rng.integers(0, 4, 4) for _ in range(8)], 16)]
+    for layout, data, n in cases:
+        _, res = cli._unpack(cli.RunConfig(sim=SimParams(n=n)), pipeline_pack(data, layout),
+                             layout, data)
+        want = [len(pipeline_pack(data, layout[:k])) for k in range(len(layout) + 1)]
+        assert res["counts"] == want
+        assert max(res["max_errors"]) <= 1e-4
 
 
 def test_pack_out_of_range_element_names_index(fig_files, tmp_path, capsys):

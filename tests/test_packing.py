@@ -503,22 +503,6 @@ def test_layout_json_template_form(tmp_path):
         assert np.max(np.abs(decrypt(out)[:4].real - truth)) <= 1e-4
 
 
-def test_layout_json_sizes_entry_loads_as_one_group(tmp_path):
-    import json
-    # A concat entry spelled as "sizes" loads as one repeating group, packs
-    # each run of len(sizes) vectors into one, and saves back as "groups".
-    path = tmp_path / "sizes.json"
-    path.write_text(json.dumps({"stages": [{"kind": "concat", "sizes": [4, 4]}]}))
-    loaded = load_layout(path)
-    assert loaded == (ConcatStage(((4, 4),)),)
-    data = [np.arange(4) + 4 * i for i in range(4)]
-    packed = pipeline_pack(data, loaded)
-    assert [v.tolist() for v in packed] == [list(range(8)), list(range(8, 16))]
-    save_layout(loaded, tmp_path / "saved.json")
-    entry = json.loads((tmp_path / "saved.json").read_text())["stages"][0]
-    assert entry == {"kind": "concat", "groups": [[4, 4]]}
-
-
 @pytest.mark.parametrize("radices,spelling", [
     ((4, 4, 4), {"radices": [4, 4, 4]}),  # power-of-two radices save as radices too
     ((3, 5), {"radices": [3, 5]}),
@@ -541,33 +525,6 @@ def test_layout_json_bitstack_round_trip(tmp_path, radices, spelling):
     outs = pipeline_unpack([encrypt(packed[0], SimParams(n=16))], loaded)
     for truth, out in zip(data, outs):
         assert np.max(np.abs(decrypt(out)[:8].real - truth)) <= 1e-4
-
-
-def test_layout_json_bit_widths_entry_loads_as_radices(tmp_path):
-    import json
-    # A layout file that spells its bitstack layers as widths l_i loads them
-    # as radices 2^l_i, and saves them back as radices.
-    plans = tuple(fit_modp(p, B, 90, 100.0) for p, B in bitstack_plan_specs((4, 4, 4)))
-    files = [f"plan{i}.json" for i in range(len(plans))]
-    for name, plan in zip(files, plans):
-        save_plan(plan, tmp_path / name)
-    path = tmp_path / "widths.json"
-    path.write_text(json.dumps({"stages": [
-        {"kind": "bitstack", "plan_files": files, "bit_widths": [2, 2, 2]}]}))
-    loaded = load_layout(path)
-    assert loaded[0].radices == (4, 4, 4)
-    rng = np.random.default_rng(12)
-    data = [rng.integers(0, 4, 8) for _ in range(3)]
-    outs = pipeline_unpack([encrypt(pipeline_pack(data, loaded)[0], SimParams(n=16))], loaded)
-    for truth, out in zip(data, outs):
-        assert np.max(np.abs(decrypt(out)[:8].real - truth)) <= 1e-4
-    save_layout(loaded, tmp_path / "saved.json")
-    entry = json.loads((tmp_path / "saved.json").read_text())["stages"][0]
-    assert entry["radices"] == [4, 4, 4] and "bit_widths" not in entry
-    reloaded = load_layout(tmp_path / "saved.json")[0]
-    assert reloaded.radices == (4, 4, 4)
-    assert all(np.array_equal(a.series.coeffs, b.series.coeffs)
-               for a, b in zip(reloaded.plans, plans))
 
 
 def test_layout_json_plan_files_only_for_stages_that_fit_plans(tmp_path):

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from modpack.fitting import fit_modp
 from modpack.hesim import SimParams, decrypt, encrypt
+from modpack.psev import eval_plan
 from modpack.roundshare import (ReconstructNode, ShareSet, build_comp_plan,
-                                ceil_he, comp_step, floor_he, round_he,
+                                ceil_he, floor_he, round_he,
                                 share_plan, shares_to_ct, shares_to_ct_tree)
 
 PARAMS = SimParams(n=64)
@@ -53,21 +56,21 @@ def test_floor_plan_modulus_checked():
 
 def test_comp_step_threshold_half():
     plan = build_comp_plan(0.5, 4)
-    out = dec(comp_step(enc([0.0, 1.0, 2.0, 3.0]), 4, plan), 4)
+    out = dec(eval_plan(enc([0.0, 1.0, 2.0, 3.0]), plan), 4)
     assert out == pytest.approx([0, 1, 1, 1], abs=1e-6)
 
 
 def test_comp_step_enumerated_threshold():
     # indicator r > 2.25 over r = 0..4, i.e. r >= 3
     plan = build_comp_plan(5 / 2 - 0.25, 5)
-    out = dec(comp_step(enc(np.arange(5.0)), 5, plan), 5)
+    out = dec(eval_plan(enc(np.arange(5.0)), plan), 5)
     want = [1.0 if r >= 3 else 0.0 for r in range(5)]
     assert out == pytest.approx(want, abs=1e-6)
 
 
 def test_comp_step_all_zero_input():
     plan = build_comp_plan(0.5, 4)
-    out = dec(comp_step(enc(np.zeros(8)), 4, plan), 8)
+    out = dec(eval_plan(enc(np.zeros(8)), plan), 8)
     assert np.max(np.abs(out)) <= 1e-6
 
 
@@ -77,8 +80,15 @@ def test_comp_step_tolerates_mod_residual():
     comp_plan = build_comp_plan(0.5, 4)
     wobble = 10 * max(mod_plan.residual, 1e-12)
     xs = np.array([0.0, 1.0, 2.0, 3.0]) + wobble
-    out = dec(comp_step(enc(xs), 4, comp_plan), 4)
+    out = dec(eval_plan(enc(xs), comp_plan), 4)
     assert out == pytest.approx([0, 1, 1, 1], abs=1e-4)
+
+
+def test_ceil_rejects_comparator_of_another_modulus():
+    # a step fitted on 0..4 would compare remainders that live in 0..3
+    plan = fit_modp(4, 29, 45, 100.0)
+    with pytest.raises(ValueError, match=r"step plan covers \[0, 4\], inputs live in \[0, 3\]"):
+        ceil_he(enc([13.0]), 4, plan, build_comp_plan(0.5, 5))
 
 
 def test_comp_plan_rejects_integer_threshold():
@@ -136,7 +146,7 @@ def test_comp_term_vanishes_on_exact_multiples():
     plan = fit_modp(p, 29, 50, 100.0)
     comp_c = build_comp_plan(0.5, p)
     multiples = np.array([0.0, 6.0, 12.0, 18.0, 24.0])
-    remainder = decrypt(comp_step(enc(np.mod(multiples, p)), p, comp_c))[:5].real
+    remainder = decrypt(eval_plan(enc(np.mod(multiples, p)), comp_c))[:5].real
     assert np.max(np.abs(remainder)) <= 10 * max(plan.residual, 1e-9)
 
 
@@ -150,13 +160,20 @@ def test_shareset_validation_and_secret():
     assert np.array_equal(s.secret(), [8, 6])
     with pytest.raises(ValueError):
         ShareSet(16, (np.array([16]),))
+    # a ragged set used to construct and fail only in secret(), inside np.stack
+    with pytest.raises(ValueError, match="stacked vectors must share the same length"):
+        ShareSet(16, ([1, 2, 3], [4, 5]))
 
 
-@pytest.mark.parametrize("share,message", [([1.5, 2.7], "got 1.5"), ([1, np.nan], "got nan")])
+@pytest.mark.parametrize("share,message", [([2, 1.5], "got 1.5"), ([1, np.nan], "got nan"),
+                                           ([1, 2 + 1j], "got (2+1j)")])
 def test_shareset_rejects_fractions_and_nan(share, message):
-    # np.int64 casting used to truncate [1.5, 2.7] to [1, 2]
-    with pytest.raises(ValueError, match=f"shares must hold whole numbers, {message}"):
-        ShareSet(4, (share, [0, 1]))
+    # np.int64 casting used to truncate [2, 1.5] to [2, 1]; the error names
+    # the share, the element and its value
+    value = re.escape(message.removeprefix("got "))
+    with pytest.raises(ValueError, match=rf"share 1 element 1 out of range: {value} is not an "
+                                         rf"integer in \[0, 4\)"):
+        ShareSet(4, ([0, 1], share))
     whole = ShareSet(4, ([1.0, 2.0], [0, 1]))
     assert whole.shares[0].dtype == np.int64 and np.array_equal(whole.secret(), [1, 3])
 
@@ -259,9 +276,12 @@ def test_tree_and_direct_decode_to_the_same_secret():
 def test_tree_must_partition_parties():
     cts = [enc([1.0])] * 3
     plan = share_plan(16, 3)
-    bad = ReconstructNode((0, 1), plan)
-    with pytest.raises(ValueError):
-        shares_to_ct_tree(cts, bad)
+    # a fractional index used to be read as the share below it: (0, 1.5, 2)
+    # reconstructed shares 0, 1 and 2
+    for children, message in (((0, 1), "partition"), ((0, 1.5), "party index"),
+                              ((0, 1.5, 2), "party index must be a whole number, got 1.5")):
+        with pytest.raises(ValueError, match=message):
+            shares_to_ct_tree(cts, ReconstructNode(children, plan))
 
 
 def test_bulk_random_sharesets_decode_exactly():
