@@ -3,10 +3,10 @@
 Subcommands: fit, pack, unpack, table, selftest.  Exit codes: 0 success,
 1 a checked bound was violated, 2 usage, input or I/O failure or no levels left.
 
-Wall-clock seconds and estimated traffic are printed for orientation only
-and never checked: simulator timings say nothing about a real lattice
-backend.  The deterministic proxies that are reported in the tables are
-multiplication counts and level consumption.
+`modpack table` prints each table's wall-clock seconds for orientation only,
+never checked: simulator timings say nothing about a real lattice backend.
+The deterministic proxies that the tables report are multiplication counts
+and level consumption; the table functions themselves print nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ COMBINE_VECTORS = 96
 COMBINE_LEN = 2000
 
 # Bounds each table checks its cells against.  Keys name error/level/count
-# metrics only; wall-clock and traffic are reported, never asserted.
+# metrics only; wall-clock is reported, never asserted.
 BOUNDS = {
     "modp4_mean": {35: 1e-3, 40: 1e-5, 45: 1e-6, 50: 1e-6},
     "modp5_mean": {35: 1e-3, 40: 1e-5, 45: 1e-6, 50: 1e-6},
@@ -81,12 +81,13 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.seed = _whole(self.seed, "seed")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-# The "sim" keys a config may set, with their casts; absent keys keep SimParams' defaults.
-SIM_KEYS = {"n": _whole, "max_level": _whole, "noise_stddev": float, "seed": _whole}
+# The "sim" keys a config may set; absent keys keep SimParams' defaults.
+SIM_KEYS = ("n", "max_level", "noise_stddev", "seed")
 
 
 def _load_config(args) -> RunConfig:
@@ -96,9 +97,8 @@ def _load_config(args) -> RunConfig:
     if not isinstance(sim, dict):
         raise ValueError(f"config {args.config} must be a JSON object whose \"sim\" is an object")
     try:
-        sim = SimParams(**{key: cast(sim[key], key) if cast is _whole else cast(sim[key])
-                           for key, cast in SIM_KEYS.items() if key in sim})
-        cfg = RunConfig(sim=sim, seed=_whole(doc.get("seed", 0), "seed"))
+        cfg = RunConfig(sim=SimParams(**{key: sim[key] for key in SIM_KEYS if key in sim}),
+                        seed=doc.get("seed", 0))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"config {args.config}: {exc}") from exc
     if args.n is not None:
@@ -108,12 +108,6 @@ def _load_config(args) -> RunConfig:
 
 def _rng(cfg: RunConfig, job: str) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, zlib.crc32(job.encode())])
-
-
-def _bytes_per_ciphertext(level: int, n: int) -> int:
-    # Two ring elements of 2n coefficients, one 8-byte word per remaining
-    # modulus (level + 1).  A size model, not real serialization.
-    return 2 * (level + 1) * (2 * n) * 8
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +145,9 @@ def _unpack(cfg: RunConfig, packed, layout: tuple, truths=None):
     """Encrypt `packed`, unpack it through `layout`, decrypt each vector at its unpacked length.
 
     `truths`, if given, must match those lengths before anything is encrypted.
-    Returns the vectors and a result: levels, op stats, the wall time of
-    encrypting and unpacking, per-vector mean and max errors against `truths`,
-    and counts, where counts[k] vectors leave the first k packing stages.
+    Returns the vectors and a result: levels, op stats, per-vector mean and
+    max errors against `truths`, and counts, where counts[k] vectors leave
+    the first k packing stages.
     """
     sizes = [len(v) for v in packed]
     counts = [len(sizes)]
@@ -168,13 +162,10 @@ def _unpack(cfg: RunConfig, packed, layout: tuple, truths=None):
             raise ValueError(f"expected vector {i} has length {len(want)}, "
                              f"the layout unpacks length {size}")
     params = _fresh_params(cfg)
-    start = time.perf_counter()
     outs = pipeline_unpack([encrypt(v, params) for v in packed], layout)
-    wall = time.perf_counter() - start
     # Copies, so no full decrypted slot vector outlives its trimmed slice.
     recovered = [decrypt(ct).real[:size].copy() for ct, size in zip(outs, sizes)]
-    res = {"levels": [ct.level for ct in outs], "stats": params.stats, "wall": wall,
-           "counts": counts[::-1]}
+    res = {"levels": [ct.level for ct in outs], "stats": params.stats, "counts": counts[::-1]}
     if truths is not None:
         diffs = [np.abs(got - want) for got, want in zip(recovered, truths)]
         res["errors"] = [float(np.mean(d)) for d in diffs]
@@ -226,7 +217,7 @@ def run_combine2(cfg: RunConfig):
     res = _run_layout(cfg, data, combine2_layout(cfg.sim.n))
     counts = dict(zip(("concat", "crt", "final"), res["counts"][1:]))
     return {"max_err": max(res["max_errors"]), "min_level": min(res["levels"]),
-            "counts": counts, "stats": res["stats"], "wall": res["wall"]}
+            "counts": counts, "stats": res["stats"]}
 
 
 def run_shares(cfg: RunConfig, parties: int, tree_split: int | None = None):
@@ -237,7 +228,6 @@ def run_shares(cfg: RunConfig, parties: int, tree_split: int | None = None):
     rng = _rng(cfg, f"shares-{parties}")
     shares = roundshare.ShareSet(p, tuple(rng.integers(0, p, batch) for _ in range(parties)))
     cts = [encrypt(s, params) for s in shares.shares]
-    start = time.perf_counter()
     if tree_split is None:
         plan = roundshare.share_plan(p, parties)
         out = roundshare.shares_to_ct(cts, plan)
@@ -251,12 +241,11 @@ def run_shares(cfg: RunConfig, parties: int, tree_split: int | None = None):
             root_plan)
         out = roundshare.shares_to_ct_tree(cts, node)
         degree = root_plan.D
-    wall = time.perf_counter() - start
     got = decrypt(out)[:batch].real
     err = float(np.mean(np.abs(got - shares.secret())))
     decoded_ok = bool(np.all(np.rint(got) % p == shares.secret()))
     return {"error": err, "level": out.level, "degree": degree,
-            "decoded_ok": decoded_ok, "stats": params.stats, "wall": wall}
+            "decoded_ok": decoded_ok, "stats": params.stats}
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +315,6 @@ def _rows(table: str, rows: list[dict]):
     return out, violations
 
 
-def _say_wall(label: str, wall: float, extra: str = ""):
-    print(f"# {label}: wall_clock_s={wall:.3f}{extra} (informational, never asserted)")
-
-
 def _table_modp(cfg: RunConfig, p: int):
     key = f"modp{p}_mean"
     means = modp_mean_errors(p)
@@ -367,13 +352,11 @@ def _table_bitstack(cfg: RunConfig):
             "remaining_level": Cell(lvl, levels[i], "+-", "level_bound"),
             "mult_count": res["stats"].mults,
         } for i, (err, lvl) in enumerate(zip(res["errors"], res["levels"]))]
-        _say_wall(config, res["wall"])
     return _rows("bitstack", rows)
 
 
 def _table_crtstack(cfg: RunConfig):
     res = run_crtstack(cfg)
-    _say_wall("crtstack", res["wall"])
     return _rows("crtstack", [{
         "modulus": p,
         "layer": i,
@@ -386,8 +369,6 @@ def _table_crtstack(cfg: RunConfig):
 def _table_combine(cfg: RunConfig):
     res = run_combine2(cfg)
     counts = res["counts"]
-    traffic = _bytes_per_ciphertext(cfg.sim.max_level, cfg.sim.n) * counts["final"] / 1e6
-    _say_wall("combine2", res["wall"], f", traffic_model_mb={traffic:.2f}")
     return _rows("combine", [{
         "pipeline": "concat+crt457+imgpair",
         "max_abs_error": Cell(res["max_err"], BOUNDS["combine2_max_err"], bound_col="error_bound"),
@@ -405,7 +386,6 @@ def _table_shares(cfg: RunConfig):
     runs["8*"] = run_shares(cfg, 8, tree_split=4)
     rows = []
     for parties, res in runs.items():
-        _say_wall(f"shares parties={parties}", res["wall"])
         # The 4+4 tree must stay within the bound yet lose accuracy against
         # the direct 8-party conversion.
         cell = (Cell(res["error"], bound) if parties != "8*" else

@@ -29,14 +29,17 @@ class RankDeficientError(ValueError):
 
 
 def _whole(value, name: str) -> int:
-    """int(value), but a ValueError naming `name` for a value int() would truncate or reject."""
+    """int(value), or a TypeError/ValueError naming `name` where int() would reject or truncate."""
+    error = ValueError
     try:
-        whole = int(value)  # None raises its TypeError; a whole-number string such as "7" converts
+        whole = int(value)  # a whole-number string such as "7" converts
         if whole == value or isinstance(value, str):
             return whole
     except (ValueError, OverflowError):  # NaN, infinity, "7.5"
         pass
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
+    except TypeError:  # None, a list
+        error = TypeError
+    raise error(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)

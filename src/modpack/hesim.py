@@ -17,7 +17,7 @@ back.  Only `encrypt`, `SlotCiphertext._operand` and `lincomb` pick a
 dtype; every other op follows numpy's promotion, and `decrypt` always
 returns complex128.
 
-SimParams alone holds the simulator's defaults; a CLI config overrides them key by key.
+SimParams alone holds and checks the simulator's settings; a CLI config overrides them by key.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class OpStats:
 
 @dataclass(frozen=True)
 class SimParams:
-    """Simulator configuration.
+    """Simulator configuration; n, max_level and seed must be whole (4.0 is taken as 4).
 
     noise_stddev = sigma > 0 adds independent Gaussian noise to each slot
     after every multiplication: N(0, sigma^2) to its real and its imaginary
@@ -70,6 +70,12 @@ class SimParams:
     rng: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("n", "max_level", "seed"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
+        try:
+            object.__setattr__(self, "noise_stddev", float(self.noise_stddev))
+        except (TypeError, ValueError, OverflowError) as exc:  # [1], "abc", 10**400
+            raise type(exc)(f"noise_stddev must be a number, got {self.noise_stddev!r}") from None
         if self.n < 1 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"slot count must be a power of two, got {self.n}")
         if self.max_level < 0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fitting import ModPlan, StepSpec, _whole, fit_modp, fit_step
 from .hesim import SlotCiphertext
-from .packing import _layers
+from .packing import _array, _layers
 from .psev import eval_plan
 
 # Step-fit degree multiplier; the indicator only needs exactness at the p
@@ -118,37 +118,47 @@ def shares_to_ct(share_cts, plan: ModPlan) -> SlotCiphertext:
     This is the tree of a single node over all parties.
     """
     share_cts = list(share_cts)
+    if not share_cts:  # checked before the node, which would report its missing children
+        raise ValueError("need at least one share ciphertext")
     return shares_to_ct_tree(share_cts, ReconstructNode(tuple(range(len(share_cts))), plan))
 
 
 @dataclass(frozen=True)
 class ReconstructNode:
-    """Internal node of a reconstruction tree.
+    """Internal node of a reconstruction tree, checked when it is made.
 
     children hold party indices (leaves) or nested nodes; the node sums its
-    children and reduces modulo p with its own plan, whose interval only
-    needs to cover the node's partial-sum range.
+    children and reduces modulo p with its own plan.  Each child, a share or
+    a reduced subtree, lies in [0, p-1], so the plan's interval must hold
+    len(children) * (p-1); every node of a tree reduces modulo the same p.
     """
 
     children: tuple
     plan: ModPlan
 
+    def __post_init__(self):
+        children = tuple(c if isinstance(c, ReconstructNode) else _whole(c, "party index")
+                         for c in _array(self.children, "children"))
+        object.__setattr__(self, "children", children)
+        p, B, needed = self.plan.p, self.plan.B, len(children) * (self.plan.p - 1)
+        if not children:
+            raise ValueError(f"reconstruction node with plan ModP(x,{p}) on [0, {B}] "
+                             "has no children")
+        if B < needed:
+            raise ValueError(f"plan interval [0, {B}] cannot hold a {len(children)}-party sum "
+                             f"(needs {needed})")
+        for child in children:
+            if isinstance(child, ReconstructNode) and child.plan.p != p:
+                raise ValueError(f"a subtree reducing modulo {child.plan.p} sits under a node "
+                                 f"reducing modulo {p}; a tree has one modulus")
+
     def parties(self) -> list[int]:
-        out = []
-        for child in self.children:
-            if isinstance(child, ReconstructNode):
-                out.extend(child.parties())
-            else:
-                out.append(_whole(child, "party index"))
-        return out
+        return [i for child in self.children
+                for i in (child.parties() if isinstance(child, ReconstructNode) else (child,))]
 
 
 def shares_to_ct_tree(share_cts, node: ReconstructNode) -> SlotCiphertext:
-    """Tree-based reconstruction: smaller per-node ranges, more mod calls.
-
-    Every child of a node, a share or a reduced subtree, lies in [0, p-1],
-    so each node's plan interval must hold len(children) * (p-1).
-    """
+    """Tree-based reconstruction: smaller per-node ranges, more mod calls."""
     share_cts = list(share_cts)
     if not share_cts:
         raise ValueError("need at least one share ciphertext")
@@ -160,22 +170,8 @@ def shares_to_ct_tree(share_cts, node: ReconstructNode) -> SlotCiphertext:
 def _reduce(node: ReconstructNode, share_cts) -> SlotCiphertext:
     # A module-level recursion, not a closure, so no reference cycle keeps
     # the share ciphertexts alive after the call.
-    if not node.children:
-        raise ValueError(f"reconstruction node with plan ModP(x,{node.plan.p}) on "
-                         f"[0, {node.plan.B}] has no children")
-    needed = len(node.children) * (node.plan.p - 1)
-    if node.plan.B < needed:
-        raise ValueError(
-            f"plan interval [0, {node.plan.B}] cannot hold a {len(node.children)}-party sum "
-            f"(needs {needed})"
-        )
-    for child in node.children:
-        if isinstance(child, ReconstructNode) and child.plan.p != node.plan.p:
-            raise ValueError(f"a subtree reducing modulo {child.plan.p} sits under a node "
-                             f"reducing modulo {node.plan.p}; a tree has one modulus")
     total = None
     for child in node.children:
-        val = (_reduce(child, share_cts) if isinstance(child, ReconstructNode)
-               else share_cts[_whole(child, "party index")])
+        val = _reduce(child, share_cts) if isinstance(child, ReconstructNode) else share_cts[child]
         total = val if total is None else total + val
     return eval_plan(total, node.plan)

@@ -226,6 +226,6 @@ def test_criterion_9_no_timing_or_traffic_assertions():
     ]
     informational = "never asserted" in source
     ok = not bad_keys and not bad_lines and informational
-    check(9, "Timing/traffic reported but never asserted", ok,
+    check(9, "Timing reported but never asserted", ok,
           f"bound keys clean={not bad_keys}, source clean={not bad_lines}, "
           f"informational labels present={informational}", started)

@@ -300,13 +300,28 @@ def test_run_seed_is_used_whole():
     draws = {cli._rng(cli.RunConfig(sim=SimParams(), seed=seed), "job").random()
              for seed in (0, 2**31)}
     assert len(draws) == 2
+    whole = cli.RunConfig(sim=SimParams(), seed=4.0).seed
+    assert whole == 4 and type(whole) is int
+    with pytest.raises(ValueError, match="seed must be a whole number, got 1.5"):
+        cli.RunConfig(sim=SimParams(), seed=1.5)
 
 
 # command, JSON text of the config or layout it reads, part of the error
 MALFORMED_INPUTS = {
     "config-not-object": ("table", "[1, 2]", 'whose "sim" is an object'),
     "config-sim-not-object": ("table", '{"sim": 5}', 'whose "sim" is an object'),
-    "config-value-type": ("table", '{"sim": {"n": null}}', "NoneType"),
+    # a value of the wrong type names its field; it used to report only int()'s
+    # "... not 'NoneType'" or float()'s message
+    "config-value-type": ("table", '{"sim": {"n": null}}', "n must be a whole number, got None"),
+    "config-noise-list": ("table", '{"sim": {"noise_stddev": [1]}}',
+                          "noise_stddev must be a number, got [1]"),
+    "config-noise-string": ("table", '{"sim": {"noise_stddev": "abc"}}',
+                            "noise_stddev must be a number, got 'abc'"),
+    "config-noise-huge": ("table", '{"sim": {"noise_stddev": 1%s}}' % ("0" * 400),
+                          "noise_stddev must be a number, got 1000"),
+    "layout-list-n2": ("pack", '{"stages": [{"kind": "imgpair", "n1": "8", "n2": [4]}]}',
+                       "layout stage 0 (imgpair) has a field of the wrong type: "
+                       "imgpair length n2 must be a whole number, got [4]"),
     "layout-not-object": ("pack", "[1, 2]", '"stages" list'),
     "layout-stages-not-list": ("pack", '{"stages": {"a": 1}}', '"stages" list'),
     "layout-entry-not-object": ("pack", '{"stages": [{"kind": "imgpair", "n1": 4, "n2": 4}, 7]}',
@@ -595,6 +610,21 @@ def test_table_shares_small(tmp_path, monkeypatch):
     rows = read_csv(tmp_path / "shares.csv")
     assert [r["parties"] for r in rows] == ["3", "4", "5", "6", "7", "8", "8*"]
     assert [int(r["degree"]) for r in rows][:6] == [96, 128, 160, 192, 224, 256]
+
+
+@pytest.mark.parametrize("name, n", [("bitstack", 256), ("crtstack", 256), ("combine", 2048),
+                                     ("shares", 256)])
+def test_table_functions_print_nothing(name, n, capsys):
+    # the runners used to time themselves and print 12 wall-clock lines per pass
+    cli.TABLES[name](cli.RunConfig(sim=SimParams(n=n)))
+    assert capsys.readouterr().out == ""
+
+
+def test_table_prints_one_timing_line(tmp_path, capsys):
+    assert run("table", "--name", "bitstack", "--n", 256, "--output-dir", tmp_path) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "wall_clock_s=" in line]
+    assert len(lines) == 1 and lines[0].startswith("# table bitstack: wall_clock_s=")
+    assert lines[0].endswith(" (informational, never asserted)")
 
 
 def test_selftest_passes(capsys):

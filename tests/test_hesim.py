@@ -429,6 +429,16 @@ def test_params_validation():
         SimParams(max_level=-1)
 
 
+@pytest.mark.parametrize("name", ["n", "max_level", "seed"])
+def test_params_take_whole_numbers_only(name):
+    # max_level=2.5 used to run levels 2.5 -> 1.5, n=4.0 failed on `&` and
+    # seed=1.5 inside numpy; only config files had their values cast
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got 2.5$"):
+        SimParams(**{name: 2.5})
+    value = getattr(SimParams(**{name: 4.0}), name)
+    assert value == 4 and type(value) is int
+
+
 def test_params_seed_is_used_whole():
     # a masked seed drew 2**31's noise for seed 0 and wrapped negative seeds
     draws = [SimParams(seed=seed).rng.standard_normal() for seed in (0, 2**31, 2**32)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modpack.fitting import fit_modp
-from modpack.hesim import SimParams, decrypt, encrypt
+from modpack.hesim import OpStats, SimParams, decrypt, encrypt
 from modpack.psev import eval_plan
 from modpack.roundshare import (ReconstructNode, ShareSet, build_comp_plan,
                                 ceil_he, floor_he, round_he,
@@ -219,6 +219,16 @@ def test_shares_interval_overflow_rejected():
         shares_to_ct(cts, plan)
 
 
+def test_empty_share_list_rejected():
+    # shares_to_ct checks the list before it builds its one node, which
+    # would otherwise report a node without children
+    plan = share_plan(16, 2)
+    with pytest.raises(ValueError, match="^need at least one share ciphertext$"):
+        shares_to_ct([], plan)
+    with pytest.raises(ValueError, match="^need at least one share ciphertext$"):
+        shares_to_ct_tree([], ReconstructNode((0,), plan))
+
+
 def test_tree_reconstruction_error_and_ordering():
     rng = np.random.default_rng(1)
     shares = ShareSet(16, tuple(rng.integers(0, 16, 64) for _ in range(8)))
@@ -304,9 +314,9 @@ def test_tree_node_interval_overflow_rejected():
         shares_to_ct_tree(cts, ReconstructNode((0, 1, 2), two_party))
     # The same check runs at every node, not only at the root.
     leaf = share_plan(16, 1, D=40)
-    root = ReconstructNode((ReconstructNode((0,), leaf), ReconstructNode((1, 2), leaf)),
-                           fit_modp(16, 30, 128))
     with pytest.raises(ValueError, match="cannot hold a 2-party sum"):
+        root = ReconstructNode((ReconstructNode((0,), leaf), ReconstructNode((1, 2), leaf)),
+                               fit_modp(16, 30, 128))
         shares_to_ct_tree(cts, root)
 
 
@@ -315,15 +325,52 @@ def test_tree_with_mixed_moduli_rejected():
     # to 30: these shares of 0 used to decode to 3.4e21 without an error.
     cts = [enc([v]) for v in (7.0, 8.0, 0.0, 1.0)]
     child = share_plan(16, 2)
-    node = ReconstructNode((ReconstructNode((0, 1), child), ReconstructNode((2, 3), child)),
-                           fit_modp(4, 6, 24))
     with pytest.raises(ValueError, match="modulo 16 sits under a node reducing modulo 4"):
+        node = ReconstructNode((ReconstructNode((0, 1), child), ReconstructNode((2, 3), child)),
+                               fit_modp(4, 6, 24))
         shares_to_ct_tree(cts, node)
 
 
 def test_tree_node_without_children_rejected():
     cts = [enc([3.0])]
     plan = share_plan(16, 2)
-    node = ReconstructNode((0, ReconstructNode((), plan)), plan)
     with pytest.raises(ValueError, match="has no children"):
+        node = ReconstructNode((0, ReconstructNode((), plan)), plan)
         shares_to_ct_tree(cts, node)
+
+
+LEAF, TWO_PARTY = share_plan(16, 1, D=40), share_plan(16, 2)
+
+# a tree whose first subtree is valid and whose later part is not, and its message
+INVALID_TREES = {
+    "overflow": (lambda: ReconstructNode((ReconstructNode((0,), LEAF),
+                                          ReconstructNode((1, 2, 3), TWO_PARTY)), TWO_PARTY),
+                 "cannot hold a 3-party sum"),
+    "mixed-moduli": (lambda: ReconstructNode((ReconstructNode((0, 1), TWO_PARTY),
+                                              ReconstructNode((2, 3), TWO_PARTY)),
+                                             fit_modp(4, 6, 24)),
+                     "modulo 16 sits under a node reducing modulo 4"),
+    "no-children": (lambda: ReconstructNode((ReconstructNode((0, 1, 2, 3), share_plan(16, 4)),
+                                             ReconstructNode((), TWO_PARTY)), TWO_PARTY),
+                    "has no children"),
+}
+
+
+@pytest.mark.parametrize("build, message", INVALID_TREES.values(), ids=INVALID_TREES.keys())
+def test_invalid_tree_raises_when_made(build, message):
+    # Each node used to be checked only when the walk reached it: the valid
+    # first subtree was evaluated (18 ct x ct multiplications for "overflow")
+    # before the second one failed.
+    with pytest.raises(ValueError, match=message):
+        build()
+    params = SimParams(n=64)
+    cts = [encrypt([v], params) for v in (1.0, 2.0, 3.0, 4.0)]
+    with pytest.raises(ValueError, match=message):
+        shares_to_ct_tree(cts, build())
+    assert params.stats == OpStats()
+
+
+def test_tree_children_must_be_an_array():
+    # a string used to be read as indices: "01" reconstructed parties 0 and 1
+    with pytest.raises(TypeError, match="children must be an array, got '01'"):
+        ReconstructNode("01", share_plan(16, 2))
