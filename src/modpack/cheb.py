@@ -37,11 +37,11 @@ class ChebSeries:
         coeffs = np.array(self.coeffs, dtype=float, ndmin=1)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coeffs must be a non-empty 1-d sequence")
-        if not self.domain_upper > 0:
-            raise ValueError(f"domain_upper must be positive, got {self.domain_upper}")
+        object.__setattr__(self, "domain_upper", float(self.domain_upper))
+        if not 0 < self.domain_upper < np.inf:
+            raise ValueError(f"domain_upper must be positive and finite, got {self.domain_upper}")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "domain_upper", float(self.domain_upper))
 
     @property
     def degree(self) -> int:

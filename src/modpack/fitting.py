@@ -51,6 +51,8 @@ class StepSpec:
     D: int
 
     def __post_init__(self):
+        object.__setattr__(self, "B", _whole(self.B, "B"))
+        object.__setattr__(self, "D", _whole(self.D, "D"))
         samples = tuple((_whole(x, "sample abscissa"), float(y)) for x, y in self.samples)
         xs = [x for x, _ in samples]
         if len(set(xs)) != len(xs):
@@ -67,9 +69,9 @@ class ModPlan:
     """A fitted, scaled approximation ready for homomorphic evaluation.
 
     delta * eval_clenshaw(series, i) reproduces the target value at every
-    sample point i up to `residual`.  D is the series degree, delta is
-    finite and positive, and every coefficient is finite and below 1 in
-    magnitude.  For mod fits `p` is the modulus; step fits carry p = None.
+    sample point i up to `residual`.  D is the series degree, B its
+    interval bound, delta is finite and positive, and every coefficient is
+    finite and below 1 in magnitude.  For mod fits `p` is the modulus; step fits carry p = None.
     A plan is an immutable value that compares and hashes by identity, so
     one plan may be shared by every caller of its fit key.
     """
@@ -82,6 +84,13 @@ class ModPlan:
     series: ChebSeries
 
     def __post_init__(self):
+        for name in ("B", "D") if self.p is None else ("p", "B", "D"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
+        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "residual", float(self.residual))
+        if self.series.domain_upper != self.B:
+            raise ValueError(f"series interval [0, {self.series.domain_upper}] is not the plan "
+                             f"interval [0, {self.B}]")
         if self.D != self.series.degree:
             raise ValueError(f"D={self.D} does not match the series degree {self.series.degree}")
         if not 0 < self.delta < np.inf:
@@ -149,10 +158,10 @@ def _fit(spec: StepSpec, delta: float | None, p: int | None) -> ModPlan:
         delta = suggest_delta(alpha)
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    series = ChebSeries(alpha / delta, float(spec.B))
+    series = ChebSeries(alpha / delta, spec.B)
     xs = np.array([x for x, _ in spec.samples], dtype=float)
-    residual = float(np.max(np.abs(delta * eval_clenshaw(series, xs) - y)))
-    return ModPlan(p=p, B=spec.B, D=spec.D, delta=float(delta), residual=residual, series=series)
+    residual = np.max(np.abs(delta * eval_clenshaw(series, xs) - y))
+    return ModPlan(p=p, B=spec.B, D=spec.D, delta=delta, residual=residual, series=series)
 
 
 def fit_step(spec: StepSpec, delta: float | None = None) -> ModPlan:
@@ -194,15 +203,8 @@ def plan_to_dict(plan: ModPlan) -> dict:
 
 
 def plan_from_dict(d: dict) -> ModPlan:
-    series = ChebSeries(np.array(d["coeffs"], dtype=float), float(d["B"]))
-    return ModPlan(
-        p=d["p"] if d["p"] is None else _whole(d["p"], "p"),
-        B=_whole(d["B"], "B"),
-        D=_whole(d["D"], "D"),
-        delta=float(d["delta"]),
-        residual=float(d["residual"]),
-        series=series,
-    )
+    return ModPlan(d["p"], d["B"], d["D"], d["delta"], d["residual"],
+                   ChebSeries(np.array(d["coeffs"], dtype=float), d["B"]))
 
 
 def save_plan(plan: ModPlan, path):

@@ -70,7 +70,7 @@ def vec_unpack(ct: SlotCiphertext, sizes) -> list[SlotCiphertext]:
     if sum(sizes) > ct.params.n:
         raise CapacityError(f"sizes occupy {sum(sizes)} slots, only {ct.params.n} available")
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    rotated = rotate_batch(ct, [int(s) for s in starts])
+    rotated = rotate_batch(ct, starts)
     # A short plaintext operand zero-pads to the slot count, so np.ones(size)
     # is exactly the mask with d_i leading ones.
     return [r_ct * np.ones(size) for r_ct, size in zip(rotated, sizes)]
@@ -154,8 +154,11 @@ class ImgPairStage:
     plans = ()  # a class attribute, not a field: pairing fits no plans
 
     def __post_init__(self):
-        object.__setattr__(self, "n1", _whole(self.n1, "imgpair length n1"))
-        object.__setattr__(self, "n2", _whole(self.n2, "imgpair length n2"))
+        for name in ("n1", "n2"):
+            n = _whole(getattr(self, name), f"imgpair length {name}")
+            if n < 0:
+                raise ValueError(f"imgpair length {name} must be non-negative, got {n}")
+            object.__setattr__(self, name, n)
 
     def pack(self, vectors) -> list[np.ndarray]:
         out = []
@@ -275,9 +278,7 @@ def bitstack_unpack(ct: SlotCiphertext, layout: BitStackLayout) -> list[SlotCiph
     costs i evaluations' worth of depth and the final layer costs none.
     """
     d = len(layout.radices)
-    if d == 1:
-        return [ct]
-    if not layout.plans:
+    if len(layout.plans) < d - 1:
         raise ValueError("layout carries no plans; unpacking needs one per layer boundary")
     outs = []
     x = ct

@@ -56,6 +56,8 @@ class PsSchedule:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _whole(self.k, "k"))
+        object.__setattr__(self, "m", _whole(self.m, "m"))
         if self.k < 1 or self.m < 1:
             raise ValueError("k and m must be positive")
 
@@ -74,7 +76,7 @@ def plan_schedule(D: int) -> PsSchedule:
     if D < 1:
         raise ValueError(f"degree must be at least 1, got {D}")
     k = max(1, round(math.sqrt(D / 2.0)))
-    target = 1 if D <= 1 else 1 << math.ceil(math.log2(D))
+    target = 1 << math.ceil(math.log2(D))
     m = 1
     while k * ((1 << m) - 1) < target:
         m += 1

@@ -140,6 +140,8 @@ class ReconstructNode:
         children = tuple(c if isinstance(c, ReconstructNode) else _whole(c, "party index")
                          for c in _array(self.children, "children"))
         object.__setattr__(self, "children", children)
+        if self.plan.p is None:
+            raise ValueError("a reconstruction node needs a mod plan, got a step plan (p=None)")
         p, B, needed = self.plan.p, self.plan.B, len(children) * (self.plan.p - 1)
         if not children:
             raise ValueError(f"reconstruction node with plan ModP(x,{p}) on [0, {B}] "

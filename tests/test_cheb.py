@@ -100,6 +100,12 @@ def test_series_validation():
     assert ChebSeries([1.0, 2.0, 3.0], 4.0).degree == 2
 
 
+def test_series_rejects_an_infinite_interval():
+    # eval_clenshaw used to map every x to -1 and return the series' value there
+    with pytest.raises(ValueError, match="domain_upper must be positive and finite, got inf"):
+        ChebSeries([1.0, 2.0], np.inf)
+
+
 def test_series_owns_read_only_coefficients():
     a = np.array([0.1, 0.2, 0.3])
     s = ChebSeries(a, 1.0)

@@ -348,6 +348,9 @@ MALFORMED_INPUTS = {
                                 "radix must be a whole number, got 4.9"),
     "layout-fractional-n1": ("pack", '{"stages": [{"kind": "imgpair", "n1": 2.5, "n2": 2}]}',
                              "imgpair length n1 must be a whole number, got 2.5"),
+    # a negative length used to build and die inside numpy's unpack
+    "layout-negative-n1": ("pack", '{"stages": [{"kind": "imgpair", "n1": -1, "n2": 2}]}',
+                           "imgpair length n1 must be non-negative, got -1"),
     "plan-fractional-B": ("plan", '{"coeffs": [0.5], "p": 3, "B": 2.5, "D": 0, "delta": 1.0, '
                           '"residual": 0.0}', "input.json: B must be a whole number, got 2.5"),
     # strings where an array belongs: each used to be read digit by digit, as

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from modpack import fitting
-from modpack.cheb import cheb_T, eval_clenshaw, map_to_unit
-from modpack.fitting import (RankDeficientError, StepSpec,
+from modpack.cheb import ChebSeries, cheb_T, eval_clenshaw, map_to_unit
+from modpack.fitting import (ModPlan, RankDeficientError, StepSpec,
                              build_system, default_delta, fit_modp, fit_step,
                              load_plan, plan_from_dict, plan_to_dict, save_plan,
                              solve_min_norm, suggest_delta)
@@ -166,6 +166,46 @@ def test_step_spec_validation():
         StepSpec(((0, 1.0), (1, 2.0), (2, 0.0)), 5, 1)  # degree too small
     with pytest.raises(ValueError, match="sample abscissa must be a whole number, got 0.6"):
         StepSpec(((0.6, 1.0), (1.4, 0.0)), 3, 4)  # used to truncate to abscissae 0 and 1
+
+
+def test_step_spec_takes_whole_floats_and_rejects_fractions():
+    # D=45.0 used to die inside numpy's chebvander ("deg must be an integer")
+    plan = fit_step(modp_spec(4, 29, 45.0))
+    assert (plan.B, plan.D) == (29, 45) and type(plan.D) is int
+    assert np.array_equal(plan.series.coeffs, fit_modp(4, 29, 45).series.coeffs)
+    # B=29.5 used to fit a plan with B == 29.5 that load_plan then rejected
+    with pytest.raises(ValueError, match="B must be a whole number, got 29.5"):
+        StepSpec(tuple((i, float(i % 4)) for i in range(30)), 29.5, 45)
+
+
+def test_step_plan_round_trips_through_a_plan_file(tmp_path):
+    plan = fit_step(StepSpec(tuple((i, float(i % 4)) for i in range(30)), 29.0, 45.0))
+    assert (type(plan.B), type(plan.D)) == (int, int)
+    save_plan(plan, tmp_path / "step.json")
+    loaded = load_plan(tmp_path / "step.json")
+    assert (loaded.p, loaded.B, loaded.D) == (None, 29, 45)
+    assert np.array_equal(loaded.series.coeffs, plan.series.coeffs)
+    assert loaded.delta == plan.delta and loaded.residual == plan.residual
+
+
+def test_plan_casts_its_own_fields():
+    fit = fit_modp(4, 29, 45)
+    plan = ModPlan("4", 29.0, 45.0, 100, fit.residual, fit.series)
+    assert (plan.p, plan.B, plan.D, plan.delta) == (4, 29, 45, 100.0)
+    assert [type(v) for v in (plan.p, plan.B, plan.D, plan.delta)] == [int, int, int, float]
+
+
+@pytest.mark.parametrize("p,B,upper,message", [
+    (4.5, 29, 29.0, "p must be a whole number, got 4.5"),
+    (4, 29.5, 29.5, "B must be a whole number, got 29.5"),
+    # The Clenshaw reference used to read 0, 0.283, 1.145, 0.468 at x = 0..3
+    # while eval_plan, mapping over [0, B], decoded 0, 1, 2, 3.
+    (4, 29, 60.0, r"series interval \[0, 60.0\] is not the plan interval \[0, 29\]"),
+])
+def test_plan_rejects_fractional_counts_and_a_series_over_another_interval(p, B, upper, message):
+    fit = fit_modp(4, 29, 45)
+    with pytest.raises(ValueError, match=message):
+        ModPlan(p, B, 45, fit.delta, fit.residual, ChebSeries(fit.series.coeffs, upper))
 
 
 def test_serialization_round_trip(tmp_path):

@@ -204,6 +204,16 @@ def test_degree_overflow_rejected():
         eval_at(np.ones(8), 0.5, sched)
 
 
+def test_schedule_takes_whole_floats_and_rejects_fractions():
+    # k=3.0 used to fail inside numpy at evaluation; k=2.5 had capacity 17.5
+    sched = PsSchedule(3.0, 3)
+    assert (sched.k, sched.m) == (3, 3) and type(sched.k) is int
+    assert np.allclose(eval_at(np.full(8, 0.1), 0.5, sched),
+                       eval_at(np.full(8, 0.1), 0.5, PsSchedule(3, 3)))
+    with pytest.raises(ValueError, match="k must be a whole number, got 2.5"):
+        PsSchedule(2.5, 3)
+
+
 def test_mul_by_int_additively():
     params = SimParams(n=4)
     ct = encrypt([3.0], params)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from modpack.fitting import fit_modp
+from modpack.fitting import StepSpec, fit_modp, fit_step
 from modpack.hesim import OpStats, SimParams, decrypt, encrypt
 from modpack.psev import eval_plan
 from modpack.roundshare import (ReconstructNode, ShareSet, build_comp_plan,
@@ -340,6 +340,7 @@ def test_tree_node_without_children_rejected():
 
 
 LEAF, TWO_PARTY = share_plan(16, 1, D=40), share_plan(16, 2)
+STEP = fit_step(StepSpec(tuple((i, float(i % 16)) for i in range(31)), 30, 40))
 
 # a tree whose first subtree is valid and whose later part is not, and its message
 INVALID_TREES = {
@@ -353,6 +354,10 @@ INVALID_TREES = {
     "no-children": (lambda: ReconstructNode((ReconstructNode((0, 1, 2, 3), share_plan(16, 4)),
                                              ReconstructNode((), TWO_PARTY)), TWO_PARTY),
                     "has no children"),
+    # a step plan used to fail with "unsupported operand type(s) for -: 'NoneType'"
+    "step-plan": (lambda: ReconstructNode((ReconstructNode((0, 1), TWO_PARTY),
+                                           ReconstructNode((2, 3), STEP)), TWO_PARTY),
+                  r"needs a mod plan, got a step plan \(p=None\)"),
 }
 
 
