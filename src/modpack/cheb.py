@@ -20,6 +20,14 @@ class DomainError(ValueError):
     """Raised when an evaluation point lies outside the supported interval."""
 
 
+def _number(value, name: str) -> float:
+    """float(value), or float()'s error type with a message naming `name` and the value."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # None, [1], "abc", 10**400
+        raise type(exc)(f"{name} must be a number, got {value!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class ChebSeries:
     """A finite Chebyshev expansion sum_i coeffs[i] * T_i over [0, domain_upper].
@@ -37,7 +45,7 @@ class ChebSeries:
         coeffs = np.array(self.coeffs, dtype=float, ndmin=1)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coeffs must be a non-empty 1-d sequence")
-        object.__setattr__(self, "domain_upper", float(self.domain_upper))
+        object.__setattr__(self, "domain_upper", _number(self.domain_upper, "domain_upper"))
         if not 0 < self.domain_upper < np.inf:
             raise ValueError(f"domain_upper must be positive and finite, got {self.domain_upper}")
         coeffs.flags.writeable = False

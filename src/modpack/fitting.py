@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cheb import ChebSeries, eval_clenshaw, map_to_unit
+from .cheb import ChebSeries, _number, eval_clenshaw, map_to_unit
 
 # Acceptable worst-case equation residual for a successful solve.
 SOLVE_RESID_LIMIT = 1e-8
@@ -86,8 +86,8 @@ class ModPlan:
     def __post_init__(self):
         for name in ("B", "D") if self.p is None else ("p", "B", "D"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "residual", float(self.residual))
+        for name in ("delta", "residual"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         if self.series.domain_upper != self.B:
             raise ValueError(f"series interval [0, {self.series.domain_upper}] is not the plan "
                              f"interval [0, {self.B}]")
@@ -217,5 +217,5 @@ def load_plan(path) -> ModPlan:
         return plan_from_dict(json.loads(Path(path).read_text()))
     except KeyError as exc:
         raise ValueError(f"plan file {path} has no {exc} field") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"plan file {path}: {exc}") from exc

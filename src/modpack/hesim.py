@@ -12,10 +12,13 @@ distribution of t independent per-term draws' sum, at one draw's cost.
 
 Slots are stored as float64 while every slot is real, which halves the
 bytes each op moves, and as complex128 once a complex message, a complex
-operand or a noisy multiplication makes them complex; they never turn
-back.  Only `encrypt`, `SlotCiphertext._operand` and `lincomb` pick a
-dtype; every other op follows numpy's promotion, and `decrypt` always
-returns complex128.
+operand or a noisy multiplication makes them complex.  They turn back in
+one place: a noise-off multiplication whose complex result has no nonzero
+imaginary part stores it as float64, as the conjugate trick's masks leave
+ImgPair's unpacked halves.  Additions, rotations and conjugations never
+narrow, and a noise-on result stays complex.  Only `encrypt`,
+`SlotCiphertext._operand`, `lincomb` and that narrowing pick a dtype; every
+other op follows numpy's promotion, and `decrypt` always returns complex128.
 
 SimParams alone holds and checks the simulator's settings; a CLI config overrides them by key.
 """
@@ -27,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cheb import _number
 from .fitting import _whole
 
 
@@ -72,10 +76,7 @@ class SimParams:
     def __post_init__(self):
         for name in ("n", "max_level", "seed"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
-        try:
-            object.__setattr__(self, "noise_stddev", float(self.noise_stddev))
-        except (TypeError, ValueError, OverflowError) as exc:  # [1], "abc", 10**400
-            raise type(exc)(f"noise_stddev must be a number, got {self.noise_stddev!r}") from None
+        object.__setattr__(self, "noise_stddev", _number(self.noise_stddev, "noise_stddev"))
         if self.n < 1 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"slot count must be a power of two, got {self.n}")
         if self.max_level < 0:
@@ -92,7 +93,8 @@ class SimParams:
 class SlotCiphertext:
     """Immutable simulated ciphertext: n slots and a remaining level.
 
-    `slots` is float64 while every slot is real and complex128 otherwise.
+    `slots` is float64 while every slot is real and complex128 otherwise;
+    a noise-off multiplication with real results narrows back to float64.
     """
 
     slots: np.ndarray
@@ -127,7 +129,9 @@ class SlotCiphertext:
         The result sits at the lowest level of self and a ciphertext
         `other`.  count names the OpStats counter the op adds to (None adds
         to none); "mults" is a multiplication, which spends one level,
-        draws noise and counts as ct_mults or plain_mults by its operand.
+        draws noise, or with the noise off narrows a complex result with no
+        imaginary part to float64, and counts as ct_mults or plain_mults by
+        its operand.
         A sum of `terms` multiplications counts each and draws one noise
         vector scaled by sqrt(terms), distributed as the sum of a draw per
         term; `adds` more additions are counted with it.
@@ -143,6 +147,8 @@ class SlotCiphertext:
             if sigma > 0:
                 noise = self.params.rng.standard_normal(2 * slots.size)
                 slots = slots + sigma * math.sqrt(terms) * noise.view(complex)
+            elif slots.dtype == complex and not slots.imag.any():
+                slots = slots.real.copy()  # an exact product left no imaginary part
         stats = self.params.stats
         if count is not None:
             setattr(stats, count, getattr(stats, count) + terms)
@@ -234,13 +240,31 @@ def rotate(a: SlotCiphertext, i: int) -> SlotCiphertext:
     return a._op("rotations", np.roll(a.slots, -_whole(i, "rotation step")))
 
 
-def rotate_batch(a: SlotCiphertext, steps) -> list[SlotCiphertext]:
-    """Several rotations of the same ciphertext.
+def rotate_batch(a: SlotCiphertext, steps, sizes) -> list[SlotCiphertext]:
+    """Masked rotations of one ciphertext: output k is rotate(a, steps[k]) * np.ones(sizes[k]).
 
-    Stands in for hoisted rotation: the shared precomputation is not
-    modeled, but callers batch their steps here.
+    Each output holds the sizes[k] slots from steps[k] on (wrapping), then
+    zeros; it is built in one array, yet costs what the rotation and the mask
+    multiplication would: a rotation, a plaintext multiplication, one level
+    and the noise draw.  Stands in for hoisted rotation: the shared
+    precomputation is not modeled, but callers batch their steps here.
     """
-    return [a._op("rotations", np.roll(a.slots, -_whole(s, "rotation step"))) for s in steps]
+    n = a.params.n
+    steps = [_whole(s, "rotation step") % n for s in steps]
+    sizes = [_whole(m, "rotation size") for m in sizes]
+    if len(steps) != len(sizes):
+        raise ValueError(f"rotate_batch got {len(steps)} steps and {len(sizes)} sizes")
+    for m in sizes:
+        if not 0 <= m <= n:
+            raise ValueError(f"rotation size must be in [0, {n}], got {m}")
+    outs = []
+    for s, m in zip(steps, sizes):
+        slots = np.zeros(n, dtype=a.slots.dtype)
+        head = min(m, n - s)
+        slots[:head] = a.slots[s : s + head]
+        slots[head:m] = a.slots[: m - head]
+        outs.append(a._op("rotations", slots)._op("mults", slots))
+    return outs
 
 
 def conjugate(a: SlotCiphertext) -> SlotCiphertext:

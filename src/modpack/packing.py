@@ -65,15 +65,13 @@ def vec_pack(vectors, sizes) -> np.ndarray:
 def vec_unpack(ct: SlotCiphertext, sizes) -> list[SlotCiphertext]:
     """Split a ciphertext concatenating messages of lengths `sizes`; costs one level.
 
-    All d rotations of the same input go through a single rotate_batch call.
+    Output i is the input rotated to its message's start and masked to its
+    length, all d of them from a single rotate_batch call.
     """
     if sum(sizes) > ct.params.n:
         raise CapacityError(f"sizes occupy {sum(sizes)} slots, only {ct.params.n} available")
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    rotated = rotate_batch(ct, starts)
-    # A short plaintext operand zero-pads to the slot count, so np.ones(size)
-    # is exactly the mask with d_i leading ones.
-    return [r_ct * np.ones(size) for r_ct, size in zip(rotated, sizes)]
+    return rotate_batch(ct, starts, sizes)
 
 
 @dataclass(frozen=True)

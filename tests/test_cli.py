@@ -333,8 +333,15 @@ MALFORMED_INPUTS = {
     "layout-missing-field": ("pack", '{"stages": [{"kind": "imgpair", "n1": 4, "n2": 4}, '
                              '{"kind": "concat"}]}', "layout stage 1 has no 'groups' field"),
     # "plan": the text is a plan file that a crt layout stage names
+    # a float field names itself and its value, as the whole fields do
     "plan-field-type": ("plan", '{"coeffs": [0.5], "p": 3, "B": null, "D": 0, "delta": 1.0, '
-                        '"residual": 0.0}', "input.json: float() argument"),
+                        '"residual": 0.0}', "input.json: domain_upper must be a number, got None"),
+    "plan-delta-string": ("plan", '{"coeffs": [0.5], "p": 3, "B": 14, "D": 0, "delta": "abc", '
+                          '"residual": 0.0}', "input.json: delta must be a number, got 'abc'"),
+    # float() overflows here: an OverflowError, which exits 2 like the rest
+    "plan-residual-huge": ("plan", '{"coeffs": [0.5], "p": 3, "B": 14, "D": 0, "delta": 1.0, '
+                           '"residual": 1%s}' % ("0" * 400),
+                           "input.json: residual must be a number, got 1000"),
     "config-noise-nan": ("table", '{"sim": {"noise_stddev": NaN}}',
                          "noise_stddev must be finite and non-negative, got nan"),
     "config-negative-seed": ("table", '{"seed": -1}', "seed must be non-negative, got -1"),

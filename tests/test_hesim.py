@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ def _real_ct(params=P8):
     lambda a: a + a, lambda a: a - 2.0, lambda a: 3 - a, lambda a: -a, lambda a: a * a,
     lambda a: a * 0.5, lambda a: np.float64(2.0) * a, lambda a: a * np.int64(3),
     lambda a: a * np.ones(3), lambda a: a + [1, 2], lambda a: rotate(a, 3),
-    lambda a: rotate_batch(a, [1])[0], lambda a: conjugate(a),
+    lambda a: rotate_batch(a, [1], [5])[0], lambda a: conjugate(a),
     lambda a: next(lincomb([a, a * 2.0], [[1.0, -1.0]], [0.5])),
 ], ids=["add", "sub_scalar", "rsub", "neg", "mul_ct", "mul_scalar", "mul_np_float",
         "mul_np_int", "mul_vector", "add_list", "rotate", "rotate_batch", "conjugate", "lincomb"])
@@ -59,7 +61,7 @@ def test_real_ops_on_real_slots_stay_float64(op):
 
 
 @pytest.mark.parametrize("op", [
-    lambda a: a * 1j, lambda a: a + np.complex128(1.0), lambda a: a * np.complex64(2.0),
+    lambda a: a * 1j, lambda a: a + np.complex128(1.0), lambda a: a * np.complex64(2 - 1j),
     lambda a: a * np.array([1.0, 2j]), lambda a: a - [0j], lambda a: a + encrypt([1j], P8),
     lambda a: encrypt([1j], P8) * a, lambda a: conjugate(a + 1j),
     lambda a: next(lincomb([a, encrypt([1j], P8)], [[1.0, 1.0]], [0.0])),
@@ -73,6 +75,28 @@ def test_noisy_multiplication_makes_slots_complex128():
     a = _real_ct(SimParams(n=8, noise_stddev=1e-9, seed=1))
     assert (a + a).slots.dtype == np.float64  # additions draw no noise
     assert (a * 2.0).slots.dtype == (a * a).slots.dtype == np.complex128
+    # a product with no imaginary part narrows only with the noise off
+    assert (encrypt([1j], a.params) * 1j).slots.dtype == np.complex128
+
+
+@pytest.mark.parametrize("op", [
+    lambda a: a * np.complex64(2.0), lambda a: (a * 1j) * -1j, lambda a: a * encrypt([1 + 0j], P8),
+    lambda a: (a * 1j) * (a * 1j), lambda a: next(lincomb([a + 0j, a * 2.0], [[1.0, 3.0]], [0.5])),
+    lambda a: rotate_batch(a + 0j, [3], [8])[0],
+], ids=["mul_np_complex64", "mul_back", "ct_mul", "square_of_imaginary", "lincomb",
+        "rotate_batch"])
+def test_noise_off_products_without_imaginary_parts_narrow_to_float64(op):
+    out = op(_real_ct())
+    assert out.slots.dtype == np.float64 and out.slots.flags.owndata
+
+
+@pytest.mark.parametrize("op", [
+    lambda a: (a * 1j) * 1j + 0j, lambda a: a + 0j, lambda a: a - [0j], lambda a: -(a + 0j),
+    lambda a: rotate(a + 0j, 3), lambda a: conjugate(a + 0j),
+], ids=["add", "add_scalar", "sub_list", "neg", "rotate", "conjugate"])
+def test_only_multiplications_narrow(op):
+    out = op(_real_ct())
+    assert out.slots.dtype == np.complex128 and not out.slots.imag.any()
 
 
 def test_short_plaintexts_pad_like_explicit_zeros():
@@ -165,8 +189,9 @@ def test_rotate_takes_whole_steps_of_any_type():
     ct = encrypt([1, 2, 3, 4], SimParams(n=4))
     assert np.array_equal(decrypt(rotate(ct, np.int64(1))), [2, 3, 4, 1])
     assert np.array_equal(decrypt(rotate(ct, 2.0)), [3, 4, 1, 2])
-    got = rotate_batch(ct, [np.int64(1), 2.0, -1.0])
+    got = rotate_batch(ct, [np.int64(1), 2.0, -1.0], [4, 3.0, np.int64(2)])
     assert [decrypt(r)[0] for r in got] == [2, 3, 4]
+    assert [np.count_nonzero(r.slots) for r in got] == [4, 3, 2]
 
 
 def test_rotate_rejects_fractional_steps():
@@ -175,7 +200,7 @@ def test_rotate_rejects_fractional_steps():
     with pytest.raises(ValueError, match="rotation step must be a whole number, got 1.5"):
         rotate(ct, 1.5)
     with pytest.raises(ValueError, match="rotation step must be a whole number, got 0.9"):
-        rotate_batch(ct, [0.9, 2.0])
+        rotate_batch(ct, [0.9, 2.0], [4, 4])
     with pytest.raises(ValueError, match="rotation step must be a whole number, got nan"):
         rotate(ct, float("nan"))
     assert params.stats.rotations == 0
@@ -193,11 +218,61 @@ def test_rotate_group_law():
 
 @pytest.mark.parametrize("count", [1, 2, 16])
 def test_rotate_batch_matches_rotate(count):
+    # a full-width mask keeps every slot: the rotation, one level down
     rng = np.random.default_rng(2)
     ct = encrypt(rng.normal(size=8), P8)
     steps = [int(s) for s in rng.integers(-10, 10, count)]
-    for got, step in zip(rotate_batch(ct, steps), steps):
+    for got, step in zip(rotate_batch(ct, steps, [8] * count), steps):
         assert np.array_equal(got.slots, rotate(ct, step).slots)
+        assert got.level == ct.level - 1
+
+
+def _masked_rotations(slots, steps, sizes, sigma, batched):
+    """rotate_batch's outputs, or rotate(a, s) * np.ones(m)'s, with their params' stats."""
+    params = SimParams(n=slots.size, max_level=3, noise_stddev=sigma, seed=11)
+    a = encrypt(slots, params)
+    if batched:
+        outs = rotate_batch(a, steps, sizes)
+    else:
+        outs = [rotate(a, s) * np.ones(m) for s, m in zip(steps, sizes)]
+    return outs, params.stats
+
+
+def test_rotate_batch_is_a_masked_rotation():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 8, 64):
+        for cplx in (False, True):
+            slots = rng.normal(size=n) + (1j * rng.normal(size=n) if cplx else 0)
+            count = int(rng.integers(1, 6))
+            # negative steps, steps past n and every size from 0 to n
+            steps = [int(s) for s in rng.integers(-3 * n, 3 * n, count)] + [0, n - 1, -n]
+            sizes = [int(m) for m in rng.integers(0, n + 1, count)] + [n, 0, n]
+            for sigma in (0.0, 1e-6):
+                (got, got_stats), (want, want_stats) = (
+                    _masked_rotations(slots, steps, sizes, sigma, batched)
+                    for batched in (True, False))
+                assert got_stats == want_stats
+                assert got_stats.rotations == got_stats.plain_mults == len(steps)
+                for g, w in zip(got, want):
+                    assert g.level == w.level == 2
+                    assert g.slots.dtype == w.slots.dtype
+                    if sigma:  # the same noise draws: the same bytes
+                        assert g.slots.tobytes() == w.slots.tobytes()
+                    else:  # the same values; a masked -0.0 may be +0.0 here
+                        assert np.array_equal(g.slots, w.slots)
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ([-1], "rotation size must be in [0, 8], got -1"),
+    ([9], "rotation size must be in [0, 8], got 9"),
+    ([2.5], "rotation size must be a whole number, got 2.5"),
+    ([1, 2], "rotate_batch got 1 steps and 2 sizes"),
+])
+def test_rotate_batch_rejects_bad_sizes(sizes, message):
+    params = SimParams(n=8)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rotate_batch(encrypt(np.ones(8), params), [1], sizes)
+    assert params.stats == OpStats()
 
 
 def test_conjugate():
@@ -286,10 +361,10 @@ def test_stats_counters():
     _ = a * 2.0
     _ = a + a
     rotate(a, 1)
-    rotate_batch(a, [0, 1, 2])
+    rotate_batch(a, [0, 1, 2], [2, 2, 2])  # each masked rotation is also a plaintext mult
     conjugate(a)
-    assert stats.ct_mults == 1 and stats.plain_mults == 1
-    assert stats.mults == 2
+    assert stats.ct_mults == 1 and stats.plain_mults == 4
+    assert stats.mults == 5
     assert stats.adds == 1
     assert stats.rotations == 4
     assert stats.conjugations == 1
@@ -299,8 +374,9 @@ def test_stats_count_without_being_passed():
     params = SimParams(n=8)
     a = encrypt([1, 2], params)
     _ = a * a + a
-    rotate_batch(a, [1, 2])
+    rotate_batch(a, [1, 2], [8, 8])
     assert (params.stats.ct_mults, params.stats.adds, params.stats.rotations) == (1, 1, 2)
+    assert params.stats.plain_mults == 2
     # each SimParams counts on its own
     assert SimParams(n=8).stats.mults == 0
 
@@ -387,7 +463,8 @@ def test_lincomb_noise_is_fixed_by_the_seed():
 
 def test_lincomb_real_stack_matches_complex_stack():
     # The real product c @ stack and the complex one over interleaved parts
-    # give the same bits; the complex rows' imaginary parts stay zero.
+    # give the same bits; the complex rows' imaginary parts stay zero, so
+    # the noise-off rows narrow to float64.
     rng = np.random.default_rng(12)
     coeffs = rng.uniform(-1, 1, (6, 5))
     coeffs[coeffs < -0.6] = 0.0
@@ -400,9 +477,46 @@ def test_lincomb_real_stack_matches_complex_stack():
         cts = [encrypt(v.astype(dtype), params) for v in data]
         rows.append([(r.slots, r.level) for r in lincomb(cts, coeffs, consts)])
     for (real, real_level), (cplx, cplx_level) in zip(*rows):
-        assert real.dtype == np.float64 and cplx.dtype == np.complex128
-        assert real.tobytes() == cplx.real.copy().tobytes()
-        assert not cplx.imag.any() and real_level == cplx_level
+        assert real.dtype == cplx.dtype == np.float64
+        assert real.tobytes() == cplx.tobytes() and real_level == cplx_level
+
+
+def test_lincomb_complex_rows_match_the_per_term_operators():
+    # Slots with nonzero imaginary parts keep the rows complex128 with the
+    # noise off: the complex product over interleaved parts stays covered.
+    rng = np.random.default_rng(14)
+    coeffs = rng.uniform(-1, 1, (6, 5))
+    coeffs[coeffs < -0.6] = 0.0
+    coeffs[:, 2] = -0.5
+    consts = rng.uniform(-1, 1, 6)
+    consts[1] = 0.0
+    data = rng.normal(size=(5, 64)) + 1j * rng.normal(size=(5, 64))
+    runs = []
+    for batched in (True, False):
+        params = SimParams(n=64, max_level=4)
+        cts = []
+        for v, level in zip(data, (4, 2, 3, 4, 1)):
+            ct = encrypt(v, params)
+            while ct.level > level:
+                ct = ct * 1.0
+            cts.append(ct)
+        before = OpStats(**vars(params.stats))
+        if batched:
+            rows = list(lincomb(cts, coeffs, consts))
+        else:
+            rows = []
+            for row, k in zip(coeffs, consts):
+                terms = [c * ct for c, ct in zip(row, cts) if c != 0.0]
+                total = sum(terms[1:], terms[0])
+                rows.append(total + k if k != 0.0 else total)
+        runs.append((rows, params.stats.plain_mults - before.plain_mults,
+                     params.stats.adds - before.adds))
+    (got, got_mults, got_adds), (want, want_mults, want_adds) = runs
+    assert (got_mults, got_adds) == (want_mults, want_adds)
+    for g, w in zip(got, want):
+        assert g.slots.dtype == w.slots.dtype == np.complex128
+        assert g.level == w.level
+        assert np.max(np.abs(g.slots - w.slots)) <= 1e-14
 
 
 def test_lincomb_exhausts_on_a_nonzero_level_zero_term():

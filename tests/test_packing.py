@@ -134,6 +134,17 @@ def test_img_round_trip_random():
         assert np.max(np.abs(decrypt(b)[:6] - bv)) <= 1e-12
 
 
+@pytest.mark.parametrize("sigma,dtype", [(0.0, np.float64), (1e-9, np.complex128)])
+def test_img_unpack_halves_are_real_slots_only_with_the_noise_off(sigma, dtype):
+    # the masks leave no imaginary part, so the exact products narrow; noisy ones cannot
+    rng = np.random.default_rng(4)
+    params = SimParams(n=16, noise_stddev=sigma, seed=2)
+    av, bv = rng.normal(size=10), rng.normal(size=6)
+    for half, want in zip(img_unpack(encrypt(img_pack(av, bv), params), 10, 6), (av, bv)):
+        assert half.slots.dtype == dtype
+        assert np.max(np.abs(decrypt(half)[: want.size] - want)) <= 1e-7
+
+
 # ---------------------------------------------------------------------------
 # BitStack
 # ---------------------------------------------------------------------------
