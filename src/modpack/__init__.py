@@ -12,7 +12,8 @@ from .packing import (BitStackLayout, ConcatStage, CrtBasis, ImgPairStage,
                       bitstack_pack, bitstack_unpack, crt_pack, crt_unpack,
                       img_pack, img_unpack, load_layout, pipeline_pack,
                       pipeline_unpack, save_layout, vec_pack, vec_unpack)
-from .psev import PsSchedule, compute_power_basis, eval_plan, eval_ps, plan_schedule
+from .psev import (PsSchedule, compute_power_basis, eval_plan, eval_plans, eval_ps,
+                   plan_schedule)
 from .roundshare import (ReconstructNode, ShareSet, build_comp_plan, ceil_he, floor_he,
                          round_he, share_plan, shares_to_ct, shares_to_ct_tree)
 

@@ -163,8 +163,9 @@ def _unpack(cfg: RunConfig, packed, layout: tuple, truths=None):
                              f"the layout unpacks length {size}")
     params = _fresh_params(cfg)
     outs = pipeline_unpack([encrypt(v, params) for v in packed], layout)
-    # Copies, so no full decrypted slot vector outlives its trimmed slice.
-    recovered = [decrypt(ct).real[:size].copy() for ct, size in zip(outs, sizes)]
+    # The decrypted values of the kept slots alone, copied from the slots:
+    # decrypt would copy all n of them as complex128 first.
+    recovered = [ct.slots[:size].real.copy() for ct, size in zip(outs, sizes)]
     res = {"levels": [ct.level for ct in outs], "stats": params.stats, "counts": counts[::-1]}
     if truths is not None:
         diffs = [np.abs(got - want) for got, want in zip(recovered, truths)]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .fitting import _whole, load_plan, save_plan
 from .hesim import SlotCiphertext, conjugate, rotate_batch
-from .psev import eval_plan, mul_by_int_additively
+from .psev import eval_plan, eval_plans, mul_by_int_additively
 
 # Packed integers live in double-precision slots; keep them exactly
 # representable with headroom.
@@ -348,14 +348,16 @@ def crt_pack(values, basis: CrtBasis) -> np.ndarray:
 
 
 def crt_unpack(ct: SlotCiphertext, basis: CrtBasis) -> list[SlotCiphertext]:
-    """Recover every residue layer from the same input ciphertext.
+    """Recover every residue layer from the same input ciphertext, in one eval_plans.
 
-    Layers are independent mod evaluations, so they consume identical depth
-    and their errors do not accumulate.
+    The layers share one domain map and one power basis per schedule, and
+    each runs its own plan's program over them, so they consume identical
+    depth and their approximation errors do not accumulate.  With the noise
+    on, the shared ops' noise is common to every layer.
     """
     if not basis.plans:
         raise ValueError("basis carries no plans; unpacking needs one per modulus")
-    return [eval_plan(ct, plan) for plan in basis.plans]
+    return eval_plans(ct, basis.plans)
 
 
 # ---------------------------------------------------------------------------

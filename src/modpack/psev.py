@@ -14,6 +14,11 @@ simulator is then exact complex arithmetic.
 
 The coefficient pass, a pure function of the immutable series and the
 schedule, runs once per series; a plan is scaled once per extra scale.
+Plans on one input share their work below the programs: eval_plans maps
+the input once and builds one power basis per distinct schedule, and each
+plan runs its own leaf product and walk over them, as a CRT unpack's
+residue layers do.  With the noise on, the shared map and basis carry
+noise common to every output, as they would on a real backend.
 
 Depth schedule.  The series is decomposed by repeated Chebyshev-basis
 long division against the precomputed powers T_{k*2^j}, resting on the
@@ -125,18 +130,23 @@ def _div_by_T(f: np.ndarray, N: int):
     return q, f[:N]
 
 
-def eval_ps(series: ChebSeries, u, sched: PsSchedule):
+def eval_ps(series: ChebSeries, u, sched: PsSchedule, bases=None):
     """Evaluate sum_i c_i T_i(u) on the ciphertext u, whose slots must live in [-1, 1].
 
     The series' source domain is the caller's concern: map x into u first
     (that mapping costs the one extra level).  The series is compiled for
     sched on its first evaluation; later ones only run the program.
+    Evaluations on one u that pass one dict `bases` share its power basis
+    per schedule: each computes into the dict only the basis it lacks.
     """
     tree, C = _memo(series, sched, lambda: _compile(series, sched))
     if C is None:
         # Constant polynomial: a zero ciphertext plus a constant, no mults.
         return (u - u) + tree
-    bs, gs = compute_power_basis(u, sched)
+    bases = {} if bases is None else bases
+    if sched not in bases:
+        bases[sched] = compute_power_basis(u, sched)
+    bs, gs = bases[sched]
     return _walk(tree, u, gs, lincomb(bs, C[:, 1:], C[:, 0]))
 
 
@@ -217,17 +227,36 @@ def mul_by_int_additively(e, c: int):
     return acc
 
 
-def eval_plan(x, plan: ModPlan, extra_scale: float = 1.0):
-    """Apply a fitted plan to the ciphertext x over its source interval [0, B].
+def eval_plans(x, plans, extra_scale: float = 1.0) -> list:
+    """Apply a sequence of fitted plans on one interval [0, B] to the ciphertext x, in plan order.
 
-    Maps u = 2x/B - 1 (one level), then evaluates
-    the series with its coefficients scaled by delta * extra_scale: the
+    Maps u = 2x/B - 1 once (one level) and builds one power basis of u per
+    distinct schedule; each plan then evaluates its series, coefficients
+    scaled by delta * extra_scale, with its own leaf product and walk: the
     leaves' plaintext multiplications apply the scale, so it never costs an
-    extra level.  Each finite extra_scale of a plan is scaled and compiled once.
+    extra level.  Each finite extra_scale of a plan is scaled and compiled
+    once.  With the noise off, each output is bit for bit what the plan
+    gives alone.
     """
+    if not plans:
+        raise ValueError("eval_plans needs at least one plan")
     if not math.isfinite(extra_scale):
         raise ValueError(f"extra_scale must be finite, got {extra_scale}")
-    series = _memo(plan, extra_scale, lambda: ChebSeries(
-        plan.series.coeffs * (plan.delta * extra_scale), plan.B))
-    u = x * (2.0 / plan.B) - 1.0
-    return eval_ps(series, u, plan_schedule(plan.D))
+    B = plans[0].B
+    for plan in plans:
+        if plan.B != B:
+            raise ValueError(f"plans on one input need one interval, "
+                             f"not [0, {B}] and [0, {plan.B}]")
+    u = x * (2.0 / B) - 1.0
+    bases = {}
+    outs = []
+    for plan in plans:
+        series = _memo(plan, extra_scale, lambda: ChebSeries(
+            plan.series.coeffs * (plan.delta * extra_scale), plan.B))
+        outs.append(eval_ps(series, u, plan_schedule(plan.D), bases))
+    return outs
+
+
+def eval_plan(x, plan: ModPlan, extra_scale: float = 1.0):
+    """Apply a fitted plan to the ciphertext x over its interval [0, B]: eval_plans of one."""
+    return eval_plans(x, (plan,), extra_scale)[0]

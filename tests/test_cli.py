@@ -622,6 +622,14 @@ def test_table_shares_small(tmp_path, monkeypatch):
     assert [int(r["degree"]) for r in rows][:6] == [96, 128, 160, 192, 224, 256]
 
 
+@pytest.mark.parametrize("name, n, count", [("crtstack", 256, 644), ("combine", 2 ** 15, 1386)])
+def test_table_mult_count_shares_one_basis_per_crt_unpack(name, n, count):
+    # A CRT unpack's three D=210 plans share one domain map and one power
+    # basis: 644 multiplications per unpack, where a basis per plan made 672.
+    rows, _ = cli.TABLES[name](cli.RunConfig(sim=SimParams(n=n)))
+    assert {row["mult_count"] for row in rows} == {count}
+
+
 @pytest.mark.parametrize("name, n", [("bitstack", 256), ("crtstack", 256), ("combine", 2048),
                                      ("shares", 256)])
 def test_table_functions_print_nothing(name, n, capsys):

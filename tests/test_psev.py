@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from modpack import psev
-from modpack.cheb import ChebSeries, cheb_T, clenshaw
+from modpack.cheb import ChebSeries, cheb_T, clenshaw, map_to_unit
 from modpack.hesim import LevelExhaustedError, OpStats, SimParams, decrypt, encrypt
 from modpack.psev import (DegreeOverflowError, PsSchedule, _degree, _div_by_T,
-                          compute_power_basis, eval_plan, eval_ps,
+                          compute_power_basis, eval_plan, eval_plans, eval_ps,
                           mul_by_int_additively, plan_schedule)
 from modpack.fitting import ModPlan, fit_modp, plan_from_dict, plan_to_dict
 
@@ -428,3 +428,57 @@ def test_eval_plan_rejects_non_finite_extra_scale():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="extra_scale must be finite"):
             eval_plan(ct, fresh_plan(), extra_scale=bad)
+
+
+def shared_b_plans():
+    """Plans on B=14: D=30 runs schedule (4,4) and D=40 schedule (4,5)."""
+    return [fit_modp(p, 14, D, 100.0) for D in (30, 40) for p in (2, 3, 5)]
+
+
+def _plans_run(plans, xs, sigma=0.0, seed=0, scale=1.0):
+    stats = OpStats()
+    params = SimParams(n=xs.size, max_level=12, noise_stddev=sigma, seed=seed, stats=stats)
+    return eval_plans(encrypt(xs, params), plans, scale), stats
+
+
+def test_eval_plans_share_map_and_basis_and_match_each_plan_alone():
+    # Random groups of equal and of mixed degrees: each output is bit for
+    # bit eval_plan of its plan alone, at its level, and agrees with
+    # Clenshaw; the group spends one map and one basis per schedule, where
+    # its plans alone spend one each.
+    rng = np.random.default_rng(9)
+    plans = shared_b_plans()
+    xs = np.linspace(0.0, 14.0, 16)
+    groups = [plans[:3], plans[3:], [plans[0], plans[4]]]
+    groups += [[plans[i] for i in rng.choice(6, size=int(rng.integers(1, 5)))] for _ in range(4)]
+    for group in groups:
+        scale = float(rng.choice([1.0, 0.5]))
+        outs, stats = _plans_run(group, xs, scale=scale)
+        alone = [_plans_run([plan], xs, scale=scale) for plan in group]
+        for plan, out, ((want,), _) in zip(group, outs, alone, strict=True):
+            assert out.slots.tobytes() == want.slots.tobytes() and out.level == want.level
+            ref = scale * plan.delta * clenshaw(plan.series.coeffs, map_to_unit(xs, 14))
+            assert np.max(np.abs(out.slots - ref)) <= 1e-8
+        # A basis of schedule (k, m) costs k - 1 + m - 1 ct x ct; a map, one
+        # plaintext multiplication.
+        scheds = [plan_schedule(plan.D) for plan in group]
+        shared = sum((scheds.count(s) - 1) * (s.k + s.m - 2) for s in set(scheds))
+        assert sum(st.ct_mults for _, st in alone) - stats.ct_mults == shared
+        assert sum(st.plain_mults for _, st in alone) - stats.plain_mults == len(group) - 1
+
+
+def test_eval_plans_noise_on_is_reproducible():
+    plans = shared_b_plans()
+    group = [plans[1], plans[5]]
+    xs = np.linspace(0.0, 14.0, 16)
+    first, second = (_plans_run(group, xs, sigma=1e-9, seed=4)[0] for _ in range(2))
+    for a, b in zip(first, second, strict=True):
+        assert a.slots.tobytes() == b.slots.tobytes() and a.level == b.level
+
+
+def test_eval_plans_rejects_an_empty_group_and_mixed_intervals():
+    ct = encrypt(np.arange(15.0), SimParams(n=16))
+    with pytest.raises(ValueError, match="at least one plan"):
+        eval_plans(ct, [])
+    with pytest.raises(ValueError, match=r"not \[0, 14\] and \[0, 29\]"):
+        eval_plans(ct, [shared_b_plans()[0], fit_modp(4, 29, 45, 100.0)])
