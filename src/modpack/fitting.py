@@ -22,6 +22,9 @@ from .cheb import ChebSeries, _number, eval_clenshaw, map_to_unit
 SOLVE_RESID_LIMIT = 1e-8
 # Automatic delta choice when the caller does not pin one.
 DELTA_HEADROOM = 0.5
+# Largest float64 sample matrix a fit may build: 128 MiB, about twice the
+# 67 MB of B=2047, D=4094, the largest fit measured to solve.
+MAX_SAMPLE_BYTES = 1 << 27
 
 
 class RankDeficientError(ValueError):
@@ -99,6 +102,14 @@ class ModPlan:
             raise ValueError("scaled coefficients must be finite and below 1; increase delta")
 
 
+def _refuse_oversized(rows: int, B: int, D: int):
+    """A ValueError, before anything is built, if the rows x (D+1) sample matrix is too large."""
+    size = rows * (D + 1) * 8
+    if size > MAX_SAMPLE_BYTES:
+        raise ValueError(f"the fit of B={B}, D={D} would build a {rows} x {D + 1} sample "
+                         f"matrix of {size} bytes, over the {MAX_SAMPLE_BYTES}-byte limit")
+
+
 def build_system(spec: StepSpec):
     """Sample matrix A[j, i] = T_i(map(x_j)) and target vector y for a StepSpec."""
     xs = np.array([x for x, _ in spec.samples], dtype=float)
@@ -166,6 +177,7 @@ def _fit(spec: StepSpec, delta: float | None, p: int | None) -> ModPlan:
 
 def fit_step(spec: StepSpec, delta: float | None = None) -> ModPlan:
     """Fit an arbitrary integer-point step function; returns a ModPlan-shaped artifact."""
+    _refuse_oversized(len(spec.samples), spec.B, spec.D)
     return _fit(spec, delta, p=None)
 
 
@@ -174,6 +186,7 @@ def fit_modp(p: int, B: int, D: int, delta: float | None = None) -> ModPlan:
 
     delta=None picks the smallest power of ten keeping coefficients below
     DELTA_HEADROOM.  p, B and D must be whole numbers (4.0 is taken as 4).
+    A system whose sample matrix exceeds MAX_SAMPLE_BYTES is refused first.
     A plan is a pure function of (p, B, D, delta), so fits are memoised:
     a repeated key returns the plan fitted first, and a rejected key raises
     on every call.
@@ -187,6 +200,7 @@ def _fit_modp(p: int, B: int, D: int, delta: float | None) -> ModPlan:
         raise ValueError(f"modulus must be at least 2, got {p}")
     if D <= B:
         raise ValueError(f"degree must exceed the interval bound (D={D}, B={B})")
+    _refuse_oversized(B + 1, B, D)
     samples = tuple((i, float(i % p)) for i in range(B + 1))
     return _fit(StepSpec(samples=samples, B=B, D=D), delta, p=p)
 

@@ -193,6 +193,10 @@ def _zero_padded(arr: np.ndarray, n: int) -> np.ndarray:
 def lincomb(cts, coeffs, consts):
     """Rows sum_i coeffs[r, i] * cts[i] + consts[r] of one matrix product over the cts' slots.
 
+    The cts' slots are copied into the rows of one operand of their promoted
+    dtype, above a last row of ones, and the consts ride as the coefficient
+    matrix's last column.  BLAS sums each output's terms in order, so the
+    const comes last: a row is bit for bit the cts' product plus the const.
     The product runs at once; the returned iterator yields the rows' ciphertexts
     in order, each built by `_op` only when taken, so a caller can interleave
     other ops and the noise is still drawn in evaluation order.  A row costs
@@ -208,10 +212,14 @@ def lincomb(cts, coeffs, consts):
     if not terms.all():
         raise ValueError(f"lincomb row {int(np.argmin(terms))} has no nonzero coefficient")
     lows = np.where(c != 0.0, [ct.level for ct in cts], np.inf).argmin(axis=1)
-    stack = np.stack([ct.slots for ct in cts])
-    # a complex stack runs as a real product over its interleaved parts
-    slots = (c @ stack.view(float)).view(complex) if np.iscomplexobj(stack) else c @ stack
-    slots += consts[:, None]
+    operand = np.empty((len(cts) + 1, cts[0].params.n),
+                       np.result_type(*(ct.slots.dtype for ct in cts)))
+    for row, ct in zip(operand, cts):
+        row[:] = ct.slots
+    operand[-1] = 1.0
+    c = np.column_stack((c, consts))
+    # a complex operand runs as a real product over its interleaved parts
+    slots = (c @ operand.view(float)).view(complex) if np.iscomplexobj(operand) else c @ operand
     return (cts[i]._op("mults", row, terms=t, adds=t - (k == 0.0))
             for i, row, t, k in zip(lows.tolist(), slots, terms.tolist(), consts.tolist()))
 

@@ -59,6 +59,15 @@ def test_fit_rejects_bad_degree(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fit_refuses_an_oversized_system(tmp_path, capsys):
+    # D = ceil(pi*B/2) at B=65535 would need a 65536 x 102944 float64 matrix
+    out = tmp_path / "plan.json"
+    assert run("fit", "--p", 16, "--B", 65535, "--D", 102943, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "B=65535, D=102943" in err and f"{65536 * 102944 * 8} bytes" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # pack / unpack
 # ---------------------------------------------------------------------------
@@ -578,6 +587,19 @@ def test_table_depth_small_n(tmp_path):
     assert [r["bitstack90"] for r in rows] == ["16", "7", "7"]
     assert [r["bitstack210"] for r in rows] == ["15", "5", "5"]
     assert [r["crtstack"] for r in rows] == ["15", "15", "15"]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-9])
+@pytest.mark.parametrize("runner", [lambda cfg: cli.run_bitstack(cfg, 90),
+                                    lambda cfg: cli.run_bitstack(cfg, 210), cli.run_crtstack],
+                         ids=["bitstack90", "bitstack210", "crtstack"])
+def test_one_slot_runs_spend_the_levels_and_ops_of_many_slot_runs(runner, sigma):
+    # The depth table reads its ledger off one-slot runs: a run's levels and
+    # op counts come from its plans' schedules alone, not from its slots.
+    one, many = (runner(cli.RunConfig(sim=SimParams(n=n, noise_stddev=sigma)))
+                 for n in (1, 256))
+    assert one["levels"] == many["levels"]
+    assert vars(one["stats"]) == vars(many["stats"])
 
 
 TIGHT_MODP = {D: 1e-30 for D in cli.MODP_DEGREES}

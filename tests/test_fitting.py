@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,3 +315,19 @@ def test_fit_memo_is_bounded():
     for D in range(3, size + 8):
         fit_modp(2, 1, D, 1.0)
     assert fitting._fit_modp.cache_info().currsize == size
+
+
+def test_fit_refuses_an_oversized_system_before_building_it():
+    # The limit admits B=2047, D=4094, the largest fit measured to solve;
+    # B=4095, D=4096 needs a 4096 x 4097 float64 matrix, just over it.
+    assert 2048 * 4095 * 8 <= fitting.MAX_SAMPLE_BYTES < 4096 * 4097 * 8
+    spec = StepSpec(tuple((i, 0.0) for i in range(4096)), 4095, 4096)
+    tracemalloc.start()
+    try:
+        for fit in (lambda: fit_modp(4, 4095, 4096), lambda: fit_step(spec)):
+            with pytest.raises(ValueError, match=f"B=4095, D=4096 .* {4096 * 4097 * 8} bytes"):
+                fit()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # nothing near the matrix's 134 MB was allocated

@@ -464,21 +464,36 @@ def test_lincomb_noise_is_fixed_by_the_seed():
 def test_lincomb_real_stack_matches_complex_stack():
     # The real product c @ stack and the complex one over interleaved parts
     # give the same bits; the complex rows' imaginary parts stay zero, so
-    # the noise-off rows narrow to float64.
+    # the noise-off rows narrow to float64.  Every row, over real, complex
+    # and mixed cts, is also bit for bit the two-pass reference: the
+    # product of the cts alone, then the consts added, zero and negative.
     rng = np.random.default_rng(12)
     coeffs = rng.uniform(-1, 1, (6, 5))
     coeffs[coeffs < -0.6] = 0.0
     coeffs[:, 0] = 0.25
     consts = rng.uniform(-1, 1, 6)
+    consts[1], consts[4] = 0.0, -2.5
     data = rng.normal(size=(5, 64))
-    rows = []
-    for dtype in (float, complex):
+    imag = rng.normal(size=(5, 64))
+    # in the mixed input the even cts, ct 0 of every row among them, are complex
+    mixed = [v + 1j * w if i % 2 == 0 else v for i, (v, w) in enumerate(zip(data, imag))]
+    inputs = {"real": data, "complex": data.astype(complex), "mixed": mixed}
+    rows = {}
+    for name, vectors in inputs.items():
         params = SimParams(n=64, max_level=4)
-        cts = [encrypt(v.astype(dtype), params) for v in data]
-        rows.append([(r.slots, r.level) for r in lincomb(cts, coeffs, consts)])
-    for (real, real_level), (cplx, cplx_level) in zip(*rows):
+        cts = [encrypt(v, params) for v in vectors]
+        stack = np.stack([ct.slots for ct in cts])
+        product = ((coeffs @ stack.view(float)).view(complex) if np.iscomplexobj(stack)
+                   else coeffs @ stack)
+        rows[name] = [(r.slots, r.level) for r in lincomb(cts, coeffs, consts)]
+        for (got, _), want in zip(rows[name], product + consts[:, None]):
+            if np.iscomplexobj(want) and not want.imag.any():
+                want = want.real  # an exact row with no imaginary part narrows
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    for (real, real_level), (cplx, cplx_level) in zip(rows["real"], rows["complex"]):
         assert real.dtype == cplx.dtype == np.float64
         assert real.tobytes() == cplx.tobytes() and real_level == cplx_level
+    assert {slots.dtype for slots, _ in rows["mixed"]} == {np.dtype(np.complex128)}
 
 
 def test_lincomb_complex_rows_match_the_per_term_operators():
