@@ -222,9 +222,17 @@ def run_combine2(cfg: RunConfig):
 
 
 def run_shares(cfg: RunConfig, parties: int, tree_split: int | None = None):
-    """Convert SHARE_BATCH additive Z_16 shares to a ciphertext, directly or as a tree."""
-    params = _fresh_params(cfg)
-    batch = min(SHARE_BATCH, params.n)
+    """Convert SHARE_BATCH additive Z_16 shares to a ciphertext, directly or as a tree.
+
+    The ciphertexts hold min(SHARE_BATCH, n) slots, the batch alone: a
+    conversion is slot-wise, so its noise-off result, levels and op counts
+    do not depend on n above the batch.  With the noise on, the noise is
+    drawn per slot of the batch, not of n slots as in earlier versions, so
+    for n > SHARE_BATCH noisy results differ from theirs in value but not
+    in distribution.
+    """
+    batch = min(SHARE_BATCH, cfg.sim.n)
+    params = _fresh_params(replace(cfg, sim=replace(cfg.sim, n=batch)))
     p = SHARE_MODULUS
     rng = _rng(cfg, f"shares-{parties}")
     shares = roundshare.ShareSet(p, tuple(rng.integers(0, p, batch) for _ in range(parties)))
@@ -242,7 +250,7 @@ def run_shares(cfg: RunConfig, parties: int, tree_split: int | None = None):
             root_plan)
         out = roundshare.shares_to_ct_tree(cts, node)
         degree = root_plan.D
-    got = out.slots[:batch].real  # the batch alone; decrypt would copy all n slots
+    got = out.slots.real
     err = float(np.mean(np.abs(got - shares.secret())))
     decoded_ok = bool(np.all(np.rint(got) % p == shares.secret()))
     return {"error": err, "level": out.level, "degree": degree,

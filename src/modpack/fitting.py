@@ -10,6 +10,7 @@ coefficient stays below 1 in magnitude.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -164,7 +165,15 @@ def default_delta(D: int) -> float:
 
 def _fit(spec: StepSpec, delta: float | None, p: int | None) -> ModPlan:
     A, y = build_system(spec)
-    alpha = solve_min_norm(A, y)
+    try:
+        alpha = solve_min_norm(A, y)
+    except RankDeficientError as exc:
+        # The rule is measured, not proven, and lower degrees can fit too
+        # (the tables fit D=35 at B=29), so it only explains a rejection.
+        raise RankDeficientError(
+            f"the fit of B={spec.B}, D={spec.D} failed: {exc}; D >= ceil(pi*B/2) = "
+            f"{math.ceil(math.pi * spec.B / 2)} was feasible for every B measured up to 2047"
+        ) from None
     if delta is None:
         delta = suggest_delta(alpha)
     if not 0 < delta < np.inf:
@@ -186,7 +195,9 @@ def fit_modp(p: int, B: int, D: int, delta: float | None = None) -> ModPlan:
 
     delta=None picks the smallest power of ten keeping coefficients below
     DELTA_HEADROOM.  p, B and D must be whole numbers (4.0 is taken as 4).
-    A system whose sample matrix exceeds MAX_SAMPLE_BYTES is refused first.
+    A system whose sample matrix exceeds MAX_SAMPLE_BYTES is refused first;
+    one that cannot be solved raises a RankDeficientError naming the
+    measured feasibility rule D >= ceil(pi*B/2).
     A plan is a pure function of (p, B, D, delta), so fits are memoised:
     a repeated key returns the plan fitted first, and a rejected key raises
     on every call.

@@ -602,6 +602,40 @@ def test_one_slot_runs_spend_the_levels_and_ops_of_many_slot_runs(runner, sigma)
     assert vars(one["stats"]) == vars(many["stats"])
 
 
+def test_share_conversions_run_at_their_batch_whatever_n(monkeypatch):
+    # A conversion is slot-wise, so with the noise off a 2^15-slot config
+    # gives the results of a SHARE_BATCH-slot one, on batch-sized ciphertexts.
+    sizes, convert = [], cli.roundshare.shares_to_ct_tree
+
+    def recorded(*args):  # a direct conversion is a one-node tree
+        out = convert(*args)
+        sizes.append(out.slots.size)
+        return out
+    monkeypatch.setattr(cli.roundshare, "shares_to_ct_tree", recorded)
+    runs = {n: [cli.run_shares(cli.RunConfig(sim=SimParams(n=n)), parties, split)
+                for parties, split in ((3, None), (8, None), (8, 4))]
+            for n in (2 ** 15, cli.SHARE_BATCH)}
+    for big, batch in zip(runs[2 ** 15], runs[cli.SHARE_BATCH]):
+        for key in ("error", "level", "degree", "decoded_ok"):
+            assert big[key] == batch[key], key
+        assert vars(big["stats"]) == vars(batch["stats"])
+    assert sizes == [cli.SHARE_BATCH] * 6
+
+
+@pytest.mark.parametrize("n", [2 ** 15, 1024])
+def test_shares_table_makes_one_batch_sized_params_per_conversion(n, monkeypatch):
+    # perfbench gathers one OpStats per runner through the module global.
+    seen = []
+    fresh = cli._fresh_params
+
+    def recorded(cfg):
+        seen.append(cfg.sim.n)
+        return fresh(cfg)
+    monkeypatch.setattr(cli, "_fresh_params", recorded)
+    cli.TABLES["shares"](cli.RunConfig(sim=SimParams(n=n)))
+    assert seen == [min(cli.SHARE_BATCH, n)] * 7
+
+
 TIGHT_MODP = {D: 1e-30 for D in cli.MODP_DEGREES}
 
 # table, BOUNDS entries tightened past any result, --n, cells that must fail

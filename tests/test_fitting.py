@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,26 @@ def test_near_singular_fit_rejected():
     # D barely above B: the Gram matrix is numerically singular (cond ~7e16).
     with pytest.raises(RankDeficientError):
         fit_modp(16, 112, 128)
+
+
+# B -> the smallest degree whose fit solves, found by bisection (the same
+# for every modulus: the sample matrix depends on B and D alone).
+SMALLEST_FEASIBLE_D = {29: 33, 63: 83, 139: 197, 255: 373, 511: 769, 1023: 1563}
+
+
+@pytest.mark.parametrize("B, D", SMALLEST_FEASIBLE_D.items())
+def test_rejected_fit_names_the_feasibility_rule(B, D):
+    assert fit_modp(4, B, D).residual <= fitting.SOLVE_RESID_LIMIT
+    rule = math.ceil(math.pi * B / 2)
+    assert D <= rule  # the rule is sufficient, not necessary: lower degrees are still tried
+    with pytest.raises(RankDeficientError,
+                       match=rf"B={B}, D={D - 1} .* D >= ceil\(pi\*B/2\) = {rule} "):
+        fit_modp(4, B, D - 1)
+
+
+def test_rejected_step_fit_names_the_feasibility_rule():
+    with pytest.raises(RankDeficientError, match=r"B=29, D=32 .* = 46 was feasible"):
+        fit_step(modp_spec(4, 29, 32))
 
 
 @pytest.mark.parametrize("p,ref", [(4, 2.761e-8), (5, 2.657e-8)])
