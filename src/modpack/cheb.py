@@ -94,18 +94,38 @@ def map_to_unit(x, B: float):
 
 
 def clenshaw(coeffs, t):
-    """Backward (Clenshaw) recurrence for sum_i coeffs[i] * T_i(t), t in [-1, 1]."""
+    """Backward (Clenshaw) recurrence for sum_i coeffs[i] * T_i(t), t in [-1, 1].
+
+    A 2-d coeffs holds one series per row and gives one row of values per
+    series, all from one recurrence.  A row's zeros beyond its degree leave
+    b1 and b2 exactly 0 until its leading coefficient, so each row is bit
+    for bit the recurrence of its own coefficients.
+    """
     c = np.asarray(coeffs, dtype=float)
     t = np.asarray(t, dtype=float)
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
-    for k in range(c.size - 1, 0, -1):
+    if c.ndim == 2:
+        c = c.T.reshape(c.shape[::-1] + (1,) * t.ndim)  # c[k] is column k, against every t
+    b1 = np.zeros(np.broadcast_shapes(c.shape[1:], t.shape))
+    b2 = np.zeros_like(b1)
+    for k in range(c.shape[0] - 1, 0, -1):
         b1, b2 = c[k] + 2.0 * t * b1 - b2, b1
     out = c[0] + t * b1 - b2
     return out if out.ndim else float(out)
 
 
-def eval_clenshaw(series: ChebSeries, x):
-    """Evaluate a ChebSeries at source-domain points x in [0, domain_upper]."""
-    t = map_to_unit(x, series.domain_upper)
-    return clenshaw(series.coeffs, t)
+def eval_clenshaw(series, x):
+    """Evaluate a ChebSeries at source-domain points x in [0, domain_upper].
+
+    A sequence of series on one domain is evaluated in one recurrence over
+    their zero-padded coefficient rows: row r is bit for bit
+    eval_clenshaw(series[r], x).
+    """
+    if isinstance(series, ChebSeries):
+        return clenshaw(series.coeffs, map_to_unit(x, series.domain_upper))
+    domains = {s.domain_upper for s in series}
+    if len(domains) != 1:
+        raise ValueError(f"series evaluated together need one domain, got {sorted(domains)}")
+    rows = np.zeros((len(series), max(s.coeffs.size for s in series)))
+    for row, s in zip(rows, series):
+        row[: s.coeffs.size] = s.coeffs
+    return clenshaw(rows, map_to_unit(x, domains.pop()))

@@ -115,26 +115,26 @@ def _rng(cfg: RunConfig, job: str) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+def _modp_fits(keys):
+    """{(p, D): (plan, its series at the integers of [0, MODP_INTERVAL])}, one eval_clenshaw."""
+    plans = [fit_modp(p, MODP_INTERVAL, D, fitting.default_delta(D)) for p, D in keys]
+    values = eval_clenshaw([plan.series for plan in plans], np.arange(MODP_INTERVAL + 1.0))
+    return dict(zip(keys, zip(plans, values)))
+
+
 def modp_mean_errors(p: int):
     """Mean |delta*fit(i) - (i mod p)| over the integers of [0, MODP_INTERVAL], per degree."""
     xs = np.arange(MODP_INTERVAL + 1, dtype=float)
-    out = {}
-    for D in MODP_DEGREES:
-        plan = fit_modp(p, MODP_INTERVAL, D, fitting.default_delta(D))
-        approx = plan.delta * eval_clenshaw(plan.series, xs)
-        out[D] = float(np.mean(np.abs(approx - np.mod(xs, p))))
-    return out
+    fits = _modp_fits([(p, D) for D in MODP_DEGREES])
+    return {D: float(np.mean(np.abs(plan.delta * value - np.mod(xs, p))))
+            for (_, D), (plan, value) in fits.items()}
 
 
 def floor_mean_errors():
     xs = np.arange(MODP_INTERVAL + 1, dtype=float)
-    out = {}
-    for p in FLOOR_MODULI:
-        for D in MODP_DEGREES:
-            plan = fit_modp(p, MODP_INTERVAL, D, fitting.default_delta(D))
-            approx = xs / p - plan.delta / p * eval_clenshaw(plan.series, xs)
-            out[(p, D)] = float(np.mean(np.abs(approx - np.floor(xs / p))))
-    return out
+    fits = _modp_fits([(p, D) for p in FLOOR_MODULI for D in MODP_DEGREES])
+    return {(p, D): float(np.mean(np.abs(xs / p - plan.delta / p * value - np.floor(xs / p))))
+            for (p, D), (plan, value) in fits.items()}
 
 
 def _fresh_params(cfg: RunConfig) -> SimParams:

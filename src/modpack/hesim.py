@@ -17,8 +17,16 @@ one place: a noise-off multiplication whose complex result has no nonzero
 imaginary part stores it as float64, as the conjugate trick's masks leave
 ImgPair's unpacked halves.  Additions, rotations and conjugations never
 narrow, and a noise-on result stays complex.  Only `encrypt`,
-`SlotCiphertext._operand`, `lincomb` and that narrowing pick a dtype; every
-other op follows numpy's promotion, and `decrypt` always returns complex128.
+`SlotCiphertext._operand`, `lincomb`'s stack and that narrowing pick a
+dtype (psev's power-basis block, which psev hands `lincomb` as its stack,
+takes the dtype `lincomb` would pick); every other op, `mul_add` included,
+follows numpy's promotion, and `decrypt` always returns complex128.
+
+A ciphertext's slots are never written once another ciphertext can read
+them.  Only fresh arrays and buffers their caller owns are written in
+place: `_op` adds noise to the complex result it is handed, and `mul_add`
+writes a product, its doubling and a sum over one buffer, falling back to
+a fresh array wherever the buffer's dtype cannot hold the result.
 
 SimParams alone holds and checks the simulator's settings; a CLI config overrides them by key.
 """
@@ -134,7 +142,9 @@ class SlotCiphertext:
         its operand.
         A sum of `terms` multiplications counts each and draws one noise
         vector scaled by sqrt(terms), distributed as the sum of a draw per
-        term; `adds` more additions are counted with it.
+        term; `adds` more additions are counted with it.  `slots` must be an
+        array nothing else reads, as every caller's fresh result is: complex
+        slots take their noise in place.
         """
         is_ct = isinstance(other, SlotCiphertext)
         level = min(self.level, other.level) if is_ct else self.level
@@ -145,8 +155,12 @@ class SlotCiphertext:
             count = "ct_mults" if is_ct else "plain_mults"
             sigma = self.params.noise_stddev
             if sigma > 0:
-                noise = self.params.rng.standard_normal(2 * slots.size)
-                slots = slots + sigma * math.sqrt(terms) * noise.view(complex)
+                noise = self.params.rng.standard_normal(2 * slots.size).view(complex)
+                noise *= sigma * math.sqrt(terms)
+                if slots.dtype == complex:
+                    slots += noise
+                else:
+                    slots = slots + noise
             elif slots.dtype == complex and not slots.imag.any():
                 slots = slots.real.copy()  # an exact product left no imaginary part
         stats = self.params.stats
@@ -190,13 +204,47 @@ def _zero_padded(arr: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def lincomb(cts, coeffs, consts):
+def mul_add(a: SlotCiphertext, b=None, c=None, *, double: bool = False,
+            subtract: bool = False, out: np.ndarray | None = None) -> SlotCiphertext:
+    """a*b, doubled if `double`, then plus c (minus c if `subtract`), over one buffer.
+
+    Bit for bit, op for op and draw for draw this is `p = a * b`, `p + p`,
+    `p ± c`: `_op` spends, draws, narrows and counts the product, then the
+    doubling and c are applied in place and counted as additions.  The
+    product goes into `out` if its dtype fits, else into a fresh array; with
+    b None, a's own slots are the buffer.  A step whose result the buffer's
+    dtype cannot hold takes a fresh array, as the operators would.  The
+    caller must own the buffer: nothing else may read it.
+    """
+    if b is None:
+        ct = a
+    else:
+        other = a._operand(b)
+        if out is not None and np.result_type(a.slots, other) != out.dtype:
+            out = None
+        ct = a._op("mults", np.multiply(a.slots, other, out=out), b)
+    slots, adds = ct.slots, 0
+    if double:
+        np.add(slots, slots, out=slots)
+        adds += 1
+    if c is not None:
+        other = ct._operand(c)
+        fits = np.result_type(slots, other) == slots.dtype
+        slots = (np.subtract if subtract else np.add)(slots, other, out=slots if fits else None)
+        adds += 1
+    return ct._op(None, slots, c, adds=adds) if adds else ct
+
+
+def lincomb(cts, coeffs, consts, operand: np.ndarray | None = None):
     """Rows sum_i coeffs[r, i] * cts[i] + consts[r] of one matrix product over the cts' slots.
 
-    The cts' slots are copied into the rows of one operand of their promoted
+    The cts' slots are stacked as the rows of one operand of their promoted
     dtype, above a last row of ones, and the consts ride as the coefficient
-    matrix's last column.  BLAS sums each output's terms in order, so the
-    const comes last: a row is bit for bit the cts' product plus the const.
+    matrix's last column.  A caller that keeps its cts' slots in such a
+    stack passes it as `operand`, which is read as it stands, never written;
+    otherwise the slots are copied into a fresh one.  BLAS sums each
+    output's terms in order, so the const comes last: a row is bit for bit
+    the cts' product plus the const.
     The product runs at once; the returned iterator yields the rows' ciphertexts
     in order, each built by `_op` only when taken, so a caller can interleave
     other ops and the noise is still drawn in evaluation order.  A row costs
@@ -212,11 +260,12 @@ def lincomb(cts, coeffs, consts):
     if not terms.all():
         raise ValueError(f"lincomb row {int(np.argmin(terms))} has no nonzero coefficient")
     lows = np.where(c != 0.0, [ct.level for ct in cts], np.inf).argmin(axis=1)
-    operand = np.empty((len(cts) + 1, cts[0].params.n),
-                       np.result_type(*(ct.slots.dtype for ct in cts)))
-    for row, ct in zip(operand, cts):
-        row[:] = ct.slots
-    operand[-1] = 1.0
+    if operand is None:
+        operand = np.empty((len(cts) + 1, cts[0].params.n),
+                           np.result_type(*(ct.slots.dtype for ct in cts)))
+        for row, ct in zip(operand, cts):
+            row[:] = ct.slots
+        operand[-1] = 1.0
     c = np.column_stack((c, consts))
     # a complex operand runs as a real product over its interleaved parts
     slots = (c @ operand.view(float)).view(complex) if np.iscomplexobj(operand) else c @ operand

@@ -340,11 +340,10 @@ class CrtBasis:
 
 def crt_pack(values, basis: CrtBasis) -> np.ndarray:
     """Element-wise residue recombination: x = (sum a_i * b_i) mod P, x in [0, P)."""
+    # Each term is below P^2 <= 2^48 and there are at most 24 moduli, so the
+    # int64 sum cannot overflow, and one reduction gives the same integers.
     arrays = _layers(values, basis.moduli)
-    acc = np.zeros_like(arrays[0])
-    for arr, b in zip(arrays, basis.recombinants):
-        acc = (acc + arr * b) % basis.P
-    return acc
+    return sum(arr * b for arr, b in zip(arrays, basis.recombinants)) % basis.P
 
 
 def crt_unpack(ct: SlotCiphertext, basis: CrtBasis) -> list[SlotCiphertext]:

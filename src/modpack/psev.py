@@ -1,8 +1,9 @@
 """Paterson-Stockmeyer evaluation of Chebyshev series on simulated ciphertexts.
 
-The evaluated value is a hesim.SlotCiphertext.  The power basis and the
-giant-step tree use only its operators (+, -, unary -, and * against
-itself and against Python scalars), which track levels and count ops.
+The evaluated value is a hesim.SlotCiphertext.  The domain map, the power
+basis and the giant-step tree build their values with hesim.mul_add (a
+constant node with the operators), which counts, levels and draws noise
+as the operators would, bit for bit.
 An evaluation runs in two passes: a coefficient pass does the divisions
 and collects every leaf sum_i c_i T_i(u) as a row of coefficients, and
 one hesim.lincomb computes all the rows as one matrix product over the
@@ -11,6 +12,15 @@ leaf at its place, where it counts and levels as its per-term operators
 would and draws its noise, one draw of variance t*sigma^2 for a t-term
 leaf.  For plaintext values, encrypt them with the noise off: the
 simulator is then exact complex arithmetic.
+
+Buffers.  The basis is one (k+1, n) block per schedule: row 0 holds u, the
+baby steps T_2..T_k are written into the rows between, and the last row
+is ones, so the block is the leaf product's operand without a copy.  Each
+giant step and the map get one fresh buffer.  The walk writes each node's
+product and sum over the buffer of its quotient's value: a row of the
+leaf product or a fresh array, both the evaluation's own; a result left
+in a row is copied out.  The caller's ciphertexts and a shared basis are
+only read.
 
 The coefficient pass, a pure function of the immutable series and the
 schedule, runs once per series; a plan is scaled once per extra scale.
@@ -35,13 +45,13 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cheb import ChebSeries
 from .fitting import ModPlan, _whole
-from .hesim import lincomb
+from .hesim import SlotCiphertext, lincomb, mul_add
 
 # Cap on repeated-addition exponents; packing layers stay far below this.
 POW2_ADD_LIMIT = 24
@@ -88,24 +98,36 @@ def plan_schedule(D: int) -> PsSchedule:
     return PsSchedule(k=k, m=m)
 
 
-def compute_power_basis(u, sched: PsSchedule):
+def compute_power_basis(u, sched: PsSchedule, out: np.ndarray | None = None):
     """Chebyshev powers of u: bs = (T_1..T_k), gs = (T_k, T_2k, ..., T_{k*2^(m-1)}).
 
     Every baby step comes, in ascending order, from the balanced split of
     the product identity T_j = 2*T_ceil(j/2)*T_floor(j/2) - T_(j mod 2); a
     giant step T_2n is the doubling 2*T_n^2 - 1.  The multiplication dag
     stays at log depth.  On a ciphertext the consumption is read off the
-    returned elements' level fields.
+    returned elements' level fields, and each step is one hesim.mul_add
+    over a fresh buffer, or for a baby step T_j over row j-1 of `out`, a
+    (k+1, n) stack whose row 0 holds u and last row ones: it is then
+    hesim.lincomb's operand as it stands.
     """
+    if isinstance(u, SlotCiphertext):
+        def step(a, b, c, j=None):
+            row = None if out is None or j is None else out[j]
+            t = mul_add(a, b, c, double=True, subtract=True, out=row)
+            if row is not None and t.slots is not row:
+                row[...] = t.slots  # a fresh result, its dtype held by the block's
+            return t
+    else:
+        def step(a, b, c, j=None):
+            prod = a * b
+            return prod + prod - c
+
     bs = [u]
     for j in range(2, sched.k + 1):
-        prod = bs[(j + 1) // 2 - 1] * bs[j // 2 - 1]
-        two = prod + prod
-        bs.append((two - 1.0) if j % 2 == 0 else (two - u))
+        bs.append(step(bs[(j + 1) // 2 - 1], bs[j // 2 - 1], 1.0 if j % 2 == 0 else u, j - 1))
     gs = [bs[-1]]
     for _ in range(1, sched.m):
-        prod = gs[-1] * gs[-1]
-        gs.append(prod + prod - 1.0)
+        gs.append(step(gs[-1], gs[-1], 1.0))
     return bs, gs
 
 
@@ -145,9 +167,16 @@ def eval_ps(series: ChebSeries, u, sched: PsSchedule, bases=None):
         return (u - u) + tree
     bases = {} if bases is None else bases
     if sched not in bases:
-        bases[sched] = compute_power_basis(u, sched)
-    bs, gs = bases[sched]
-    return _walk(tree, u, gs, lincomb(bs, C[:, 1:], C[:, 0]))
+        # the baby steps' promoted dtype: u's, or complex as every noisy product is
+        noisy = u.params.noise_stddev > 0 and sched.k > 1
+        block = np.empty((sched.k + 1, u.params.n), complex if noisy else u.slots.dtype)
+        block[0] = u.slots
+        block[-1] = 1.0
+        bases[sched] = compute_power_basis(u, sched, block) + (block,)
+    bs, gs, block = bases[sched]
+    out = _walk(tree, u, gs, lincomb(bs, C[:, 1:], C[:, 0], block))
+    # a result left in a row of the leaf product must not keep the product alive
+    return out if out.slots.base is None else replace(out, slots=out.slots.copy())
 
 
 def _memo(owner, key, make):
@@ -202,13 +231,19 @@ def _split(ff: np.ndarray, d: int, k: int, rows: list):
 
 
 def _walk(node, u, gs, leaves):
-    """The ciphertext pass over a _split tree, taking each leaf from `leaves` in turn."""
+    """The ciphertext pass over a _split tree, taking each leaf from `leaves` in turn.
+
+    Every value the walk makes lives in a buffer this evaluation owns (a row
+    of the leaf product, or a fresh array), so each node writes q*T_{k*2^j},
+    then + r, over q's buffer; u and the giant steps are only read.
+    """
     if node is None:
         return next(leaves)
     if isinstance(node, float):
         return (u - u) + node
-    out = _walk(node[1], u, gs, leaves) * gs[node[0]]
-    return out + _walk(node[2], u, gs, leaves) if len(node) == 3 else out
+    q = _walk(node[1], u, gs, leaves)
+    out = mul_add(q, gs[node[0]], out=q.slots)
+    return mul_add(out, c=_walk(node[2], u, gs, leaves)) if len(node) == 3 else out
 
 
 def mul_by_int_additively(e, c: int):
@@ -247,7 +282,7 @@ def eval_plans(x, plans, extra_scale: float = 1.0) -> list:
         if plan.B != B:
             raise ValueError(f"plans on one input need one interval, "
                              f"not [0, {B}] and [0, {plan.B}]")
-    u = x * (2.0 / B) - 1.0
+    u = mul_add(x, 2.0 / B, 1.0, subtract=True)
     bases = {}
     outs = []
     for plan in plans:

@@ -92,6 +92,24 @@ def test_clenshaw_high_degree():
     assert np.max(np.abs(clenshaw(coeffs, ts) - direct)) <= 1e-11
 
 
+def test_eval_clenshaw_of_many_series_is_each_series_bit_for_bit():
+    # Series of differing degree, a constant and one with trailing zeros, at
+    # points from t = -1 to t = 1: each row is the series' own call.
+    rng = np.random.default_rng(6)
+    B = 29.0
+    series = [ChebSeries(rng.uniform(-1, 1, d + 1), B) for d in (50, 0, 1, 7, 35)]
+    series.append(ChebSeries(np.r_[rng.uniform(-1, 1, 10), np.zeros(5)], B))
+    xs = np.r_[0.0, rng.uniform(0, B, 30), B / 2, B]
+    got = eval_clenshaw(series, xs)
+    assert got.shape == (len(series), xs.size)
+    for row, s in zip(got, series):
+        assert row.tobytes() == eval_clenshaw(s, xs).tobytes()
+    at_one = eval_clenshaw(series, 3.5)
+    assert at_one.tolist() == [eval_clenshaw(s, 3.5) for s in series]
+    with pytest.raises(ValueError, match="need one domain"):
+        eval_clenshaw([series[0], ChebSeries([1.0], 7.0)], xs)
+
+
 def test_series_validation():
     with pytest.raises(ValueError):
         ChebSeries([], 1.0)

@@ -721,3 +721,27 @@ def test_table_requires_name(tmp_path):
 def test_missing_file_is_io_error(tmp_path, capsys):
     assert run("pack", "--layout", tmp_path / "nope.json",
                "--data", tmp_path / "nope.ndjson", "--out", tmp_path / "o") == 2
+
+
+def test_plaintext_tables_evaluate_their_fits_in_one_clenshaw_each(monkeypatch):
+    # modp4, modp5 and floor make one eval_clenshaw call each, and every cell
+    # is bit for bit the value a per-plan call gives.
+    calls = []
+    per_series = cli.eval_clenshaw
+    monkeypatch.setattr(cli, "eval_clenshaw", lambda s, x: calls.append(s) or per_series(s, x))
+    cfg = cli.RunConfig(sim=SimParams(n=256))
+    for name in ("modp4", "modp5", "floor"):
+        cli.TABLES[name](cfg)
+    assert len(calls) == 3
+    xs = np.arange(cli.MODP_INTERVAL + 1, dtype=float)
+    plan = lambda p, D: fit_modp(p, cli.MODP_INTERVAL, D, cli.fitting.default_delta(D))
+    for p in (4, 5):
+        want = {D: float(np.mean(np.abs(plan(p, D).delta * per_series(plan(p, D).series, xs)
+                                        - np.mod(xs, p)))) for D in cli.MODP_DEGREES}
+        assert cli.modp_mean_errors(p) == want
+    want = {}
+    for p in cli.FLOOR_MODULI:
+        for D in cli.MODP_DEGREES:
+            approx = xs / p - plan(p, D).delta / p * per_series(plan(p, D).series, xs)
+            want[(p, D)] = float(np.mean(np.abs(approx - np.floor(xs / p))))
+    assert cli.floor_mean_errors() == want

@@ -1,10 +1,11 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from modpack.hesim import (LevelExhaustedError, OpStats, SimParams, conjugate,
-                           decrypt, encrypt, lincomb, rotate, rotate_batch)
+                           decrypt, encrypt, lincomb, mul_add, rotate, rotate_batch)
 
 P8 = SimParams(n=8, max_level=25)
 
@@ -581,3 +582,53 @@ def test_params_reject_negative_or_non_finite_noise(sigma):
     # NaN would run noise-off (sigma > 0 is False) and inf would turn slots to inf
     with pytest.raises(ValueError, match="noise_stddev must be finite and non-negative"):
         SimParams(noise_stddev=sigma)
+
+
+MUL_ADD_CASES = [  # (a, b, c): "r" a real ct, "z" a complex ct, a float a plaintext scalar
+    ("r", "r", 1.0), ("r", "r", "r"), ("r", "r", "z"), ("z", "r", 1.0), ("r", "z", "r"),
+    ("r", 0.75, 1.0), ("z", 0.75, None), ("r", "r", None), ("z", "z", "z"),
+]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-9])
+@pytest.mark.parametrize("double,subtract", [(False, False), (True, True), (True, False)])
+@pytest.mark.parametrize("a,b,c", MUL_ADD_CASES)
+def test_mul_add_is_the_operators_bit_for_bit(a, b, c, double, subtract, sigma):
+    # (a * b), doubled as p + p, then ± c: the same bytes, dtype, level, counts
+    # and noise draws, with or without a buffer, of the right dtype or not.
+    rng = np.random.default_rng(8)
+    values = {"r": rng.uniform(-1, 1, 8), "z": rng.uniform(-1, 1, 8) + 0.5j}
+    levels = {"a": 9, "b": 7, "c": 5}
+
+    def operand(kind, name, params):
+        if not isinstance(kind, str):
+            return kind
+        return replace(encrypt(values[kind], params), level=levels[name])
+
+    runs = []
+    for fused, out in [(False, None), (True, None), (True, np.float64), (True, complex)]:
+        params = SimParams(n=8, max_level=12, noise_stddev=sigma, seed=2, stats=OpStats())
+        x, y, z = (operand(k, name, params) for k, name in ((a, "a"), (b, "b"), (c, "c")))
+        if fused:
+            buf = None if out is None else np.empty(8, out)
+            got = mul_add(x, y, z, double=double, subtract=subtract, out=buf)
+            # the result stays in the buffer while every step's dtype is the buffer's
+            kept = buf is not None and buf.dtype == got.slots.dtype == np.result_type(
+                x.slots, x._operand(y))
+            assert got.slots is buf if kept else got.slots.base is None
+        else:
+            got = x * y
+            got = got + got if double else got
+            got = got if z is None else got - z if subtract else got + z
+        runs.append((got.slots.tobytes(), got.slots.dtype, got.level, params.stats))
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_mul_add_without_a_product_adds_over_a_s_buffer():
+    stats = OpStats()
+    params = SimParams(n=8, stats=stats)
+    a, c = encrypt(np.arange(8.0), params), encrypt(np.ones(8), params) * 3.0
+    buf = a.slots
+    got = mul_add(a, c=c, double=True)
+    assert got.slots is buf and np.array_equal(got.slots, 2 * np.arange(8.0) + 3.0)
+    assert got.level == c.level and (stats.adds, stats.plain_mults) == (2, 1)

@@ -293,6 +293,25 @@ def test_crt_pack_definitional_property():
         assert np.array_equal(packed % p, v)
 
 
+@pytest.mark.parametrize("moduli", [(255, 256, 257), (3, 5, 7, 11, 13, 16, 17)])
+def test_crt_pack_reduces_once_to_the_integers_of_a_reduction_per_term(moduli):
+    # P = 16776960 sits just below the 2^24 guard; the second basis has seven
+    # terms.  All residues at p - 1 make every term its largest, and the one
+    # reduction of their sum must give what a reduction after each term gave.
+    basis = CrtBasis(moduli)
+    rng = np.random.default_rng(len(moduli))
+    vals = [np.r_[p - 1, rng.integers(0, p, 99)] for p in moduli]
+    per_term = np.zeros(100, dtype=np.int64)
+    for v, b in zip(vals, basis.recombinants):
+        per_term = (per_term + v * b) % basis.P
+    packed = crt_pack(vals, basis)
+    assert packed.dtype == np.int64 and np.array_equal(packed, per_term)
+    assert packed[0] == basis.P - 1  # -1 modulo every modulus
+    exact = [sum(int(v[i]) * b for v, b in zip(vals, basis.recombinants)) % basis.P
+             for i in range(100)]
+    assert packed.tolist() == exact
+
+
 def test_crt_recombinants_inverse_property():
     basis = CrtBasis((9, 10))
     for p, b in zip(basis.moduli, basis.recombinants):

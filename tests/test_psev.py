@@ -6,7 +6,8 @@ import pytest
 
 from modpack import psev
 from modpack.cheb import ChebSeries, cheb_T, clenshaw, map_to_unit
-from modpack.hesim import LevelExhaustedError, OpStats, SimParams, decrypt, encrypt
+from modpack.hesim import (LevelExhaustedError, OpStats, SimParams, decrypt, encrypt,
+                           lincomb)
 from modpack.psev import (DegreeOverflowError, PsSchedule, _degree, _div_by_T,
                           compute_power_basis, eval_plan, eval_plans, eval_ps,
                           mul_by_int_additively, plan_schedule)
@@ -482,3 +483,123 @@ def test_eval_plans_rejects_an_empty_group_and_mixed_intervals():
         eval_plans(ct, [])
     with pytest.raises(ValueError, match=r"not \[0, 14\] and \[0, 29\]"):
         eval_plans(ct, [shared_b_plans()[0], fit_modp(4, 29, 45, 100.0)])
+
+
+def _operator_basis(u, sched):
+    """The power basis built by the operators alone: a fresh array per op."""
+    bs = [u]
+    for j in range(2, sched.k + 1):
+        prod = bs[(j + 1) // 2 - 1] * bs[j // 2 - 1]
+        two = prod + prod
+        bs.append((two - 1.0) if j % 2 == 0 else (two - u))
+    gs = [bs[-1]]
+    for _ in range(1, sched.m):
+        prod = gs[-1] * gs[-1]
+        gs.append(prod + prod - 1.0)
+    return bs, gs
+
+
+def _operator_walk(node, u, gs, leaves):
+    if node is None:
+        return next(leaves)
+    if isinstance(node, float):
+        return (u - u) + node
+    out = _operator_walk(node[1], u, gs, leaves) * gs[node[0]]
+    return out + _operator_walk(node[2], u, gs, leaves) if len(node) == 3 else out
+
+
+def _operator_eval_ps(series, u, sched, bases):
+    """eval_ps with operator basis and walk around the same lincomb leaves (copied stack)."""
+    tree, C = psev._compile(series, sched)
+    if C is None:
+        return (u - u) + tree
+    if sched not in bases:
+        bases[sched] = _operator_basis(u, sched)
+    bs, gs = bases[sched]
+    return _operator_walk(tree, u, gs, lincomb(bs, C[:, 1:], C[:, 0]))
+
+
+def _operator_eval_plans(x, plans):
+    u = x * (2.0 / plans[0].B) - 1.0
+    bases = {}
+    return [_operator_eval_ps(ChebSeries(plan.series.coeffs * plan.delta, plan.B), u,
+                              plan_schedule(plan.D), bases) for plan in plans]
+
+
+def _ran(outs, params):
+    return [(out.slots.tobytes(), out.slots.dtype, out.level) for out in outs], params.stats
+
+
+# Every plan degree a table evaluates: modp/floor 35-50, bitstack 90 and
+# 210, crtstack/combine 96-256 (128 and the 210 triple among them), 400.
+TABLE_DEGREES = sorted(set(range(35, 51)) | {90} | set(range(96, 257)) | {400})
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-9])
+def test_in_place_evaluator_is_the_operator_evaluator_bit_for_bit(sigma):
+    # eval_plan at every table degree (random series), and eval_plans of the
+    # CRT triple on one basis, give the operator evaluator's slot bytes,
+    # dtypes, levels and OpStats, noise draws included; no output is a view
+    # of a leaf product (at D=256 the walk's root lands in a leaf's row).
+    rng = np.random.default_rng(25)
+    B = 139
+    xs = rng.uniform(0, B, 64)
+    groups = [[ModPlan(None, B, D, 2.0, 0.0, ChebSeries(_ledger_series(D, "random", rng), B))]
+              for D in TABLE_DEGREES]
+    groups.append([fit_modp(p, B, 210, 100.0) for p in (4, 5, 7)])
+    for group in groups:
+        runs = []
+        for evaluate in (eval_plans, _operator_eval_plans):
+            params = SimParams(n=64, max_level=12, noise_stddev=sigma, seed=1, stats=OpStats())
+            outs = evaluate(encrypt(xs, params), group)
+            assert all(out.slots.base is None for out in outs)
+            runs.append(_ran(outs, params))
+        assert runs[0] == runs[1], [plan.D for plan in group]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-9])
+@pytest.mark.parametrize("kind", ["real", "complex_zero_imag", "complex"])
+@pytest.mark.parametrize("D", [3, 7, 35, 210])
+def test_in_place_eval_ps_matches_operators_on_every_slot_dtype(D, kind, sigma):
+    # eval_ps straight on u: a complex u whose products narrow to float64
+    # mixes the steps' dtypes, a noisy real u has complex steps, and D=3
+    # has one baby step (u alone).
+    rng = np.random.default_rng(D)
+    series = unit_series(rng.uniform(-1, 1, D + 1))
+    ts = rng.uniform(-1, 1, 16)
+    message = {"real": ts, "complex_zero_imag": ts + 0j,
+               "complex": ts * np.exp(0.3j) * 0.9}[kind]
+    runs = []
+    for evaluate in (eval_ps, _operator_eval_ps):
+        params = SimParams(n=16, max_level=12, noise_stddev=sigma, seed=3, stats=OpStats())
+        runs.append(_ran([evaluate(series, encrypt(message, params), plan_schedule(D), {})],
+                         params))
+    assert runs[0] == runs[1]
+
+
+def test_in_place_evaluator_writes_only_its_own_buffers():
+    # Two rounds of the CRT triple's series on one u and one shared basis:
+    # u and the basis (its stack, baby and giant steps) are never written,
+    # the rounds agree, and no output is a view of a basis or leaf stack.
+    plans = [fit_modp(p, 139, 210, 100.0) for p in (4, 5, 7)]
+    series = [ChebSeries(plan.series.coeffs * plan.delta, plan.B) for plan in plans]
+    sched = plan_schedule(210)
+    u = encrypt(np.linspace(-1, 1, 64), SimParams(n=64, max_level=12))
+    u_bytes = u.slots.tobytes()
+    bases = {}
+    first = [eval_ps(s, u, sched, bases) for s in series]
+    ((bs, gs, block),) = bases.values()
+    basis_bytes = [block.tobytes()] + [t.slots.tobytes() for t in bs + gs]
+    second = [eval_ps(s, u, sched, bases) for s in series]
+    assert u.slots.tobytes() == u_bytes
+    assert [block.tobytes()] + [t.slots.tobytes() for t in bs + gs] == basis_bytes
+    assert [o.slots.tobytes() for o in first] == [o.slots.tobytes() for o in second]
+    for out in first + second:
+        assert out.slots.base is None  # not a row of a leaf product
+        assert not any(np.shares_memory(out.slots, t.slots) for t in [u] + bs + gs)
+    x = encrypt(np.arange(64.0) % 140, SimParams(n=64, max_level=12))
+    x_bytes = x.slots.tobytes()
+    for _ in range(2):
+        outs = eval_plans(x, plans)
+        assert all(out.slots.base is None for out in outs)
+    assert x.slots.tobytes() == x_bytes
