@@ -11,7 +11,7 @@ from .hesim import (LevelExhaustedError, OpStats, SimParams, SlotCiphertext,
 from .packing import (BitStackLayout, ConcatStage, CrtBasis, ImgPairStage,
                       bitstack_pack, bitstack_unpack, crt_pack, crt_unpack,
                       img_pack, img_unpack, load_layout, pipeline_pack,
-                      pipeline_unpack, save_layout, vec_pack, vec_unpack)
+                      pipeline_unpack, save_layout, unpack_stream, vec_pack, vec_unpack)
 from .psev import (PsSchedule, compute_power_basis, eval_plan, eval_plans, eval_ps,
                    plan_schedule)
 from .roundshare import (ReconstructNode, ShareSet, build_comp_plan, ceil_he, floor_he,

@@ -29,7 +29,7 @@ from .cheb import cheb_T, clenshaw, eval_clenshaw
 from .fitting import _whole, fit_modp, save_plan
 from .hesim import LevelExhaustedError, OpStats, SimParams, decrypt, encrypt
 from .packing import (BitStackLayout, ConcatStage, CrtBasis, ImgPairStage,
-                      bitstack_plan_specs, load_layout, pipeline_pack, pipeline_unpack)
+                      bitstack_plan_specs, load_layout, pipeline_pack, unpack_stream)
 
 MODP_INTERVAL = 29
 MODP_DEGREES = (35, 40, 45, 50)
@@ -162,11 +162,16 @@ def _unpack(cfg: RunConfig, packed, layout: tuple, truths=None):
             raise ValueError(f"expected vector {i} has length {len(want)}, "
                              f"the layout unpacks length {size}")
     params = _fresh_params(cfg)
-    outs = pipeline_unpack([encrypt(v, params) for v in packed], layout)
-    # The decrypted values of the kept slots alone, copied from the slots:
-    # decrypt would copy all n of them as complex128 first.
-    recovered = [ct.slots[:size].real.copy() for ct, size in zip(outs, sizes)]
-    res = {"levels": [ct.level for ct in outs], "stats": params.stats, "counts": counts[::-1]}
+    recovered, levels = [], []
+    # Each output is drawn, trimmed and dropped before the next is made, so
+    # the last stage's full-slot outputs never coexist.  The kept slots are
+    # copied from the slots: decrypt would copy all n as complex128 first.
+    # A stage that yields other than its unpacked_lengths raises here.
+    outs = unpack_stream([encrypt(v, params) for v in packed], layout)
+    for ct, size in zip(outs, sizes, strict=True):
+        recovered.append(ct.slots[:size].real.copy())
+        levels.append(ct.level)
+    res = {"levels": levels, "stats": params.stats, "counts": counts[::-1]}
     if truths is not None:
         diffs = [np.abs(got - want) for got, want in zip(recovered, truths)]
         res["errors"] = [float(np.mean(d)) for d in diffs]

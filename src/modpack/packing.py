@@ -7,12 +7,21 @@ recovered under encryption with fitted mod approximations; slot-packed
 layers with rotations, masks, and conjugation.  Schemes compose into
 layouts, plain tuples of stages, packed in stage order and unpacked
 strictly in reverse.  A concat stage's groups repeat as the input needs.
+
+A stage's unpack returns a generator over its outputs, made one input
+ciphertext's worth at a time.  A check on the call's arguments (a concat
+stage's cycle) runs when unpack is called; a per-ciphertext check
+(capacity, missing plans) runs as its ciphertext is reached.  unpack_stream runs every stage but the last in
+full and streams the last, so a caller that keeps a few slots of each
+output, as the CLI does, never holds every full-slot output at once;
+pipeline_unpack collects the stream into a list, for callers that index it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,9 +120,9 @@ class ConcatStage:
             idx += len(g)
         return out
 
-    def unpack(self, cts) -> list[SlotCiphertext]:
+    def unpack(self, cts) -> Iterator[SlotCiphertext]:
         groups = self._repeated(len(cts), packed=True)
-        return [v for ct, g in zip(cts, groups) for v in vec_unpack(ct, g)]
+        return (v for ct, g in zip(cts, groups) for v in vec_unpack(ct, g))
 
     def unpacked_lengths(self, lengths) -> list[int]:
         return [s for g in self._repeated(len(lengths), packed=True) for s in g]
@@ -169,8 +178,8 @@ class ImgPairStage:
             out.append(img_pack(a, b))
         return out
 
-    def unpack(self, cts) -> list[SlotCiphertext]:
-        return [v for ct in cts for v in img_unpack(ct, self.n1, self.n2)]
+    def unpack(self, cts) -> Iterator[SlotCiphertext]:
+        return (v for ct in cts for v in img_unpack(ct, self.n1, self.n2))
 
     def unpacked_lengths(self, lengths) -> list[int]:
         return [n for _ in lengths for n in (self.n1, self.n2)]
@@ -244,8 +253,8 @@ class BitStackLayout:
     def pack(self, vectors) -> list[np.ndarray]:
         return [bitstack_pack(chunk, self) for chunk in _chunk(vectors, len(self.radices))]
 
-    def unpack(self, cts) -> list[SlotCiphertext]:
-        return [v for ct in cts for v in bitstack_unpack(ct, self)]
+    def unpack(self, cts) -> Iterator[SlotCiphertext]:
+        return (v for ct in cts for v in bitstack_unpack(ct, self))
 
     def unpacked_lengths(self, lengths) -> list[int]:
         return [n for n in lengths for _ in self.radices]
@@ -331,8 +340,8 @@ class CrtBasis:
     def pack(self, vectors) -> list[np.ndarray]:
         return [crt_pack(chunk, self) for chunk in _chunk(vectors, len(self.moduli))]
 
-    def unpack(self, cts) -> list[SlotCiphertext]:
-        return [v for ct in cts for v in crt_unpack(ct, self)]
+    def unpack(self, cts) -> Iterator[SlotCiphertext]:
+        return (v for ct in cts for v in crt_unpack(ct, self))
 
     def unpacked_lengths(self, lengths) -> list[int]:
         return [n for n in lengths for _ in self.moduli]
@@ -368,10 +377,11 @@ def pipeline_pack(data, layout: tuple) -> list[np.ndarray]:
     """Run a layout's packing stages over a list of plaintext vectors.
 
     A layout is a tuple of stages, each a ConcatStage, BitStackLayout,
-    CrtBasis or ImgPairStage.  Each has pack(vectors) and unpack(cts), which
-    map a list to a list, unpacked_lengths(lengths), the lengths unpack
-    yields from vectors of those lengths, and its `plans`.  Its layout-file
-    entry is named in _KINDS.
+    CrtBasis or ImgPairStage.  Each has pack(vectors), which maps a list to
+    a list, unpack(cts), which maps a list to a generator of its outputs in
+    order, unpacked_lengths(lengths), the lengths unpack yields from vectors
+    of those lengths, and its `plans`.  Its layout-file entry is named in
+    _KINDS.
     """
     current = [np.asarray(v) for v in data]
     for stage in layout:
@@ -379,12 +389,25 @@ def pipeline_pack(data, layout: tuple) -> list[np.ndarray]:
     return current
 
 
-def pipeline_unpack(cts, layout: tuple) -> list[SlotCiphertext]:
-    """Invert the packing stages over ciphertexts, in reverse stage order."""
+def unpack_stream(cts, layout: tuple) -> Iterator[SlotCiphertext]:
+    """Invert the packing stages over ciphertexts, in reverse stage order, yielding the outputs.
+
+    Every stage but the last (the layout's first) runs in full, so each
+    stage's input list is complete before it starts and every op, level and
+    noise draw comes in pipeline_unpack's order.  The last stage's outputs
+    are made as the iterator is drawn, one input ciphertext's worth at a
+    time, so a caller that drops each output before drawing the next never
+    holds them all.
+    """
     current = list(cts)
-    for stage in reversed(layout):
-        current = stage.unpack(current)
-    return current
+    for stage in reversed(layout[1:]):
+        current = list(stage.unpack(current))
+    return layout[0].unpack(current) if layout else iter(current)
+
+
+def pipeline_unpack(cts, layout: tuple) -> list[SlotCiphertext]:
+    """unpack_stream's outputs as one list, for callers that index it or take its length."""
+    return list(unpack_stream(cts, layout))
 
 
 # ---------------------------------------------------------------------------

@@ -137,18 +137,24 @@ def _degree(c: np.ndarray) -> int:
 
 
 def _div_by_T(f: np.ndarray, N: int):
-    """Chebyshev-basis long division f = q*T_N + r via 2*T_a*T_N = T_{a+N} + T_{|a-N|}."""
+    """Chebyshev-basis long division f = q*T_N + r via 2*T_a*T_N = T_{a+N} + T_{|a-N|}.
+
+    f's degree d must be below 2N.  _split ensures it: it divides by the
+    largest giant step N at most its d (the capacity at the top, which
+    bounds the degree), and so d < 2N.  Each term c_i T_i with N < i <= d
+    then gives q its 2*c_i at i-N and r its -c_i at 2N-i < N: no update
+    lands on another's source, and no two on one target, so one masked
+    slice divides term by term.  Only nonzero terms update, so a -0.0
+    coefficient leaves r as it is.
+    """
     f = f.copy()
     d = _degree(f)
     q = np.zeros(max(d - N, 0) + 1)
-    for i in range(d, N, -1):
-        ci = f[i]
-        if ci != 0.0:
-            q[i - N] += 2.0 * ci
-            f[abs(i - 2 * N)] -= ci
-            f[i] = 0.0
+    i = np.arange(N + 1, d + 1)
+    i = i[f[i] != 0.0]
+    q[i - N] = 2.0 * f[i]
+    f[2 * N - i] -= f[i]
     q[0] += f[N]
-    f[N] = 0.0
     return q, f[:N]
 
 

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from modpack.packing import (BitStackLayout, CapacityError, ConcatStage,
                              bitstack_plan_specs, bitstack_unpack, crt_pack,
                              crt_unpack, img_pack, img_unpack, load_layout,
                              pipeline_pack, pipeline_unpack, save_layout,
-                             vec_pack, vec_unpack)
+                             unpack_stream, vec_pack, vec_unpack)
 
 
 def params_with_stats(n=64):
@@ -479,8 +482,106 @@ def test_concat_count_off_the_cycle_raises():
     stage = ConcatStage(((4, 2), (3,)))
     with pytest.raises(ValueError, match="repeat every 3 vectors, got 4"):
         stage.pack([np.zeros(4), np.zeros(2), np.zeros(3), np.zeros(4)])
+    # unpack raises when it is called, not when its first output is drawn
     with pytest.raises(ValueError, match="repeat every 2 ciphertexts, got 3"):
         stage.unpack([encrypt(np.zeros(4), SimParams(n=8))] * 3)
+
+
+def test_unpack_stream_runs_earlier_stages_at_call_and_the_last_as_drawn():
+    layout = fig_layout(4)
+    params = params_with_stats(32)
+    rng = np.random.default_rng(21)
+    data = [rng.integers(0, 9, 4) for _ in range(6)]
+    cts = [encrypt(v, params) for v in pipeline_pack(data, layout)]
+    stream = unpack_stream(cts, layout)
+    # ImgPair and CRT have run in full; the concat stage has rotated nothing.
+    assert params.stats.conjugations == 1 and params.stats.rotations == 0
+    first = next(stream)
+    assert params.stats.rotations == 2  # the first group, (4, 4), alone
+    rest = list(stream)
+    assert params.stats.rotations == 6 and len(rest) == 5
+    for truth, out in zip(data, [first, *rest]):
+        assert np.max(np.abs(out.slots[:4].real - truth)) <= 1e-5
+
+
+def _stream_case(name):
+    """(layout, data, n) of a layout the stream tests unpack."""
+    rng = np.random.default_rng(23)
+    if name == "combine":
+        return (cli.combine2_layout(4096),
+                [rng.integers(0, 4, cli.COMBINE_LEN) for _ in range(12)], 4096)
+    if name == "fig":
+        return fig_layout(4), [rng.integers(0, 9, 4) for _ in range(6)], 32
+    if name == "bitstack":
+        radices = (4, 4, 4)
+        plans = tuple(fit_modp(p, B, 90, 100.0) for p, B in bitstack_plan_specs(radices))
+        return ((BitStackLayout(radices, plans),),
+                [rng.integers(0, 4, 16) for _ in radices], 16)
+    basis = cli._crt_basis()
+    return (basis,), [rng.integers(0, p, 16) for p in basis.moduli], 16
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-9])
+@pytest.mark.parametrize("name", ["combine", "fig", "bitstack", "crt"])
+def test_cli_unpack_matches_pipeline_unpack_then_trims(name, sigma):
+    # The CLI draws each output of the last stage, trims it and drops it;
+    # that gives the bytes, levels and op counts of the whole list trimmed.
+    layout, data, n = _stream_case(name)
+    cfg = cli.RunConfig(sim=SimParams(n=n, noise_stddev=sigma, seed=1))
+    packed = pipeline_pack(data, layout)
+    recovered, res = cli._unpack(cfg, packed, layout)
+    params = replace(cfg.sim, stats=OpStats())
+    outs = pipeline_unpack([encrypt(v, params) for v in packed], layout)
+    assert [ct.slots[: len(v)].real.tobytes() for ct, v in zip(outs, data)] == \
+        [v.tobytes() for v in recovered]
+    assert len(outs) == len(recovered) == len(data)
+    assert res["levels"] == [ct.level for ct in outs]
+    assert res["stats"] == params.stats  # every OpStats field
+
+
+def test_cli_unpack_never_holds_every_full_slot_output():
+    n = 2 ** 13
+    layout = cli.combine2_layout(n)
+    rng = np.random.default_rng(24)
+    data = [rng.integers(0, 4, cli.COMBINE_LEN) for _ in range(cli.COMBINE_VECTORS)]
+    packed = pipeline_pack(data, layout)
+    cfg = cli.RunConfig(sim=SimParams(n=n))
+    outs = pipeline_unpack([encrypt(v, cfg.sim) for v in packed], layout)  # compiles the plans
+    full = sum(ct.slots.nbytes for ct in outs)
+    assert len(outs) == cli.COMBINE_VECTORS
+    del outs
+    tracemalloc.start()
+    try:
+        _, res = cli._unpack(cfg, packed, layout, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(res["max_errors"]) <= 1e-4
+    assert peak < full, (peak, full)
+
+
+class _HalvedImgPair(ImgPairStage):
+    """An ImgPair stage whose unpack yields only the first half of each pair."""
+
+    def unpack(self, cts):
+        return (img_unpack(ct, self.n1, self.n2)[0] for ct in cts)
+
+
+class _DoubledImgPair(ImgPairStage):
+    """An ImgPair stage whose unpack yields each pair twice."""
+
+    def unpack(self, cts):
+        return (v for ct in cts for v in 2 * img_unpack(ct, self.n1, self.n2))
+
+
+@pytest.mark.parametrize("stage_type", [_HalvedImgPair, _DoubledImgPair])
+def test_cli_unpack_rejects_a_stage_yielding_other_than_its_lengths(stage_type):
+    # unpacked_lengths promises two outputs per pair; fewer or more raise
+    # rather than being cut to the shorter of the two.
+    stage = stage_type(3, 3)
+    packed = stage.pack([np.arange(3.0), np.arange(3.0)])
+    with pytest.raises(ValueError, match="zip"):
+        cli._unpack(cli.RunConfig(sim=SimParams(n=4)), packed, (stage,))
 
 
 def test_pipeline_shape_mismatch_errors():

@@ -338,36 +338,77 @@ def _leaf_series(D, pattern, rng):
     return c
 
 
-def _run(fn, coeffs, xs, sched, level, sigma=0.0):
+def _run(fn, poly, xs, sched, level, sigma=0.0):
+    """fn(poly, u, sched) on u holding xs, and its OpStats; poly is a series or its coefficients."""
     params = SimParams(n=xs.size, max_level=level, noise_stddev=sigma, seed=3)
-    return fn(coeffs, encrypt(xs, params), sched), params.stats
-
-
-def _stacked(coeffs, u, sched):
-    return eval_ps(unit_series(coeffs), u, sched)
+    return fn(poly, encrypt(xs, params), sched), params.stats
 
 
 @pytest.mark.parametrize("pattern", LEAF_PATTERNS)
 def test_lincomb_leaf_matches_per_term_reference(pattern):
     # Every degree 1..600: the stacked-product leaf agrees with Clenshaw and
     # gives the per-term operator leaf's values, OpStats and levels; with
-    # noise on it spends the same counts and levels.
+    # noise on it spends the same counts and levels.  The three eval_ps
+    # runs share one series, so each degree compiles once.
     rng = np.random.default_rng(LEAF_PATTERNS.index(pattern))
     xs = np.array([-1.0, -0.37, 0.5, 1.0])
     for D in range(1, 601):
         c = _leaf_series(D, pattern, rng)
+        series = unit_series(c)
         sched = plan_schedule(D)
-        exact, stats = _run(_stacked, c, xs, sched, 12)
+        exact, stats = _run(eval_ps, series, xs, sched, 12)
         # |sum_i c_i T_i| <= sum|c|: the bound is relative to the largest possible value.
         assert np.max(np.abs(exact.slots - clenshaw(c, xs))) <= 1e-12 * np.abs(c).sum(), D
         want, want_stats = _run(_reference_eval_ps, c, xs, sched, 12)
         assert stats == want_stats and exact.level == want.level, D
         assert np.max(np.abs(exact.slots - want.slots)) <= 1e-12, D
-        noisy, noisy_stats = _run(_stacked, c, xs, sched, 12, sigma=1e-6)
+        noisy, noisy_stats = _run(eval_ps, series, xs, sched, 12, sigma=1e-6)
         assert noisy_stats == stats and noisy.level == exact.level, D
         if exact.level < 12:  # a constant series (even at D=1) spends no level
             with pytest.raises(LevelExhaustedError):
-                _run(_stacked, c, xs, sched, 12 - exact.level - 1)
+                _run(eval_ps, series, xs, sched, 12 - exact.level - 1)
+
+
+def _div_by_T_loop(f, N):
+    """The term-by-term Chebyshev long division that psev's masked slice replaces."""
+    f = f.copy()
+    d = _degree(f)
+    q = np.zeros(max(d - N, 0) + 1)
+    for i in range(d, N, -1):
+        ci = f[i]
+        if ci != 0.0:
+            q[i - N] += 2.0 * ci
+            f[abs(i - 2 * N)] -= ci
+            f[i] = 0.0
+    q[0] += f[N]
+    f[N] = 0.0
+    return q, f[:N]
+
+
+def test_div_by_T_is_the_term_by_term_division(monkeypatch):
+    # Every division that compiling degrees 1..600 makes, for each leaf
+    # pattern: the dividend's degree is below twice the divisor's, which the
+    # masked slice relies on, and q and r are the loop's bytes.
+    divide, calls = psev._div_by_T, []
+    # A -0.0 term updates nothing, as in the loop: q keeps +0.0, r its -0.0.
+    f = np.array([0.5, 1.0, -0.0, 0.25, -0.0, 1.0])
+    for got, want in zip(divide(f, 3), _div_by_T_loop(f, 3)):
+        assert got.tobytes() == want.tobytes()
+
+    def checked(f, N):
+        assert _degree(f) < 2 * N, (_degree(f), N)
+        q, r = divide(f, N)
+        want_q, want_r = _div_by_T_loop(f, N)
+        assert q.tobytes() == want_q.tobytes() and r.tobytes() == want_r.tobytes(), N
+        calls.append(N)
+        return q, r
+
+    monkeypatch.setattr(psev, "_div_by_T", checked)
+    for pattern in LEAF_PATTERNS:
+        rng = np.random.default_rng(LEAF_PATTERNS.index(pattern))
+        for D in range(1, 601):
+            psev._compile(unit_series(_leaf_series(D, pattern, rng)), plan_schedule(D))
+    assert len(calls) > 50_000
 
 
 def fresh_plan(p=5, B=29, D=63):
