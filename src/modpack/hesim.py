@@ -17,10 +17,10 @@ one place: a noise-off multiplication whose complex result has no nonzero
 imaginary part stores it as float64, as the conjugate trick's masks leave
 ImgPair's unpacked halves.  Additions, rotations and conjugations never
 narrow, and a noise-on result stays complex.  Only `encrypt`,
-`SlotCiphertext._operand`, `lincomb`'s stack and that narrowing pick a
-dtype (psev's power-basis block, which psev hands `lincomb` as its stack,
-takes the dtype `lincomb` would pick); every other op, `mul_add` included,
-follows numpy's promotion, and `decrypt` always returns complex128.
+`SlotCiphertext._operand`, `lincomb`'s stack, that narrowing and
+`psev.compute_power_basis` (for its block, `lincomb`'s stack in psev, the
+dtype `lincomb` would pick) pick a dtype; every other op, `mul_add`
+included, follows numpy's promotion, and `decrypt` always returns complex128.
 
 A ciphertext's slots are never written once another ciphertext can read
 them.  Only fresh arrays and buffers their caller owns are written in

@@ -13,10 +13,11 @@ would and draws its noise, one draw of variance t*sigma^2 for a t-term
 leaf.  For plaintext values, encrypt them with the noise off: the
 simulator is then exact complex arithmetic.
 
-Buffers.  The basis is one (k+1, n) block per schedule: row 0 holds u, the
-baby steps T_2..T_k are written into the rows between, and the last row
-is ones, so the block is the leaf product's operand without a copy.  Each
-giant step and the map get one fresh buffer.  The walk writes each node's
+Buffers.  compute_power_basis allocates one (k+1, n) block per schedule
+and returns it with the basis: row 0 a copy of u, the baby steps T_2..T_k
+written into the rows between, and the last row ones, so eval_ps hands
+the block to the leaf product as its operand without a copy.  Each giant
+step and the map get one fresh buffer.  The walk writes each node's
 product and sum over the buffer of its quotient's value: a row of the
 leaf product or a fresh array, both the evaluation's own; a result left
 in a row is copied out.  The caller's ciphertexts and a shared basis are
@@ -98,37 +99,35 @@ def plan_schedule(D: int) -> PsSchedule:
     return PsSchedule(k=k, m=m)
 
 
-def compute_power_basis(u, sched: PsSchedule, out: np.ndarray | None = None):
-    """Chebyshev powers of u: bs = (T_1..T_k), gs = (T_k, T_2k, ..., T_{k*2^(m-1)}).
+def compute_power_basis(u: SlotCiphertext, sched: PsSchedule):
+    """Chebyshev powers of u: bs = (T_1..T_k), gs = (T_k, T_2k, ..., T_{k*2^(m-1)}), and a block.
 
-    Every baby step comes, in ascending order, from the balanced split of
-    the product identity T_j = 2*T_ceil(j/2)*T_floor(j/2) - T_(j mod 2); a
-    giant step T_2n is the doubling 2*T_n^2 - 1.  The multiplication dag
-    stays at log depth.  On a ciphertext the consumption is read off the
-    returned elements' level fields, and each step is one hesim.mul_add
-    over a fresh buffer, or for a baby step T_j over row j-1 of `out`, a
-    (k+1, n) stack whose row 0 holds u and last row ones: it is then
-    hesim.lincomb's operand as it stands.
+    The (k+1, n) block holds a copy of u, the baby steps T_2..T_k and a row
+    of ones, so it is hesim.lincomb's operand as it stands; its dtype is
+    the one lincomb would pick, complex with the noise on and k > 1, else
+    u's.  Every baby step comes, in ascending order, from the balanced
+    split of the product identity T_j = 2*T_ceil(j/2)*T_floor(j/2) - T_(j mod 2);
+    a giant step T_2n is the doubling 2*T_n^2 - 1.  The multiplication dag
+    stays at log depth, and the consumption is read off the returned
+    elements' level fields.  Each step is one hesim.mul_add, a baby step
+    T_j over row j-1 of the block and a giant step over a fresh buffer.
     """
-    if isinstance(u, SlotCiphertext):
-        def step(a, b, c, j=None):
-            row = None if out is None or j is None else out[j]
-            t = mul_add(a, b, c, double=True, subtract=True, out=row)
-            if row is not None and t.slots is not row:
-                row[...] = t.slots  # a fresh result, its dtype held by the block's
-            return t
-    else:
-        def step(a, b, c, j=None):
-            prod = a * b
-            return prod + prod - c
-
+    noisy = u.params.noise_stddev > 0 and sched.k > 1
+    block = np.empty((sched.k + 1, u.params.n), complex if noisy else u.slots.dtype)
+    block[0] = u.slots
+    block[-1] = 1.0
     bs = [u]
     for j in range(2, sched.k + 1):
-        bs.append(step(bs[(j + 1) // 2 - 1], bs[j // 2 - 1], 1.0 if j % 2 == 0 else u, j - 1))
+        row = block[j - 1]
+        t = mul_add(bs[(j + 1) // 2 - 1], bs[j // 2 - 1], 1.0 if j % 2 == 0 else u,
+                    double=True, subtract=True, out=row)
+        if t.slots is not row:
+            row[...] = t.slots  # a fresh result, its dtype held by the block's
+        bs.append(t)
     gs = [bs[-1]]
     for _ in range(1, sched.m):
-        gs.append(step(gs[-1], gs[-1], 1.0))
-    return bs, gs
+        gs.append(mul_add(gs[-1], gs[-1], 1.0, double=True, subtract=True))
+    return bs, gs, block
 
 
 def _degree(c: np.ndarray) -> int:
@@ -173,12 +172,7 @@ def eval_ps(series: ChebSeries, u, sched: PsSchedule, bases=None):
         return (u - u) + tree
     bases = {} if bases is None else bases
     if sched not in bases:
-        # the baby steps' promoted dtype: u's, or complex as every noisy product is
-        noisy = u.params.noise_stddev > 0 and sched.k > 1
-        block = np.empty((sched.k + 1, u.params.n), complex if noisy else u.slots.dtype)
-        block[0] = u.slots
-        block[-1] = 1.0
-        bases[sched] = compute_power_basis(u, sched, block) + (block,)
+        bases[sched] = compute_power_basis(u, sched)
     bs, gs, block = bases[sched]
     out = _walk(tree, u, gs, lincomb(bs, C[:, 1:], C[:, 0], block))
     # a result left in a row of the leaf product must not keep the product alive

@@ -39,10 +39,44 @@ def test_plan_schedule_capacity_covers_degree():
 
 
 def test_power_basis_plaintext_values():
+    # one noise-off slot: exact arithmetic on the plaintext 0.5
     sched = PsSchedule(k=3, m=2)
-    bs, gs = compute_power_basis(0.5, sched)
-    assert bs == pytest.approx([0.5, -0.5, -1.0])
-    assert gs[0] is bs[2]  # both are T_k(u)
+    bs, gs, _ = compute_power_basis(encrypt([0.5], SimParams(n=1)), sched)
+    assert [decrypt(t)[0].real for t in bs] == pytest.approx([0.5, -0.5, -1.0])
+    assert gs[0] is bs[sched.k - 1]  # both are T_k(u)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-9])
+@pytest.mark.parametrize("kind", ["real", "complex_zero_imag", "complex"])
+@pytest.mark.parametrize("k", [1, 4])
+def test_power_basis_block_is_the_leaf_operand(monkeypatch, k, kind, sigma):
+    # The block holds u (a copy), T_2..T_k and ones; it is complex with the
+    # noise on and k > 1, else u's dtype, and a narrowed noise-off step of a
+    # complex u is copied back into its row.  eval_ps hands that very block
+    # to lincomb as its operand.
+    ts = np.linspace(-1, 1, 8)
+    message = {"real": ts, "complex_zero_imag": ts + 0j, "complex": ts * np.exp(0.3j) * 0.9}[kind]
+    sched = PsSchedule(k=k, m=2)
+    u = encrypt(message, SimParams(n=8, noise_stddev=sigma, seed=2))
+    bs, gs, block = compute_power_basis(u, sched)
+    assert block.shape == (k + 1, 8)
+    assert block.dtype == (complex if sigma and k > 1 else u.slots.dtype)
+    assert not np.shares_memory(block, u.slots) and np.array_equal(block[0], u.slots)
+    for row, t in zip(block[1:-1], bs[1:], strict=True):
+        assert np.array_equal(row, t.slots)
+    assert np.all(block[-1] == 1.0)
+    operands = []
+
+    def recording(cts, coeffs, consts, operand=None):
+        operands.append(operand)
+        return lincomb(cts, coeffs, consts, operand)
+
+    monkeypatch.setattr(psev, "lincomb", recording)
+    series = unit_series(np.random.default_rng(k).uniform(-1, 1, sched.capacity + 1))
+    bases = {}
+    eval_ps(series, u, sched, bases)
+    eval_ps(series, u, sched, {sched: (bs, gs, block)})
+    assert operands[0] is bases[sched][2] and operands[1] is block
 
 
 def test_power_basis_on_simulator_matches_oracle():
@@ -50,7 +84,7 @@ def test_power_basis_on_simulator_matches_oracle():
     u_vals = np.linspace(-1, 1, 16)
     u = encrypt(u_vals, params)
     sched = PsSchedule(k=10, m=5)
-    bs, gs = compute_power_basis(u, sched)
+    bs, gs, _ = compute_power_basis(u, sched)
     for i, element in enumerate(bs, start=1):
         assert np.max(np.abs(decrypt(element).real - cheb_T(i, u_vals))) <= 1e-9
     for j, element in enumerate(gs):
@@ -296,7 +330,7 @@ def _reference_eval_ps(coeffs, u, sched):
     coefficient, summed term by term.  The tree and power basis are psev's."""
     if _degree(coeffs) == 0:
         return (u - u) + float(coeffs[0])
-    bs, gs = compute_power_basis(u, sched)
+    bs, gs, _ = compute_power_basis(u, sched)
     g = np.zeros(sched.capacity + 1)
     g[: coeffs.size] = coeffs
 
@@ -344,31 +378,6 @@ def _run(fn, poly, xs, sched, level, sigma=0.0):
     return fn(poly, encrypt(xs, params), sched), params.stats
 
 
-@pytest.mark.parametrize("pattern", LEAF_PATTERNS)
-def test_lincomb_leaf_matches_per_term_reference(pattern):
-    # Every degree 1..600: the stacked-product leaf agrees with Clenshaw and
-    # gives the per-term operator leaf's values, OpStats and levels; with
-    # noise on it spends the same counts and levels.  The three eval_ps
-    # runs share one series, so each degree compiles once.
-    rng = np.random.default_rng(LEAF_PATTERNS.index(pattern))
-    xs = np.array([-1.0, -0.37, 0.5, 1.0])
-    for D in range(1, 601):
-        c = _leaf_series(D, pattern, rng)
-        series = unit_series(c)
-        sched = plan_schedule(D)
-        exact, stats = _run(eval_ps, series, xs, sched, 12)
-        # |sum_i c_i T_i| <= sum|c|: the bound is relative to the largest possible value.
-        assert np.max(np.abs(exact.slots - clenshaw(c, xs))) <= 1e-12 * np.abs(c).sum(), D
-        want, want_stats = _run(_reference_eval_ps, c, xs, sched, 12)
-        assert stats == want_stats and exact.level == want.level, D
-        assert np.max(np.abs(exact.slots - want.slots)) <= 1e-12, D
-        noisy, noisy_stats = _run(eval_ps, series, xs, sched, 12, sigma=1e-6)
-        assert noisy_stats == stats and noisy.level == exact.level, D
-        if exact.level < 12:  # a constant series (even at D=1) spends no level
-            with pytest.raises(LevelExhaustedError):
-                _run(eval_ps, series, xs, sched, 12 - exact.level - 1)
-
-
 def _div_by_T_loop(f, N):
     """The term-by-term Chebyshev long division that psev's masked slice replaces."""
     f = f.copy()
@@ -385,30 +394,91 @@ def _div_by_T_loop(f, N):
     return q, f[:N]
 
 
-def test_div_by_T_is_the_term_by_term_division(monkeypatch):
-    # Every division that compiling degrees 1..600 makes, for each leaf
-    # pattern: the dividend's degree is below twice the divisor's, which the
-    # masked slice relies on, and q and r are the loop's bytes.
-    divide, calls = psev._div_by_T, []
-    # A -0.0 term updates nothing, as in the loop: q keeps +0.0, r its -0.0.
-    f = np.array([0.5, 1.0, -0.0, 0.25, -0.0, 1.0])
-    for got, want in zip(divide(f, 3), _div_by_T_loop(f, 3)):
-        assert got.tobytes() == want.tobytes()
+def _oracle_sweep(pattern):
+    """Every degree 1..600 of a leaf pattern, each series built and compiled once.
 
-    def checked(f, N):
+    The compile, on the series' first evaluation, checks each division it
+    makes against _div_by_T_loop: the dividend's degree is below twice the
+    divisor's, which the masked slice relies on, and q and r are the loop's
+    bytes.  The oracle (Clenshaw and the per-term reference) is computed
+    once per degree, and each evaluation path's runs are checked against
+    it: an evaluation path joins the sweep as one more run here.  Returns
+    the number of divisions checked.
+    """
+    divide, compile_ = psev._div_by_T, psev._compile
+    divisions, compiles = [], []
+
+    def checked_divide(f, N):
         assert _degree(f) < 2 * N, (_degree(f), N)
         q, r = divide(f, N)
         want_q, want_r = _div_by_T_loop(f, N)
         assert q.tobytes() == want_q.tobytes() and r.tobytes() == want_r.tobytes(), N
-        calls.append(N)
+        divisions.append(N)
         return q, r
 
-    monkeypatch.setattr(psev, "_div_by_T", checked)
-    for pattern in LEAF_PATTERNS:
-        rng = np.random.default_rng(LEAF_PATTERNS.index(pattern))
+    def counted_compile(series, sched):
+        compiles.append(sched)
+        return compile_(series, sched)
+
+    rng = np.random.default_rng(LEAF_PATTERNS.index(pattern))
+    xs = np.array([-1.0, -0.37, 0.5, 1.0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(psev, "_div_by_T", checked_divide)
+        mp.setattr(psev, "_compile", counted_compile)
         for D in range(1, 601):
-            psev._compile(unit_series(_leaf_series(D, pattern, rng)), plan_schedule(D))
-    assert len(calls) > 50_000
+            c = _leaf_series(D, pattern, rng)
+            series = unit_series(c)
+            sched = plan_schedule(D)
+            # The oracle, once per degree: Clenshaw, with a bound relative to
+            # the largest possible value (|sum_i c_i T_i| <= sum|c|), and the
+            # per-term reference.
+            truth, bound = clenshaw(c, xs), 1e-12 * np.abs(c).sum()
+            want, want_stats = _run(_reference_eval_ps, c, xs, sched, 12)
+            # eval_ps: the stacked-product leaf gives the per-term operator
+            # leaf's values, OpStats and levels, and spends exactly the tree's
+            # ceil(log2 D) + 1 levels (none for a constant series, even at
+            # D=1); with noise on it spends the same counts and levels.
+            exact, stats = _run(eval_ps, series, xs, sched, 12)
+            assert np.max(np.abs(exact.slots - truth)) <= bound, D
+            assert stats == want_stats and exact.level == want.level, D
+            assert np.max(np.abs(exact.slots - want.slots)) <= 1e-12, D
+            depth = math.ceil(math.log2(D)) + 1 if _degree(c) else 0
+            assert 12 - exact.level == depth, D
+            noisy, noisy_stats = _run(eval_ps, series, xs, sched, 12, sigma=1e-6)
+            assert noisy_stats == stats and noisy.level == exact.level, D
+            if depth:
+                with pytest.raises(LevelExhaustedError):
+                    _run(eval_ps, series, xs, sched, depth - 1)
+    assert len(compiles) == 600
+    return len(divisions)
+
+
+@pytest.fixture(scope="module")
+def oracle_sweep():
+    """_oracle_sweep, run at most once per pattern for the module's tests."""
+    done = {}
+
+    def sweep(pattern):
+        if pattern not in done:
+            done[pattern] = _oracle_sweep(pattern)
+        return done[pattern]
+
+    return sweep
+
+
+@pytest.mark.parametrize("pattern", LEAF_PATTERNS)
+def test_lincomb_leaf_matches_per_term_reference(oracle_sweep, pattern):
+    # Every degree 1..600 agrees with Clenshaw and the per-term reference.
+    oracle_sweep(pattern)
+
+
+def test_div_by_T_is_the_term_by_term_division(oracle_sweep):
+    # A -0.0 term updates nothing, as in the loop: q keeps +0.0, r its -0.0.
+    f = np.array([0.5, 1.0, -0.0, 0.25, -0.0, 1.0])
+    for got, want in zip(_div_by_T(f, 3), _div_by_T_loop(f, 3)):
+        assert got.tobytes() == want.tobytes()
+    # the sweeps check every division that compiling degrees 1..600 makes
+    assert sum(oracle_sweep(pattern) for pattern in LEAF_PATTERNS) > 50_000
 
 
 def fresh_plan(p=5, B=29, D=63):
