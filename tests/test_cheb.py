@@ -61,6 +61,9 @@ def test_map_to_unit_domain_error():
         map_to_unit(29.1, 29)
     # within slack is fine
     map_to_unit(29 + 1e-10, 29)
+    for B in (0, -1):
+        with pytest.raises(ValueError, match=f"interval upper bound must be positive, got {B}"):
+            map_to_unit(0.0, B)
 
 
 def test_constant_series():

@@ -1,12 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from argparse import Namespace
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modpack
 from modpack import cli
 from modpack.fitting import fit_modp, load_plan, suggest_delta
 from modpack.hesim import SimParams
@@ -54,9 +59,15 @@ def test_fit_rejects_infinite_delta(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_fit_rejects_bad_degree(tmp_path, capsys):
-    assert run("fit", "--p", 4, "--B", 29, "--D", 20, "--out", tmp_path / "x.json") == 2
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("p,B,D,message", [
+    (4, 29, 20, "degree must exceed the interval bound (D=20, B=29)"),
+    (1, 3, 5, "modulus must be at least 2, got 1"),
+], ids=["degree", "modulus"])
+def test_fit_rejects_bad_arguments(tmp_path, capsys, p, B, D, message):
+    out = tmp_path / "x.json"
+    assert run("fit", "--p", p, "--B", B, "--D", D, "--out", out) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_refuses_an_oversized_system(tmp_path, capsys):
@@ -260,11 +271,15 @@ def test_table_out_of_levels_exits_two(tmp_path, capsys):
     assert "error:" in err and "level" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("n", [0, 3])
-def test_table_rejects_bad_slot_count(n, tmp_path, capsys):
+@pytest.mark.parametrize("name,n,message", [
+    ("modp4", 0, "slot count must be a power of two, got 0"),
+    ("modp4", 3, "slot count must be a power of two, got 3"),
+    ("combine", 1024, f"slot count 1024 cannot hold a length-{cli.COMBINE_LEN} vector"),
+], ids=["0", "3", "combine-1024"])
+def test_table_rejects_bad_slot_count(name, n, message, tmp_path, capsys):
     # --n 0 used to be ignored: the table ran at the config's n and exited 0
-    assert run("table", "--name", "modp4", "--n", n, "--output-dir", tmp_path / "out") == 2
-    assert f"error: slot count must be a power of two, got {n}" in capsys.readouterr().err
+    assert run("table", "--name", name, "--n", n, "--output-dir", tmp_path / "out") == 2
+    assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -339,9 +354,20 @@ MALFORMED_INPUTS = {
                           "layout stage 0 (crt) has a field of the wrong type"),
     "layout-no-kind": ("pack", '{"stages": [{"moduli": [3, 5]}]}',
                        "layout stage 0 has no 'kind' field"),
+    "layout-unknown-kind": ("pack", '{"stages": [{"kind": "nope"}]}',
+                            "unknown stage kind 'nope' in layout stage 0"),
+    # a crt stage packs without plans; unpacking it needs them
+    "layout-crt-without-plans": ("unpack", '{"stages": [{"kind": "crt", "moduli": [3, 5]}]}',
+                                 "basis carries no plans; unpacking needs one per modulus"),
     "layout-missing-field": ("pack", '{"stages": [{"kind": "imgpair", "n1": 4, "n2": 4}, '
                              '{"kind": "concat"}]}', "layout stage 1 has no 'groups' field"),
-    # "plan": the text is a plan file that a crt layout stage names
+    # "plan": the text is the one plan file that a crt layout stage over moduli
+    # (3, 5) names
+    "plan-one-for-two-moduli": ("plan", '{"coeffs": [0.5], "p": 3, "B": 14, "D": 0, '
+                                '"delta": 1.0, "residual": 0.0}',
+                                "need exactly 2 plans, one per layer spec, got 1"),
+    "plan-no-coeffs": ("plan", '{"p": 3, "B": 14, "D": 0, "delta": 1.0, "residual": 0.0}',
+                       "input.json has no 'coeffs' field"),
     # a float field names itself and its value, as the whole fields do
     "plan-field-type": ("plan", '{"coeffs": [0.5], "p": 3, "B": null, "D": 0, "delta": 1.0, '
                         '"residual": 0.0}', "input.json: domain_upper must be a number, got None"),
@@ -405,10 +431,11 @@ def test_malformed_config_or_layout_exits_two(tmp_path, capsys, command, text, m
         argv = ("table", "--name", "modp4", "--config", path, "--output-dir", tmp_path / "out")
     else:
         if command == "plan":
-            layout = {"stages": [{"kind": "crt", "moduli": [3], "plan_files": [path.name]}]}
+            layout = {"stages": [{"kind": "crt", "moduli": [3, 5], "plan_files": [path.name]}]}
             path = tmp_path / "layout.json"
             path.write_text(json.dumps(layout))
-        argv = ("pack", "--layout", path, "--data", data, "--out", tmp_path / "o.ndjson")
+        verb = "unpack" if command == "unpack" else "pack"
+        argv = (verb, "--layout", path, "--data", data, "--out", tmp_path / "o.ndjson")
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and message in err and "Traceback" not in err
@@ -566,19 +593,74 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def test_table_modp5_bounds_and_determinism(tmp_path, capsys):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert run("table", "--name", "modp5", "--output-dir", out_a) == 0
-    assert run("table", "--name", "modp5", "--output-dir", out_b) == 0
-    csv_a = (out_a / "modp5.csv").read_bytes()
-    assert csv_a == (out_b / "modp5.csv").read_bytes()
-    rows = read_csv(out_a / "modp5.csv")
+def test_table_modp5_within_bounds(tmp_path):
+    assert run("table", "--name", "modp5", "--output-dir", tmp_path) == 0
+    rows = read_csv(tmp_path / "modp5.csv")
     assert [int(r["degree"]) for r in rows] == [35, 40, 45, 50]
     for row, bound in zip(rows, (1e-4, 1e-6, 1e-6, 1e-6)):
         assert float(row["mean_abs_error"]) <= bound
         assert row["status"] == "pass"
         assert row["bound"]  # every checked cell carries its bound
-    assert (out_a / "modp5.md").exists()
+    assert (tmp_path / "modp5.md").exists()
+
+
+def _table_bytes(out_dir):
+    """{file name: bytes} of every file in a table output directory."""
+    return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+
+def _differing(dir_a, dir_b):
+    """The names of the files that only one of two directories holds, or that differ in bytes."""
+    a, b = _table_bytes(dir_a), _table_bytes(dir_b)
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+
+
+NOISY_TABLES = ("crtstack", "combine", "depth")  # the tables within their bounds at sigma=1e-9
+
+
+def test_table_bytes_repeat_cold_warm_noise_on_and_at_the_share_batch(tmp_path):
+    # Each table run in its own process, as `modpack table` runs, and every
+    # table run twice in this process, where the fit memo and the compiled
+    # programs carry over from table to table and from pass to pass, write the
+    # same bytes.  So do the noise-on tables, whose noise is drawn in
+    # evaluation order from one seed, across processes.  Runs are compared
+    # with each other and no digest is pinned: across BLAS thread counts the
+    # fitter's sums may split differently and move the last digits.
+    package_root = str(Path(modpack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    noisy = tmp_path / "noisy.json"
+    noisy.write_text(json.dumps({"sim": {"noise_stddev": 1e-9, "seed": 1}}))
+    cold, warm1, warm2 = tmp_path / "cold", tmp_path / "warm1", tmp_path / "warm2"
+    noisy_cold, noisy_warm = tmp_path / "noisy-cold", tmp_path / "noisy-warm"
+
+    def in_own_process(name, out_dir, *extra):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "modpack.cli", "table",
+                               "--name", name, "--output-dir", str(out_dir), *map(str, extra)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    for name in cli.TABLES:
+        in_own_process(name, cold)
+    for out_dir in (warm1, warm2):
+        for name in cli.TABLES:
+            assert run("table", "--name", name, "--output-dir", out_dir) == 0, name
+    for name in NOISY_TABLES:
+        in_own_process(name, noisy_cold, "--config", noisy)
+        assert run("table", "--name", name, "--config", noisy, "--output-dir", noisy_warm) == 0
+    assert run("table", "--name", "shares", "--n", cli.SHARE_BATCH,
+               "--output-dir", tmp_path / "batch") == 0
+
+    assert sorted(_table_bytes(cold)) == sorted(f"{name}.{ext}" for name in cli.TABLES
+                                                for ext in ("csv", "md"))
+    assert _differing(cold, warm1) == [], "separate processes and a warm pass differ"
+    assert _differing(warm1, warm2) == [], "a warm pass and its repeat differ"
+    assert _differing(noisy_cold, noisy_warm) == [], "noise-on tables differ between processes"
+    # the config reached the noise-on runs: their errors are not the noise-off ones
+    assert (noisy_cold / "crtstack.csv").read_bytes() != (cold / "crtstack.csv").read_bytes()
+    # each conversion runs on min(SHARE_BATCH, n) slots, so n above the batch moves no cell
+    assert ((tmp_path / "batch" / "shares.csv").read_bytes()
+            == (cold / "shares.csv").read_bytes()), "shares at the batch size differ from n=2^15"
 
 
 def test_table_depth_small_n(tmp_path):
@@ -704,6 +786,27 @@ def test_table_prints_one_timing_line(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert run("selftest") == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+# the cli name a failing selftest check calls, its stand-in, the failure it reports
+SELFTEST_FAILURES = [
+    ("cheb_T", lambda n, x: 0.0, "chebyshev recurrence vs trig form"),
+    # the first random degree fails and ends the sweep
+    ("clenshaw", lambda coeffs, x: np.zeros_like(x),
+     f"paterson-stockmeyer vs clenshaw at degree {np.random.default_rng(0).integers(1, 200)}"),
+    ("fit_modp", lambda *args: replace(fit_modp(*args), residual=1.0), "mod fit residual"),
+    ("run_bitstack", lambda cfg, D: {"max_errors": [1.0]}, "bitstack round trip"),
+]
+
+
+@pytest.mark.parametrize("name,stand_in,failure", SELFTEST_FAILURES,
+                         ids=[case[0] for case in SELFTEST_FAILURES])
+def test_selftest_reports_a_failing_check(name, stand_in, failure, monkeypatch, capsys):
+    monkeypatch.setattr(cli, name, stand_in)
+    assert run("selftest") == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"selftest FAIL: {failure}\n"
+    assert "all checks passed" not in captured.out
 
 
 def test_usage_error_exit_code():

@@ -24,6 +24,10 @@ def test_encrypt_empty_message():
 def test_encrypt_oversize_rejected():
     with pytest.raises(ValueError):
         encrypt(np.ones(9), P8)
+    # a plaintext operand is held to the same slot count, and must be 1-d
+    for plain in (np.ones(9), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="plaintext vector must be 1-d with length <= slot"):
+            encrypt(np.ones(8), P8) * plain
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])

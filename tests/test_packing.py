@@ -326,6 +326,8 @@ def test_crt_recombinants_inverse_property():
 def test_crt_range_violation():
     with pytest.raises(ValueError, match="layer 1 element 0"):
         crt_pack([[1], [5]], CrtBasis((4, 5)))
+    with pytest.raises(ValueError, match="expected 2 layers, got 1"):
+        crt_pack([[1]], CrtBasis((4, 5)))
 
 
 @pytest.mark.parametrize("pack,stage", [(crt_pack, CrtBasis((3, 5))),
@@ -350,6 +352,13 @@ def test_crt_basis_validation():
         CrtBasis((4, 6))
     with pytest.raises(CapacityError):
         CrtBasis((1 << 13, (1 << 12) + 1))
+    with pytest.raises(ValueError, match="moduli must all be at least 2"):
+        CrtBasis((1, 3))
+    # BitStackLayout checks its radices and its range the same way
+    with pytest.raises(ValueError, match="radices must all be at least 2"):
+        BitStackLayout((1, 4))
+    with pytest.raises(CapacityError, match="stacked range exceeds the exact-double guard"):
+        BitStackLayout((1 << 12, 1 << 13))
 
 
 def test_stages_with_plans_compare_without_raising():
@@ -588,12 +597,18 @@ def test_pipeline_shape_mismatch_errors():
     layout = (ConcatStage(((2, 2),)),)
     with pytest.raises(ValueError):
         pipeline_pack([np.zeros(2)], layout)  # group wants two vectors
+    with pytest.raises(ValueError, match="vector 1 has length 3, layout expects 2"):
+        pipeline_pack([np.zeros(2), np.zeros(3)], layout)
+    with pytest.raises(ValueError, match="expected 2 vectors, got 1"):
+        vec_pack([np.zeros(2)], (2, 2))  # a concat stage always passes a whole group
     stack = (CrtBasis((4, 5)),)
     with pytest.raises(ValueError):
         pipeline_pack([np.zeros(4), np.zeros(5)], stack)  # unequal lengths
     img = (ImgPairStage(3, 3),)
     with pytest.raises(ValueError):
         pipeline_pack([np.zeros(3)], img)  # odd count
+    with pytest.raises(ValueError, match=r"expects lengths \(3, 3\), got \(3, 2\)"):
+        pipeline_pack([np.zeros(3), np.zeros(2)], img)
 
 
 def test_layout_json_round_trip(tmp_path):

@@ -247,6 +247,11 @@ def test_schedule_takes_whole_floats_and_rejects_fractions():
                        eval_at(np.full(8, 0.1), 0.5, PsSchedule(3, 3)))
     with pytest.raises(ValueError, match="k must be a whole number, got 2.5"):
         PsSchedule(2.5, 3)
+    for k, m in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match="k and m must be positive"):
+            PsSchedule(k, m)
+    with pytest.raises(ValueError, match="degree must be at least 1, got 0"):
+        plan_schedule(0)
 
 
 def test_mul_by_int_additively():
@@ -261,6 +266,8 @@ def test_mul_by_int_additively():
     assert big.level == params.max_level
     with pytest.raises(ValueError):
         mul_by_int_additively(ct, 1 << 25)
+    with pytest.raises(ValueError, match="multiplier must be a positive integer"):
+        mul_by_int_additively(ct, 0)
 
 
 def test_mul_by_int_additively_takes_whole_numbers_of_any_type():

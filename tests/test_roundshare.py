@@ -89,6 +89,8 @@ def test_ceil_rejects_comparator_of_another_modulus():
     plan = fit_modp(4, 29, 45, 100.0)
     with pytest.raises(ValueError, match=r"step plan covers \[0, 4\], inputs live in \[0, 3\]"):
         ceil_he(enc([13.0]), 4, plan, build_comp_plan(0.5, 5))
+    with pytest.raises(ValueError, match="plan fits modulus 4, requested 5"):
+        ceil_he(enc([13.0]), 5, plan, build_comp_plan(0.5, 5))
 
 
 def test_comp_plan_rejects_integer_threshold():
@@ -160,6 +162,10 @@ def test_shareset_validation_and_secret():
     assert np.array_equal(s.secret(), [8, 6])
     with pytest.raises(ValueError):
         ShareSet(16, (np.array([16]),))
+    with pytest.raises(ValueError, match="share modulus must be at least 2"):
+        ShareSet(1, ([0],))
+    with pytest.raises(ValueError, match="need at least one share"):
+        ShareSet(16, ())
     # a ragged set used to construct and fail only in secret(), inside np.stack
     with pytest.raises(ValueError, match="stacked vectors must share the same length"):
         ShareSet(16, ([1, 2, 3], [4, 5]))
