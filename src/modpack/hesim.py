@@ -7,8 +7,15 @@ modeling beyond an optional per-multiplication Gaussian knob: with the
 noise turned off the simulator is an exact complex-arithmetic machine, so
 downstream error measurements isolate pure approximation error.  With it
 on, each multiplication result draws one Gaussian vector, of variance
-t*sigma^2 for a sum of t multiplications such as a `lincomb` row: the
-distribution of t independent per-term draws' sum, at one draw's cost.
+t*sigma^2 for a sum of t multiplications such as a Paterson-Stockmeyer
+leaf: the distribution of t independent per-term draws' sum, at one
+draw's cost.
+
+An op's result is settled in two halves: `_charge` spends its level
+(raising LevelExhaustedError at level 0) and counts it in OpStats, then
+`_finish` draws a multiplication's noise or narrows it.  The operators
+call both through `SlotCiphertext._op`; psev's evaluator charges a whole
+walk first and finishes each value as its arithmetic runs.
 
 Slots are stored as float64 while every slot is real, which halves the
 bytes each op moves, and as complex128 once a complex message, a complex
@@ -17,16 +24,16 @@ one place: a noise-off multiplication whose complex result has no nonzero
 imaginary part stores it as float64, as the conjugate trick's masks leave
 ImgPair's unpacked halves.  Additions, rotations and conjugations never
 narrow, and a noise-on result stays complex.  Only `encrypt`,
-`SlotCiphertext._operand`, `lincomb`'s stack, that narrowing and
-`psev.compute_power_basis` (for its block, `lincomb`'s stack in psev, the
-dtype `lincomb` would pick) pick a dtype; every other op, `mul_add`
-included, follows numpy's promotion, and `decrypt` always returns complex128.
+`SlotCiphertext._operand`, that narrowing and `psev.compute_power_basis`
+(for its block) pick a dtype; every other op, `mul_add` included, follows
+numpy's promotion, and `decrypt` always returns complex128.
 
 A ciphertext's slots are never written once another ciphertext can read
 them.  Only fresh arrays and buffers their caller owns are written in
-place: `_op` adds noise to the complex result it is handed, and `mul_add`
-writes a product, its doubling and a sum over one buffer, falling back to
-a fresh array wherever the buffer's dtype cannot hold the result.
+place: `_finish` adds noise to the complex result it is handed, and
+`mul_add` writes a product, its doubling and a sum over one buffer,
+falling back to a fresh array wherever the buffer's dtype cannot hold the
+result.
 
 SimParams alone holds and checks the simulator's settings; a CLI config overrides them by key.
 """
@@ -130,43 +137,24 @@ class SlotCiphertext:
             arr = _zero_padded(arr, self.params.n)
         return arr
 
-    def _op(self, count: str | None, slots: np.ndarray, other=None, terms: int = 1,
+    def _op(self, count: str | None, slots: np.ndarray, other=None,
             adds: int = 0) -> SlotCiphertext:
-        """The one place an op's result is built: level, noise and OpStats.
+        """An operator's result: `_charge` settles its level and OpStats, `_finish` its slots.
 
         The result sits at the lowest level of self and a ciphertext
         `other`.  count names the OpStats counter the op adds to (None adds
-        to none); "mults" is a multiplication, which spends one level,
-        draws noise, or with the noise off narrows a complex result with no
-        imaginary part to float64, and counts as ct_mults or plain_mults by
-        its operand.
-        A sum of `terms` multiplications counts each and draws one noise
-        vector scaled by sqrt(terms), distributed as the sum of a draw per
-        term; `adds` more additions are counted with it.  `slots` must be an
-        array nothing else reads, as every caller's fresh result is: complex
-        slots take their noise in place.
+        to none); "mults" is a multiplication, counted as ct_mults or
+        plain_mults by its operand, and `adds` more additions are counted
+        with the op.  `slots` must be an array nothing else reads, as every
+        caller's fresh result is.
         """
         is_ct = isinstance(other, SlotCiphertext)
         level = min(self.level, other.level) if is_ct else self.level
         if count == "mults":
-            if level < 1:
-                raise LevelExhaustedError(f"multiplication at level {level} would exhaust the budget")
-            level -= 1
             count = "ct_mults" if is_ct else "plain_mults"
-            sigma = self.params.noise_stddev
-            if sigma > 0:
-                noise = self.params.rng.standard_normal(2 * slots.size).view(complex)
-                noise *= sigma * math.sqrt(terms)
-                if slots.dtype == complex:
-                    slots += noise
-                else:
-                    slots = slots + noise
-            elif slots.dtype == complex and not slots.imag.any():
-                slots = slots.real.copy()  # an exact product left no imaginary part
-        stats = self.params.stats
-        if count is not None:
-            setattr(stats, count, getattr(stats, count) + terms)
-        stats.adds += adds
+        level = _charge(self.params, level, count, adds=adds)
+        if count in _MULTS:
+            slots = _finish(self.params, slots)
         return SlotCiphertext(slots, level, self.params)
 
     # -- ring operations ----------------------------------------------
@@ -204,6 +192,51 @@ def _zero_padded(arr: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+_MULTS = ("ct_mults", "plain_mults")
+
+
+def _charge(params: SimParams, level: int, count: str | None, terms: int = 1,
+            adds: int = 0) -> int:
+    """The level-and-count half of an op: the level of its result, with OpStats counted.
+
+    count names the OpStats counter the op adds `terms` to (None adds to
+    none), and `adds` more additions are counted with it.  A ct_mults or
+    plain_mults op spends one level of `level`, its operands' lowest, and
+    raises LevelExhaustedError if none is left.
+    """
+    if count in _MULTS:
+        if level < 1:
+            raise LevelExhaustedError(f"multiplication at level {level} would exhaust the budget")
+        level -= 1
+    stats = params.stats
+    if count is not None:
+        setattr(stats, count, getattr(stats, count) + terms)
+    stats.adds += adds
+    return level
+
+
+def _finish(params: SimParams, slots: np.ndarray, terms: int = 1) -> np.ndarray:
+    """The noise-and-narrowing half of a multiplication of `terms` terms: its result's slots.
+
+    With the noise on, one Gaussian draw of variance terms*sigma^2 per slot
+    part, distributed as the sum of a draw per term; complex slots take it
+    in place, real ones become a fresh complex sum.  With it off, complex
+    slots with no nonzero imaginary part narrow to a float64 copy.  `slots`
+    must be an array nothing else reads.
+    """
+    sigma = params.noise_stddev
+    if sigma > 0:
+        noise = params.rng.standard_normal(2 * slots.size).view(complex)
+        noise *= sigma * math.sqrt(terms)
+        if slots.dtype == complex:
+            slots += noise
+        else:
+            slots = slots + noise
+    elif slots.dtype == complex and not slots.imag.any():
+        slots = slots.real.copy()  # an exact product left no imaginary part
+    return slots
+
+
 def mul_add(a: SlotCiphertext, b=None, c=None, *, double: bool = False,
             subtract: bool = False, out: np.ndarray | None = None) -> SlotCiphertext:
     """a*b, doubled if `double`, then plus c (minus c if `subtract`), over one buffer.
@@ -233,44 +266,6 @@ def mul_add(a: SlotCiphertext, b=None, c=None, *, double: bool = False,
         slots = (np.subtract if subtract else np.add)(slots, other, out=slots if fits else None)
         adds += 1
     return ct._op(None, slots, c, adds=adds) if adds else ct
-
-
-def lincomb(cts, coeffs, consts, operand: np.ndarray | None = None):
-    """Rows sum_i coeffs[r, i] * cts[i] + consts[r] of one matrix product over the cts' slots.
-
-    The cts' slots are stacked as the rows of one operand of their promoted
-    dtype, above a last row of ones, and the consts ride as the coefficient
-    matrix's last column.  A caller that keeps its cts' slots in such a
-    stack passes it as `operand`, which is read as it stands, never written;
-    otherwise the slots are copied into a fresh one.  BLAS sums each
-    output's terms in order, so the const comes last: a row is bit for bit
-    the cts' product plus the const.
-    The product runs at once; the returned iterator yields the rows' ciphertexts
-    in order, each built by `_op` only when taken, so a caller can interleave
-    other ops and the noise is still drawn in evaluation order.  A row costs
-    what its per-term operators would: a plaintext multiplication per nonzero
-    coefficient, at the lowest of their levels, and an addition per further
-    term and for a nonzero const.  Its t terms' noise is one draw of variance
-    t*sigma^2 per slot part, distributed as the per-term draws' sum.  Every
-    row needs a nonzero coefficient.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    consts = np.asarray(consts, dtype=float)
-    terms = np.count_nonzero(c, axis=1)
-    if not terms.all():
-        raise ValueError(f"lincomb row {int(np.argmin(terms))} has no nonzero coefficient")
-    lows = np.where(c != 0.0, [ct.level for ct in cts], np.inf).argmin(axis=1)
-    if operand is None:
-        operand = np.empty((len(cts) + 1, cts[0].params.n),
-                           np.result_type(*(ct.slots.dtype for ct in cts)))
-        for row, ct in zip(operand, cts):
-            row[:] = ct.slots
-        operand[-1] = 1.0
-    c = np.column_stack((c, consts))
-    # a complex operand runs as a real product over its interleaved parts
-    slots = (c @ operand.view(float)).view(complex) if np.iscomplexobj(operand) else c @ operand
-    return (cts[i]._op("mults", row, terms=t, adds=t - (k == 0.0))
-            for i, row, t, k in zip(lows.tolist(), slots, terms.tolist(), consts.tolist()))
 
 
 def encrypt(v, params: SimParams) -> SlotCiphertext:

@@ -1,26 +1,38 @@
 """Paterson-Stockmeyer evaluation of Chebyshev series on simulated ciphertexts.
 
-The evaluated value is a hesim.SlotCiphertext.  The domain map, the power
-basis and the giant-step tree build their values with hesim.mul_add (a
-constant node with the operators), which counts, levels and draws noise
-as the operators would, bit for bit.
-An evaluation runs in two passes: a coefficient pass does the divisions
-and collects every leaf sum_i c_i T_i(u) as a row of coefficients, and
-one hesim.lincomb computes all the rows as one matrix product over the
-stacked baby steps; the ciphertext walk over the tree then takes each
-leaf at its place, where it counts and levels as its per-term operators
-would and draws its noise, one draw of variance t*sigma^2 for a t-term
-leaf.  For plaintext values, encrypt them with the noise off: the
+The evaluated value is a hesim.SlotCiphertext.  The domain map and the
+power basis build their values with hesim.mul_add (a constant node with
+the operators), which counts, levels and draws noise as the operators
+would, bit for bit.  A series is compiled into a walk program: the
+coefficient pass does the divisions, collects every leaf sum_i c_i T_i(u)
+as a row of a coefficient matrix C, and lists the walk's steps in the
+operators' order: a leaf, a constant, a product by a giant step, a sum.
+An evaluation runs the program twice.  The level pass charges each step
+(hesim._charge) before any arithmetic, so levels, OpStats and
+LevelExhaustedError come once per step, as from the operators: a t-term
+leaf is t plaintext multiplications at its top baby step's level, plus
+its additions.  The arithmetic pass computes the values, and
+hesim._finish draws the noise where the operators would: a leaf's, one
+draw of variance t*sigma^2, when it is taken, and a node's after its
+product.  For plaintext values, encrypt them with the noise off: the
 simulator is then exact complex arithmetic.
 
 Buffers.  compute_power_basis allocates one (k+1, n) block per schedule
 and returns it with the basis: row 0 a copy of u, the baby steps T_2..T_k
-written into the rows between, and the last row ones, so eval_ps hands
-the block to the leaf product as its operand without a copy.  Each giant
-step and the map get one fresh buffer.  The walk writes each node's
-product and sum over the buffer of its quotient's value: a row of the
-leaf product or a fresh array, both the evaluation's own; a result left
-in a row is copied out.  The caller's ciphertexts and a shared basis are
+written into the rows between, and the last row ones.  Each giant step
+and the map get one fresh buffer.  The arithmetic pass runs one column
+block of BLOCK_SLOTS slots at a time over one reused (leaves, BLOCK_SLOTS)
+buffer: C times the block's columns of the basis block (a view, never a
+copy) fills the leaf rows, the walk writes each node's product and sum
+over its quotient's row (or a fresh array for a constant), and the value
+is copied into the one output array.  So a block's leaves, basis and
+giant steps stay in L2, and no full-width leaf product exists.  With the
+noise on, or a complex basis block, the pass is one block as wide as the
+slots, so each noise draw and each narrowing of a complex value covers
+the whole value.  Values agree to rounding at any width; at BLOCK_SLOTS,
+OpenBLAS gives the full-width product's bytes (the tests pin this at
+n=2^15), while narrower blocks can round differently, since BLAS picks
+its kernel by shape.  The caller's ciphertexts and a shared basis are
 only read.
 
 The coefficient pass, a pure function of the immutable series and the
@@ -46,16 +58,20 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cheb import ChebSeries
 from .fitting import ModPlan, _whole
-from .hesim import SlotCiphertext, lincomb, mul_add
+from .hesim import SlotCiphertext, _charge, _finish, mul_add
 
 # Cap on repeated-addition exponents; packing layers stay far below this.
 POW2_ADD_LIMIT = 24
+# Slots per column block of a real noise-off evaluation: a float64 row of
+# 32 KiB, so a D=400 block's 29 leaf rows, 15 basis rows and giant steps
+# (about 1.5 MiB) stay within a 2 MiB L2.
+BLOCK_SLOTS = 4096
 # Values computed once per live plan or series: {owner: {key: value}}.
 _MEMO = weakref.WeakKeyDictionary()
 
@@ -103,9 +119,9 @@ def compute_power_basis(u: SlotCiphertext, sched: PsSchedule):
     """Chebyshev powers of u: bs = (T_1..T_k), gs = (T_k, T_2k, ..., T_{k*2^(m-1)}), and a block.
 
     The (k+1, n) block holds a copy of u, the baby steps T_2..T_k and a row
-    of ones, so it is hesim.lincomb's operand as it stands; its dtype is
-    the one lincomb would pick, complex with the noise on and k > 1, else
-    u's.  Every baby step comes, in ascending order, from the balanced
+    of ones, so the leaf product reads its columns as they stand; its dtype
+    is complex with the noise on and k > 1 (the leaves then take their noise
+    in place), else u's.  Every baby step comes, in ascending order, from the balanced
     split of the product identity T_j = 2*T_ceil(j/2)*T_floor(j/2) - T_(j mod 2);
     a giant step T_2n is the doubling 2*T_n^2 - 1.  The multiplication dag
     stays at log depth, and the consumption is read off the returned
@@ -166,17 +182,36 @@ def eval_ps(series: ChebSeries, u, sched: PsSchedule, bases=None):
     Evaluations on one u that pass one dict `bases` share its power basis
     per schedule: each computes into the dict only the basis it lacks.
     """
-    tree, C = _memo(series, sched, lambda: _compile(series, sched))
+    walk, C, leaves = _memo(series, sched, lambda: _compile(series, sched))
     if C is None:
         # Constant polynomial: a zero ciphertext plus a constant, no mults.
-        return (u - u) + tree
+        return (u - u) + walk
     bases = {} if bases is None else bases
     if sched not in bases:
         bases[sched] = compute_power_basis(u, sched)
     bs, gs, block = bases[sched]
-    out = _walk(tree, u, gs, lincomb(bs, C[:, 1:], C[:, 0], block))
-    # a result left in a row of the leaf product must not keep the product alive
-    return out if out.slots.base is None else replace(out, slots=out.slots.copy())
+    level = _settle(walk, leaves, u, bs, gs)
+    params = u.params
+    n = params.n
+    # a real noise-off block makes real giant steps, its rows' products
+    w = min(BLOCK_SLOTS, n) if params.noise_stddev == 0 and block.dtype == float else n
+    rows = np.empty((len(leaves), w), block.dtype)
+    out = None
+    for s in range(0, n, w):
+        e = min(s + w, n)
+        np.matmul(C, _floats(block[:, s:e]), out=_floats(rows[:, : e - s]))
+        value = _run(walk, leaves, rows[:, : e - s], u.slots[s:e],
+                     [g.slots[s:e] for g in gs], params)
+        if out is None:
+            out = np.empty(n, value.dtype)
+        out[s:e] = value
+    return SlotCiphertext(out, level, params)
+
+
+def _floats(a: np.ndarray) -> np.ndarray:
+    """a, or a complex a's interleaved real and imaginary parts: a complex
+    leaf product runs as a real product over them."""
+    return a.view(float) if a.dtype == complex else a
 
 
 def _memo(owner, key, make):
@@ -188,62 +223,108 @@ def _memo(owner, key, make):
 
 
 def _compile(series: ChebSeries, sched: PsSchedule):
-    """The program of a series: its division tree and leaf matrix (None for a constant)."""
+    """The program of a series: its walk, leaf matrix C and leaves (a constant and None, None).
+
+    C's row i is leaf i's coefficients of u, T_2..T_k and its constant, so
+    C times the basis block's columns gives the leaves' values: BLAS sums
+    each row's terms in order, its constant last.  Leaf i is described by
+    (t, adds, top): its t nonzero terms, the t - 1 additions between them
+    plus one for a nonzero constant, and bs[top], its highest baby step.
+    """
     coeffs = series.coeffs
     if coeffs.size - 1 > sched.capacity:
         raise DegreeOverflowError(
             f"series degree {coeffs.size - 1} exceeds schedule capacity {sched.capacity}"
         )
     if _degree(coeffs) == 0:
-        return float(coeffs[0]), None
+        return float(coeffs[0]), None, None
     g = np.zeros(sched.capacity + 1)
     g[: coeffs.size] = coeffs
-    rows = []
+    rows, walk = [], []
     # At the capacity the first division is by gs[m-1], also when D < k*2^(m-1):
     # the zero quotient times gs[m-1] then spends the schedule's top level.
-    tree = _split(g, sched.capacity, sched.k, rows)
-    C = np.zeros((len(rows), sched.k + 1))  # column 0 holds the leaves' constants
+    _split(g, sched.capacity, sched.k, rows, walk)
+    C = np.zeros((len(rows), sched.k + 1))
+    leaves = []
     for i, row in enumerate(rows):
-        C[i, : row.size] = row
+        C[i, : row.size - 1] = row[1:]
+        C[i, -1] = row[0]
+        t = int(np.count_nonzero(row[1:]))
+        leaves.append((t, t - int(row[0] == 0.0), row.size - 2))
     C.flags.writeable = False
-    return tree, C
+    return walk, C, leaves
 
 
-def _split(ff: np.ndarray, d: int, k: int, rows: list):
-    """Coefficient pass: the division tree of ff, of exact degree d (the capacity at the top).
+def _split(ff: np.ndarray, d: int, k: int, rows: list, walk: list):
+    """Coefficient pass: the walk of ff, of exact degree d (the capacity at the top).
 
-    A node is a float c_0 (a constant); None (a leaf, d < k, whose
-    coefficients c_0..c_d are appended to rows); or (j, q, r) for
-    q*T_{k*2^j} + r, divided by the largest giant step <= d, with r left
-    out when it vanishes.  Leaves are appended in the order _walk meets them.
+    ff is ("const", c_0) if d = 0; a leaf ("leaf", i) if d < k, whose
+    coefficients c_0..c_d are appended to rows as row i; else q*T_{k*2^j} + r,
+    divided by the largest giant step <= d: q's walk, ("mul", j), then r's
+    walk and ("add", None) unless r vanishes.
     """
     if d == 0:
-        return float(ff[0])
-    if d < k:
+        walk.append(("const", float(ff[0])))
+    elif d < k:
+        walk.append(("leaf", len(rows)))
         rows.append(ff[: d + 1])
-        return None
-    j = 0
-    while k * (1 << (j + 1)) <= d:
-        j += 1
-    q, r = _div_by_T(ff, k * (1 << j))
-    node = (j, _split(q, _degree(q), k, rows))
-    return node + (_split(r, _degree(r), k, rows),) if np.any(r != 0.0) else node
+    else:
+        j = 0
+        while k * (1 << (j + 1)) <= d:
+            j += 1
+        q, r = _div_by_T(ff, k * (1 << j))
+        _split(q, _degree(q), k, rows, walk)
+        walk.append(("mul", j))
+        if np.any(r != 0.0):
+            _split(r, _degree(r), k, rows, walk)
+            walk.append(("add", None))
 
 
-def _walk(node, u, gs, leaves):
-    """The ciphertext pass over a _split tree, taking each leaf from `leaves` in turn.
+def _settle(walk, leaves, u, bs, gs) -> int:
+    """The level pass: each op of the walk charged in order as its operators are; the result's level.
 
-    Every value the walk makes lives in a buffer this evaluation owns (a row
-    of the leaf product, or a fresh array), so each node writes q*T_{k*2^j},
-    then + r, over q's buffer; u and the giant steps are only read.
+    A leaf sits at its highest baby step's level, the lowest of its terms'
+    (T_j sits ceil(log2 j) levels below u); a constant at u's, as u - u plus
+    it.  Counts and levels are spent once per op, whatever the block count.
     """
-    if node is None:
-        return next(leaves)
-    if isinstance(node, float):
-        return (u - u) + node
-    q = _walk(node[1], u, gs, leaves)
-    out = mul_add(q, gs[node[0]], out=q.slots)
-    return mul_add(out, c=_walk(node[2], u, gs, leaves)) if len(node) == 3 else out
+    params, levels = u.params, []
+    for op, a in walk:
+        if op == "leaf":
+            t, adds, top = leaves[a]
+            levels.append(_charge(params, bs[top].level, "plain_mults", t, adds))
+        elif op == "mul":
+            levels.append(_charge(params, min(levels.pop(), gs[a].level), "ct_mults"))
+        elif op == "add":
+            r = levels.pop()
+            levels.append(_charge(params, min(levels.pop(), r), None, adds=1))
+        else:
+            levels.append(_charge(params, u.level, None, adds=2))
+    return levels.pop()
+
+
+def _run(walk, leaves, rows, u, gs, params) -> np.ndarray:
+    """The arithmetic pass over one column block: the walk's value in it.
+
+    rows holds the block's leaf values, u and gs the block's slots of u and
+    of the giant steps.  Every value lives in a buffer this evaluation owns
+    (a leaf row or a fresh array), so a node writes q*T_{k*2^j}, then + r,
+    over q's buffer where its dtype holds the result, as hesim.mul_add does.
+    """
+    stack = []
+    for op, a in walk:
+        if op == "leaf":
+            stack.append(_finish(params, rows[a], leaves[a][0]))
+        elif op == "mul":
+            q, g = stack.pop(), gs[a]
+            fits = np.result_type(q, g) == q.dtype
+            stack.append(_finish(params, np.multiply(q, g, out=q if fits else None)))
+        elif op == "add":
+            r, q = stack.pop(), stack.pop()
+            fits = np.result_type(q, r) == q.dtype
+            stack.append(np.add(q, r, out=q if fits else None))
+        else:
+            stack.append((u - u) + a)
+    return stack.pop()
 
 
 def mul_by_int_additively(e, c: int):

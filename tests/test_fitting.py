@@ -132,6 +132,8 @@ def test_scaled_coefficients_below_one():
     assert np.max(np.abs(plan.series.coeffs)) < 1.0
     with pytest.raises(ValueError):
         fit_modp(5, 29, 35, 1e-6)  # delta far too small
+    with pytest.raises(ValueError, match="alpha must be non-empty"):
+        suggest_delta([])  # no coefficients to scale
 
 
 def test_auto_delta_is_power_of_ten_with_headroom():

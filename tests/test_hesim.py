@@ -4,10 +4,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from modpack.cheb import ChebSeries
 from modpack.hesim import (LevelExhaustedError, OpStats, SimParams, conjugate,
-                           decrypt, encrypt, lincomb, mul_add, rotate, rotate_batch)
+                           decrypt, encrypt, mul_add, rotate, rotate_batch)
+from modpack.psev import PsSchedule, compute_power_basis, eval_ps
 
 P8 = SimParams(n=8, max_level=25)
+
+
+def _leaf(u, coeffs, const=0.0, bases=None):
+    """eval_ps of const + sum_i coeffs[i] T_{i+1}(u) on the schedule (k, 1), k = len(coeffs) + 1.
+
+    The series' T_k coefficient is 0, so its walk is one leaf (the series
+    itself) added to 0 * T_k: with the noise off the output is the leaf's
+    value, and beyond the leaf the walk costs one ct x ct multiplication
+    and three additions ((u - u) + 0, and the sum).
+    """
+    series = ChebSeries(np.concatenate(([const], coeffs, [0.0])), 1.0)
+    return eval_ps(series, u, PsSchedule(len(coeffs) + 1, 1), bases)
 
 
 def test_encrypt_pads_and_sets_level():
@@ -56,7 +70,7 @@ def _real_ct(params=P8):
     lambda a: a * 0.5, lambda a: np.float64(2.0) * a, lambda a: a * np.int64(3),
     lambda a: a * np.ones(3), lambda a: a + [1, 2], lambda a: rotate(a, 3),
     lambda a: rotate_batch(a, [1], [5])[0], lambda a: conjugate(a),
-    lambda a: next(lincomb([a, a * 2.0], [[1.0, -1.0]], [0.5])),
+    lambda a: _leaf(a, [1.0, -1.0], 0.5),
 ], ids=["add", "sub_scalar", "rsub", "neg", "mul_ct", "mul_scalar", "mul_np_float",
         "mul_np_int", "mul_vector", "add_list", "rotate", "rotate_batch", "conjugate", "lincomb"])
 def test_real_ops_on_real_slots_stay_float64(op):
@@ -69,7 +83,7 @@ def test_real_ops_on_real_slots_stay_float64(op):
     lambda a: a * 1j, lambda a: a + np.complex128(1.0), lambda a: a * np.complex64(2 - 1j),
     lambda a: a * np.array([1.0, 2j]), lambda a: a - [0j], lambda a: a + encrypt([1j], P8),
     lambda a: encrypt([1j], P8) * a, lambda a: conjugate(a + 1j),
-    lambda a: next(lincomb([a, encrypt([1j], P8)], [[1.0, 1.0]], [0.0])),
+    lambda a: _leaf(a + [0.5j], [1.0, 1.0]),
 ], ids=["mul_1j", "add_np_complex128", "mul_np_complex64", "mul_vector", "sub_list",
         "add_ct", "ct_mul", "conjugate", "lincomb"])
 def test_complex_operands_make_slots_complex128(op):
@@ -86,7 +100,7 @@ def test_noisy_multiplication_makes_slots_complex128():
 
 @pytest.mark.parametrize("op", [
     lambda a: a * np.complex64(2.0), lambda a: (a * 1j) * -1j, lambda a: a * encrypt([1 + 0j], P8),
-    lambda a: (a * 1j) * (a * 1j), lambda a: next(lincomb([a + 0j, a * 2.0], [[1.0, 3.0]], [0.5])),
+    lambda a: (a * 1j) * (a * 1j), lambda a: _leaf(a + 0j, [1.0, 3.0], 0.5),
     lambda a: rotate_batch(a + 0j, [3], [8])[0],
 ], ids=["mul_np_complex64", "mul_back", "ct_mul", "square_of_imaginary", "lincomb",
         "rotate_batch"])
@@ -386,58 +400,91 @@ def test_stats_count_without_being_passed():
     assert SimParams(n=8).stats.mults == 0
 
 
-def _at_levels(params, levels, rng):
-    """Ciphertexts of random slots at the given levels (each multiplication spends one)."""
-    cts = []
-    for level in levels:
-        ct = encrypt(rng.normal(size=params.n) + 1j * rng.normal(size=params.n), params)
-        while ct.level > level:
-            ct = ct * 1.0
-        cts.append(ct)
-    return cts
+def _per_term(u, bs, gs, coeffs, const):
+    """_leaf's walk by the operators: the leaf term by term, over the basis (bs, gs)."""
+    terms = [bs[i] * c for i, c in enumerate(coeffs) if c != 0.0]
+    leaf = sum(terms[1:], terms[0])
+    return ((u - u) + 0.0) * gs[0] + (leaf + const if const != 0.0 else leaf)
+
+
+# (coefficients of T_1..T_5, constant, (plaintext mults, adds) of the leaf)
+COST_LEAVES = [([2.0, 0.0, -1.5, 0.0, 0.0], 0.25, (2, 2)), ([0.0, 0.0, 0.0, 4.0, 0.0], 0.0, (1, 0))]
+
+
+def _leaves_and_per_term(message):
+    """Each COST_LEAVES leaf by _leaf and by _per_term: (ct, plain, adds, level, dtype) and slots."""
+    sched = PsSchedule(6, 1)
+    runs = []
+    for coeffs, const, _ in COST_LEAVES:
+        for evaluate in (_leaf, _per_term):
+            params = SimParams(n=8, max_level=9)
+            u = encrypt(message, params)
+            bs, gs, block = compute_power_basis(u, sched)
+            before = OpStats(**vars(params.stats))
+            out = (_leaf(u, coeffs, const, {sched: (bs, gs, block)}) if evaluate is _leaf
+                   else _per_term(u, bs, gs, coeffs, const))
+            stats = params.stats
+            runs.append(((stats.ct_mults - before.ct_mults, stats.plain_mults - before.plain_mults,
+                          stats.adds - before.adds, out.level, out.slots.dtype), out.slots))
+    return zip(runs[::2], runs[1::2])
 
 
 def test_lincomb_costs_what_the_per_term_operators_cost():
-    rng = np.random.default_rng(8)
-    params = SimParams(n=8, max_level=9)
-    cts = _at_levels(params, (5, 3, 7, 2), rng)
-    before = (params.stats.plain_mults, params.stats.adds)
-    # the level-3 term has a zero coefficient and the first row leaves the level-2 one out;
-    # the second row is one term with no constant: no addition
-    leaves = lincomb(cts, [[2.0, 0.0, -1.5, 0.0], [0.0, 0.0, 0.0, 4.0]], [0.25, 0.0])
-    out = next(leaves)
-    assert out.level == 4
-    assert (params.stats.plain_mults - before[0], params.stats.adds - before[1]) == (2, 2)
-    want = 2.0 * cts[0].slots - 1.5 * cts[2].slots + 0.25
-    assert np.max(np.abs(out.slots - want)) <= 1e-14
-    next(leaves)
-    assert (params.stats.plain_mults - before[0], params.stats.adds - before[1]) == (3, 2)
+    # A leaf, eval_ps's linear combination of baby steps, costs what its
+    # per-term operators would: a plaintext multiplication per nonzero
+    # coefficient and an addition per further term and for a nonzero
+    # constant.  The zero T_2, T_4 and T_5 terms of the first leaf, and the
+    # missing constant of the second (one term: no addition), cost nothing.
+    message = np.random.default_rng(8).uniform(-1, 1, 8)
+    for (_, _, (mults, adds)), ((got, got_slots), (want, want_slots)) in zip(
+            COST_LEAVES, _leaves_and_per_term(message)):
+        assert got == want and got[:3] == (1, mults, 3 + adds)
+        assert got[4] == np.float64
+        assert np.max(np.abs(got_slots - want_slots)) <= 1e-14
+
+
+def test_lincomb_complex_rows_match_the_per_term_operators():
+    # Slots with nonzero imaginary parts keep the leaves complex128 with the
+    # noise off: the complex product over interleaved parts stays covered.
+    rng = np.random.default_rng(14)
+    message = rng.uniform(-1, 1, 8) + 1j * rng.uniform(-1, 1, 8)
+    for (got, got_slots), (want, want_slots) in _leaves_and_per_term(message):
+        assert got == want and got[4] == np.complex128
+        assert np.max(np.abs(got_slots - want_slots)) <= 1e-14
 
 
 SIGMA = 1e-3
-# rows of 1, 3 and 5 terms, two with a const
+# leaves of 1, 3 and 5 terms, two with a const
 NOISE_COEFFS = [[0.0, 0.0, 0.0, 0.0, 2.0], [0.5, 0.0, -2.0, 0.0, 1.25], [1.0, -1.0, 3.0, 0.25, -0.5]]
 NOISE_CONSTS = [0.0, -0.75, 0.5]
 
 
 def _lincomb_residuals(seed):
-    """Each NOISE_COEFFS row at n=2^15, noise on minus noise off."""
-    data = np.random.default_rng(7).normal(size=(5, 2**15))
-    rows = []
+    """Each NOISE_COEFFS leaf's _leaf at n=2^15 on one generator, noise on minus noise off.
+
+    The basis is built with the noise off, so a residual holds the walk's
+    own noise: the draw after the 0 * T_6 product, of variance sigma^2, and
+    the leaf's one draw of variance t*sigma^2.
+    """
+    data = np.random.default_rng(7).uniform(-1, 1, 2**15)
+    sched = PsSchedule(6, 1)
+    outs = []
     for sigma in (SIGMA, 0.0):
-        params = SimParams(n=2**15, max_level=1, noise_stddev=sigma, seed=seed)
-        cts = [encrypt(v, params) for v in data]
-        rows.append([row.slots for row in lincomb(cts, NOISE_COEFFS, NOISE_CONSTS)])
-    return [noisy - exact for noisy, exact in zip(*rows)]
+        params = SimParams(n=2**15, max_level=4, noise_stddev=sigma, seed=seed)
+        bases = {sched: compute_power_basis(encrypt(data, SimParams(n=2**15, max_level=4)), sched)}
+        u = encrypt(data, params)
+        outs.append([_leaf(u, c, k, bases).slots for c, k in zip(NOISE_COEFFS, NOISE_CONSTS)])
+    return [noisy - exact for noisy, exact in zip(*outs)]
 
 
 def test_lincomb_row_noise_is_one_draw_of_variance_t_sigma_squared():
-    # a t-term row's noise is distributed as the sum of t per-term draws:
-    # variance t*sigma^2 in each slot's real and imaginary part
+    # a t-term leaf's noise is distributed as the sum of t per-term draws:
+    # variance t*sigma^2 in each slot's real and imaginary part, on top of the
+    # product's sigma^2
     for coeffs, residual in zip(NOISE_COEFFS, _lincomb_residuals(seed=5)):
         t = np.count_nonzero(coeffs)
         for part in (residual.real, residual.imag):
-            assert abs(np.var(part) / (t * SIGMA**2) - 1) < 0.03, t
+            assert abs(np.var(part) / ((1 + t) * SIGMA**2) - 1) < 0.03, t
 
 
 def test_lincomb_rows_draw_uncorrelated_noise():
@@ -467,93 +514,59 @@ def test_lincomb_noise_is_fixed_by_the_seed():
 
 
 def test_lincomb_real_stack_matches_complex_stack():
-    # The real product c @ stack and the complex one over interleaved parts
-    # give the same bits; the complex rows' imaginary parts stay zero, so
-    # the noise-off rows narrow to float64.  Every row, over real, complex
-    # and mixed cts, is also bit for bit the two-pass reference: the
-    # product of the cts alone, then the consts added, zero and negative.
+    # A complex basis block runs the leaf product as a real product over its
+    # interleaved parts, and gives the real block's bits: a real input
+    # stored as complex128 narrows back to float64.  Every leaf, over real,
+    # complex-stored and complex slots, is also bit for bit the two-pass
+    # reference: the product of the baby steps alone, then the constant
+    # added, zero and negative.
     rng = np.random.default_rng(12)
+    data, imag = rng.uniform(-1, 1, 64), rng.uniform(-1, 1, 64)
+    inputs = {"real": data, "complex": data.astype(complex), "mixed": data + 1j * imag}
     coeffs = rng.uniform(-1, 1, (6, 5))
     coeffs[coeffs < -0.6] = 0.0
     coeffs[:, 0] = 0.25
     consts = rng.uniform(-1, 1, 6)
     consts[1], consts[4] = 0.0, -2.5
-    data = rng.normal(size=(5, 64))
-    imag = rng.normal(size=(5, 64))
-    # in the mixed input the even cts, ct 0 of every row among them, are complex
-    mixed = [v + 1j * w if i % 2 == 0 else v for i, (v, w) in enumerate(zip(data, imag))]
-    inputs = {"real": data, "complex": data.astype(complex), "mixed": mixed}
-    rows = {}
-    for name, vectors in inputs.items():
-        params = SimParams(n=64, max_level=4)
-        cts = [encrypt(v, params) for v in vectors]
-        stack = np.stack([ct.slots for ct in cts])
-        product = ((coeffs @ stack.view(float)).view(complex) if np.iscomplexobj(stack)
-                   else coeffs @ stack)
-        rows[name] = [(r.slots, r.level) for r in lincomb(cts, coeffs, consts)]
-        for (got, _), want in zip(rows[name], product + consts[:, None]):
+    sched = PsSchedule(6, 1)
+    leaves = {}
+    for name, message in inputs.items():
+        outs = []
+        for c, const in zip(coeffs, consts.tolist()):
+            bs, gs, block = compute_power_basis(encrypt(message, SimParams(n=64, max_level=4)), sched)
+            stack = np.stack([t.slots for t in bs[:5]])
+            product = ((c @ stack.view(float)).view(complex) if np.iscomplexobj(stack)
+                       else c @ stack)
+            want = product + const
             if np.iscomplexobj(want) and not want.imag.any():
-                want = want.real  # an exact row with no imaginary part narrows
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    for (real, real_level), (cplx, cplx_level) in zip(rows["real"], rows["complex"]):
+                want = want.real  # an exact leaf with no imaginary part narrows
+            got = _leaf(bs[0], c, const, {sched: (bs, gs, block)})
+            assert got.slots.dtype == want.dtype and got.slots.tobytes() == want.tobytes(), name
+            outs.append((got.slots, got.level))
+        leaves[name] = outs
+    for (real, real_level), (cplx, cplx_level) in zip(leaves["real"], leaves["complex"]):
         assert real.dtype == cplx.dtype == np.float64
         assert real.tobytes() == cplx.tobytes() and real_level == cplx_level
-    assert {slots.dtype for slots, _ in rows["mixed"]} == {np.dtype(np.complex128)}
-
-
-def test_lincomb_complex_rows_match_the_per_term_operators():
-    # Slots with nonzero imaginary parts keep the rows complex128 with the
-    # noise off: the complex product over interleaved parts stays covered.
-    rng = np.random.default_rng(14)
-    coeffs = rng.uniform(-1, 1, (6, 5))
-    coeffs[coeffs < -0.6] = 0.0
-    coeffs[:, 2] = -0.5
-    consts = rng.uniform(-1, 1, 6)
-    consts[1] = 0.0
-    data = rng.normal(size=(5, 64)) + 1j * rng.normal(size=(5, 64))
-    runs = []
-    for batched in (True, False):
-        params = SimParams(n=64, max_level=4)
-        cts = []
-        for v, level in zip(data, (4, 2, 3, 4, 1)):
-            ct = encrypt(v, params)
-            while ct.level > level:
-                ct = ct * 1.0
-            cts.append(ct)
-        before = OpStats(**vars(params.stats))
-        if batched:
-            rows = list(lincomb(cts, coeffs, consts))
-        else:
-            rows = []
-            for row, k in zip(coeffs, consts):
-                terms = [c * ct for c, ct in zip(row, cts) if c != 0.0]
-                total = sum(terms[1:], terms[0])
-                rows.append(total + k if k != 0.0 else total)
-        runs.append((rows, params.stats.plain_mults - before.plain_mults,
-                     params.stats.adds - before.adds))
-    (got, got_mults, got_adds), (want, want_mults, want_adds) = runs
-    assert (got_mults, got_adds) == (want_mults, want_adds)
-    for g, w in zip(got, want):
-        assert g.slots.dtype == w.slots.dtype == np.complex128
-        assert g.level == w.level
-        assert np.max(np.abs(g.slots - w.slots)) <= 1e-14
+    assert {slots.dtype for slots, _ in leaves["mixed"]} == {np.dtype(np.complex128)}
 
 
 def test_lincomb_exhausts_on_a_nonzero_level_zero_term():
-    params = SimParams(n=4, max_level=1)
-    cts = _at_levels(params, (1, 0), np.random.default_rng(0))
-    leaves = lincomb(cts, [[3.0, 0.0], [3.0, 1.0]], [0.0, 0.0])
-    assert next(leaves).level == 0
+    # A leaf sits at its top baby step's level: T_3 at level 0 exhausts a
+    # leaf that uses it and raises before any arithmetic, and a leaf of lower
+    # degree is unaffected.  compute_power_basis never leaves a leaf's term
+    # below the giant steps, so the basis here is edited.
+    sched = PsSchedule(4, 1)
+    params = SimParams(n=4, max_level=3, noise_stddev=1e-9, seed=0)
+    u = encrypt([0.5, -0.25], params)
+    bs, gs, block = compute_power_basis(u, sched)
+    bs = bs[:2] + [replace(bs[2], level=0)] + bs[3:]
+    assert _leaf(u, [3.0, 1.0, 0.0], bases={sched: (bs, gs, block)}).level == 0
+    before, state = OpStats(**vars(params.stats)), params.rng.bit_generator.state
     with pytest.raises(LevelExhaustedError):
-        next(leaves)
-
-
-def test_lincomb_rejects_a_row_without_a_nonzero_coefficient():
-    params = SimParams(n=4, max_level=3)
-    cts = _at_levels(params, (3, 3), np.random.default_rng(0))
-    with pytest.raises(ValueError, match="row 1 has no nonzero coefficient"):
-        lincomb(cts, [[1.0, 0.0], [0.0, 0.0]], [0.0, 1.0])
-    assert (params.stats.plain_mults, params.stats.adds) == (0, 0)
+        _leaf(u, [3.0, 0.0, 1.0], bases={sched: (bs, gs, block)})
+    assert params.rng.bit_generator.state == state  # no noise drawn
+    # the ops before the leaf in walk order are charged: (u - u) + 0, times T_4
+    assert (params.stats.ct_mults - before.ct_mults, params.stats.adds - before.adds) == (1, 2)
 
 
 def test_params_validation():

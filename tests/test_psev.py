@@ -6,8 +6,8 @@ import pytest
 
 from modpack import psev
 from modpack.cheb import ChebSeries, cheb_T, clenshaw, map_to_unit
-from modpack.hesim import (LevelExhaustedError, OpStats, SimParams, decrypt, encrypt,
-                           lincomb)
+from modpack.hesim import (LevelExhaustedError, OpStats, SimParams, SlotCiphertext, _charge,
+                           _finish, decrypt, encrypt)
 from modpack.psev import (DegreeOverflowError, PsSchedule, _degree, _div_by_T,
                           compute_power_basis, eval_plan, eval_plans, eval_ps,
                           mul_by_int_additively, plan_schedule)
@@ -46,14 +46,29 @@ def test_power_basis_plaintext_values():
     assert gs[0] is bs[sched.k - 1]  # both are T_k(u)
 
 
+def recording_matmul(monkeypatch):
+    """The second operand of every np.matmul call, recorded while the call runs on."""
+    operands = []
+    matmul = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        operands.append(b)
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    return operands
+
+
 @pytest.mark.parametrize("sigma", [0.0, 1e-9])
 @pytest.mark.parametrize("kind", ["real", "complex_zero_imag", "complex"])
 @pytest.mark.parametrize("k", [1, 4])
 def test_power_basis_block_is_the_leaf_operand(monkeypatch, k, kind, sigma):
     # The block holds u (a copy), T_2..T_k and ones; it is complex with the
     # noise on and k > 1, else u's dtype, and a narrowed noise-off step of a
-    # complex u is copied back into its row.  eval_ps hands that very block
-    # to lincomb as its operand.
+    # complex u is copied back into its row.  eval_ps's leaf product reads
+    # that very block without a copy: each block of its columns is a view of
+    # it, 4 blocks of 2 slots for a real noise-off evaluation at width 2,
+    # else one block of all 8.
     ts = np.linspace(-1, 1, 8)
     message = {"real": ts, "complex_zero_imag": ts + 0j, "complex": ts * np.exp(0.3j) * 0.9}[kind]
     sched = PsSchedule(k=k, m=2)
@@ -65,18 +80,16 @@ def test_power_basis_block_is_the_leaf_operand(monkeypatch, k, kind, sigma):
     for row, t in zip(block[1:-1], bs[1:], strict=True):
         assert np.array_equal(row, t.slots)
     assert np.all(block[-1] == 1.0)
-    operands = []
-
-    def recording(cts, coeffs, consts, operand=None):
-        operands.append(operand)
-        return lincomb(cts, coeffs, consts, operand)
-
-    monkeypatch.setattr(psev, "lincomb", recording)
+    monkeypatch.setattr(psev, "BLOCK_SLOTS", 2)
+    operands = recording_matmul(monkeypatch)
     series = unit_series(np.random.default_rng(k).uniform(-1, 1, sched.capacity + 1))
     bases = {}
     eval_ps(series, u, sched, bases)
     eval_ps(series, u, sched, {sched: (bs, gs, block)})
-    assert operands[0] is bases[sched][2] and operands[1] is block
+    blocks = 4 if sigma == 0 and kind == "real" else 1
+    assert len(operands) == 2 * blocks
+    for operand, owner in zip(operands, [bases[sched][2]] * blocks + [block] * blocks):
+        assert operand.base is owner and operand.nbytes == owner.nbytes // blocks
 
 
 def test_power_basis_on_simulator_matches_oracle():
@@ -412,7 +425,7 @@ def _oracle_sweep(pattern):
     it: an evaluation path joins the sweep as one more run here.  Returns
     the number of divisions checked.
     """
-    divide, compile_ = psev._div_by_T, psev._compile
+    divide, compile_, width_default = psev._div_by_T, psev._compile, psev.BLOCK_SLOTS
     divisions, compiles = [], []
 
     def checked_divide(f, N):
@@ -453,6 +466,16 @@ def _oracle_sweep(pattern):
             assert 12 - exact.level == depth, D
             noisy, noisy_stats = _run(eval_ps, series, xs, sched, 12, sigma=1e-6)
             assert noisy_stats == stats and noisy.level == exact.level, D
+            # Column blocks: 4 blocks of 1 slot, and 3 slots then 1, spend the
+            # one-block run's OpStats and levels and give its values to
+            # rounding.  BLAS picks its kernels by shape (a one-column block
+            # goes to gemv), so the bytes are pinned at the default width only.
+            for width in (1, 3):
+                mp.setattr(psev, "BLOCK_SLOTS", width)
+                blocked, blocked_stats = _run(eval_ps, series, xs, sched, 12)
+                assert blocked_stats == stats and blocked.level == exact.level, (D, width)
+                assert np.max(np.abs(blocked.slots - exact.slots)) <= 1e-14 * np.abs(c).sum(), D
+            mp.setattr(psev, "BLOCK_SLOTS", width_default)
             if depth:
                 with pytest.raises(LevelExhaustedError):
                     _run(eval_ps, series, xs, sched, depth - 1)
@@ -617,24 +640,51 @@ def _operator_basis(u, sched):
     return bs, gs
 
 
-def _operator_walk(node, u, gs, leaves):
-    if node is None:
-        return next(leaves)
-    if isinstance(node, float):
-        return (u - u) + node
-    out = _operator_walk(node[1], u, gs, leaves) * gs[node[0]]
-    return out + _operator_walk(node[2], u, gs, leaves) if len(node) == 3 else out
+def _operator_leaves(bs, C):
+    """The leaves as one product over a copied stack of the baby steps and ones, each built when taken.
+
+    A leaf of t nonzero terms costs t plaintext multiplications at the
+    lowest level among them and t - 1 additions, plus one for a nonzero
+    constant (C's last column), and draws one noise vector of variance
+    t*sigma^2: hesim's two halves, as the per-term operators would spend.
+    """
+    params = bs[0].params
+    stack = np.array([t.slots for t in bs] + [np.ones(params.n)])
+    product = ((C @ stack.view(float)).view(complex) if np.iscomplexobj(stack)
+               else C @ stack)
+    for coeffs, row in zip(C, product):
+        nonzero = np.flatnonzero(coeffs[:-1])
+        t = nonzero.size
+        level = _charge(params, min(bs[i].level for i in nonzero), "plain_mults", t,
+                        t - (coeffs[-1] == 0.0))
+        yield SlotCiphertext(_finish(params, row, t), level, params)
+
+
+def _operator_walk(walk, u, gs, leaves):
+    """A compiled walk run by the operators, taking each leaf from `leaves` in turn."""
+    stack = []
+    for op, a in walk:
+        if op == "leaf":
+            stack.append(next(leaves))
+        elif op == "mul":
+            stack.append(stack.pop() * gs[a])
+        elif op == "add":
+            r = stack.pop()
+            stack.append(stack.pop() + r)
+        else:
+            stack.append((u - u) + a)
+    return stack.pop()
 
 
 def _operator_eval_ps(series, u, sched, bases):
-    """eval_ps with operator basis and walk around the same lincomb leaves (copied stack)."""
-    tree, C = psev._compile(series, sched)
+    """eval_ps by the operators: operator basis, per-op walk, leaves from one copied stack."""
+    walk, C, _ = psev._compile(series, sched)
     if C is None:
-        return (u - u) + tree
+        return (u - u) + walk
     if sched not in bases:
         bases[sched] = _operator_basis(u, sched)
     bs, gs = bases[sched]
-    return _operator_walk(tree, u, gs, lincomb(bs, C[:, 1:], C[:, 0]))
+    return _operator_walk(walk, u, gs, _operator_leaves(bs, C))
 
 
 def _operator_eval_plans(x, plans):
@@ -721,3 +771,28 @@ def test_in_place_evaluator_writes_only_its_own_buffers():
         outs = eval_plans(x, plans)
         assert all(out.slots.base is None for out in outs)
     assert x.slots.tobytes() == x_bytes
+
+
+def test_column_blocks_give_the_full_width_bytes_at_n_2_15(monkeypatch):
+    # At n=2^15 a real noise-off evaluation runs 8 blocks of 4096 slots; each
+    # table plan (the D=210 triple on [0, 139], (16, 255, 400), (4, 63, 90))
+    # gives the bytes, levels and OpStats of one full-width block.  A noise-on
+    # and a complex noise-off input run as one block at either width.
+    rng = np.random.default_rng(30)
+    groups = [[fit_modp(p, 139, 210, 100.0) for p in (4, 5, 7)], [fit_modp(16, 255, 400, 100.0)],
+              [fit_modp(4, 63, 90, 100.0)]]
+    cases = []
+    for group in groups:
+        xs = rng.uniform(0, group[0].B, 2**15)
+        cases += [(group, xs, 0.0, len(group) * 8), (group, xs * np.exp(0.2j), 0.0, len(group)),
+                  (group, xs, 1e-9, len(group))]
+    operands = recording_matmul(monkeypatch)
+    runs = []
+    for width in (psev.BLOCK_SLOTS, 2**15):
+        monkeypatch.setattr(psev, "BLOCK_SLOTS", width)
+        for group, xs, sigma, blocks in cases:
+            operands.clear()
+            params = SimParams(n=2**15, max_level=12, noise_stddev=sigma, seed=4, stats=OpStats())
+            runs.append(_ran(eval_plans(encrypt(xs, params), group), params))
+            assert len(operands) == (blocks if width < 2**15 else len(group))
+    assert runs[: len(cases)] == runs[len(cases) :]
