@@ -15,25 +15,23 @@ An op's result is settled in two halves: `_charge` spends its level
 (raising LevelExhaustedError at level 0) and counts it in OpStats, then
 `_finish` draws a multiplication's noise or narrows it.  The operators
 call both through `SlotCiphertext._op`; psev's evaluator charges a whole
-walk first and finishes each value as its arithmetic runs.
+program first and finishes each product as its arithmetic runs.
 
 Slots are stored as float64 while every slot is real, which halves the
 bytes each op moves, and as complex128 once a complex message, a complex
 operand or a noisy multiplication makes them complex.  They turn back in
 one place: a noise-off multiplication whose complex result has no nonzero
-imaginary part stores it as float64, as the conjugate trick's masks leave
-ImgPair's unpacked halves.  Additions, rotations and conjugations never
-narrow, and a noise-on result stays complex.  Only `encrypt`,
-`SlotCiphertext._operand`, that narrowing and `psev.compute_power_basis`
-(for its block) pick a dtype; every other op, `mul_add` included, follows
-numpy's promotion, and `decrypt` always returns complex128.
+imaginary part stores it as float64 (psev's program keeps it as its row's
+real part), as the conjugate trick's masks leave ImgPair's unpacked
+halves.  Additions, rotations and conjugations never narrow, and a
+noise-on result stays complex.  Only `encrypt`, `SlotCiphertext._operand`
+and that narrowing pick a dtype; every other op follows numpy's
+promotion, and `decrypt` always returns complex128.
 
 A ciphertext's slots are never written once another ciphertext can read
 them.  Only fresh arrays and buffers their caller owns are written in
-place: `_finish` adds noise to the complex result it is handed, and
-`mul_add` writes a product, its doubling and a sum over one buffer,
-falling back to a fresh array wherever the buffer's dtype cannot hold the
-result.
+place: `_finish` adds noise to the complex result it is handed, a fresh
+array or a row of psev's program buffer.
 
 SimParams alone holds and checks the simulator's settings; a CLI config overrides them by key.
 """
@@ -235,37 +233,6 @@ def _finish(params: SimParams, slots: np.ndarray, terms: int = 1) -> np.ndarray:
     elif slots.dtype == complex and not slots.imag.any():
         slots = slots.real.copy()  # an exact product left no imaginary part
     return slots
-
-
-def mul_add(a: SlotCiphertext, b=None, c=None, *, double: bool = False,
-            subtract: bool = False, out: np.ndarray | None = None) -> SlotCiphertext:
-    """a*b, doubled if `double`, then plus c (minus c if `subtract`), over one buffer.
-
-    Bit for bit, op for op and draw for draw this is `p = a * b`, `p + p`,
-    `p ± c`: `_op` spends, draws, narrows and counts the product, then the
-    doubling and c are applied in place and counted as additions.  The
-    product goes into `out` if its dtype fits, else into a fresh array; with
-    b None, a's own slots are the buffer.  A step whose result the buffer's
-    dtype cannot hold takes a fresh array, as the operators would.  The
-    caller must own the buffer: nothing else may read it.
-    """
-    if b is None:
-        ct = a
-    else:
-        other = a._operand(b)
-        if out is not None and np.result_type(a.slots, other) != out.dtype:
-            out = None
-        ct = a._op("mults", np.multiply(a.slots, other, out=out), b)
-    slots, adds = ct.slots, 0
-    if double:
-        np.add(slots, slots, out=slots)
-        adds += 1
-    if c is not None:
-        other = ct._operand(c)
-        fits = np.result_type(slots, other) == slots.dtype
-        slots = (np.subtract if subtract else np.add)(slots, other, out=slots if fits else None)
-        adds += 1
-    return ct._op(None, slots, c, adds=adds) if adds else ct
 
 
 def encrypt(v, params: SimParams) -> SlotCiphertext:

@@ -1,47 +1,39 @@
 """Paterson-Stockmeyer evaluation of Chebyshev series on simulated ciphertexts.
 
-The evaluated value is a hesim.SlotCiphertext.  The domain map and the
-power basis build their values with hesim.mul_add (a constant node with
-the operators), which counts, levels and draws noise as the operators
-would, bit for bit.  A series is compiled into a walk program: the
-coefficient pass does the divisions, collects every leaf sum_i c_i T_i(u)
-as a row of a coefficient matrix C, and lists the walk's steps in the
-operators' order: a leaf, a constant, a product by a giant step, a sum.
-An evaluation runs the program twice.  The level pass charges each step
+Each eval_plans call runs one program: the domain map, the baby and giant
+steps of each schedule, and each plan's leaf product and walk, as steps
+over the rows of one buffer, in the operators' order.  A series is
+compiled once: the coefficient pass does the divisions, collects every
+leaf sum_i c_i T_i(u) as a row of a coefficient matrix C, and lists the
+walk (a leaf, a constant, a product by a giant step, a sum), which _place
+turns into steps.  The level pass (_settle) charges every step
 (hesim._charge) before any arithmetic, so levels, OpStats and
 LevelExhaustedError come once per step, as from the operators: a t-term
 leaf is t plaintext multiplications at its top baby step's level, plus
-its additions.  The arithmetic pass computes the values, and
-hesim._finish draws the noise where the operators would: a leaf's, one
-draw of variance t*sigma^2, when it is taken, and a node's after its
-product.  For plaintext values, encrypt them with the noise off: the
-simulator is then exact complex arithmetic.
+its additions.  The arithmetic pass (_execute) computes the values, and
+hesim._finish draws each product's noise where the operators would: a
+leaf's, one draw of variance t*sigma^2, when it is taken.  For plaintext
+values, encrypt them with the noise off: the simulator is then exact.
 
-Buffers.  compute_power_basis allocates one (k+1, n) block per schedule
-and returns it with the basis: row 0 a copy of u, the baby steps T_2..T_k
-written into the rows between, and the last row ones.  Each giant step
-and the map get one fresh buffer.  The arithmetic pass runs one column
-block of BLOCK_SLOTS slots at a time over one reused (leaves, BLOCK_SLOTS)
-buffer: C times the block's columns of the basis block (a view, never a
-copy) fills the leaf rows, the walk writes each node's product and sum
-over its quotient's row (or a fresh array for a constant), and the value
-is copied into the one output array.  So a block's leaves, basis and
-giant steps stay in L2, and no full-width leaf product exists.  With the
-noise on, or a complex basis block, the pass is one block as wide as the
-slots, so each noise draw and each narrowing of a complex value covers
-the whole value.  Values agree to rounding at any width; at BLOCK_SLOTS,
-OpenBLAS gives the full-width product's bytes (the tests pin this at
-n=2^15), while narrower blocks can round differently, since BLAS picks
-its kernel by shape.  The caller's ciphertexts and a shared basis are
-only read.
+Rows.  Row 0 holds u; each schedule has a region of u's copy, T_2..T_k,
+ones and the giant steps past T_k; a plan's leaves and constants take the
+last rows.  The leaf product reads a region's first k+1 rows in place,
+and the walk writes each node over its quotient's row.  A real noise-off
+program runs one column block of BLOCK_SLOTS slots at a time through the
+buffer, allocated once per call, so a block's steps stay in L2 and no
+full-width intermediate exists; each plan's value is copied into its own
+output.  With the noise on, or a complex input, it is one block as wide
+as the slots, so each noise draw and narrowing covers a whole value, and
+a real value lies in its complex row's real part, the imaginary part
+zeroed, as a stack of the operators' values holds it.  Values agree to
+rounding at any width; at BLOCK_SLOTS, OpenBLAS gives the full-width
+product's bytes (the tests pin this at n=2^15).  The caller's ciphertexts
+are only read.
 
-The coefficient pass, a pure function of the immutable series and the
-schedule, runs once per series; a plan is scaled once per extra scale.
-Plans on one input share their work below the programs: eval_plans maps
-the input once and builds one power basis per distinct schedule, and each
-plan runs its own leaf product and walk over them, as a CRT unpack's
-residue layers do.  With the noise on, the shared map and basis carry
-noise common to every output, as they would on a real backend.
+Plans on one input share the map and each schedule's basis, built just
+before the first plan that uses it; with the noise on, these carry noise
+common to every output, as on a real backend.  eval_ps is the same
+program on u, without the map.
 
 Depth schedule.  The series is decomposed by repeated Chebyshev-basis
 long division against the precomputed powers T_{k*2^j}, resting on the
@@ -64,16 +56,18 @@ import numpy as np
 
 from .cheb import ChebSeries
 from .fitting import ModPlan, _whole
-from .hesim import SlotCiphertext, _charge, _finish, mul_add
+from .hesim import SlotCiphertext, _charge, _finish
 
 # Cap on repeated-addition exponents; packing layers stay far below this.
 POW2_ADD_LIMIT = 24
 # Slots per column block of a real noise-off evaluation: a float64 row of
-# 32 KiB, so a D=400 block's 29 leaf rows, 15 basis rows and giant steps
-# (about 1.5 MiB) stay within a 2 MiB L2.
+# 32 KiB, so a D=400 block's map, 20 basis rows and about 30 leaf rows
+# (about 1.6 MiB) stay within a 2 MiB L2.
 BLOCK_SLOTS = 4096
 # Values computed once per live plan or series: {owner: {key: value}}.
 _MEMO = weakref.WeakKeyDictionary()
+# The arithmetic of the program's product, sum and difference steps.
+_UFUNCS = {"mul": np.multiply, "add": np.add, "sub": np.subtract}
 
 
 class DegreeOverflowError(ValueError):
@@ -115,35 +109,25 @@ def plan_schedule(D: int) -> PsSchedule:
     return PsSchedule(k=k, m=m)
 
 
-def compute_power_basis(u: SlotCiphertext, sched: PsSchedule):
-    """Chebyshev powers of u: bs = (T_1..T_k), gs = (T_k, T_2k, ..., T_{k*2^(m-1)}), and a block.
+def compute_power_basis(sched: PsSchedule, base: int) -> list:
+    """The steps of the Chebyshev powers of u (row 0) over the k + m rows from base.
 
-    The (k+1, n) block holds a copy of u, the baby steps T_2..T_k and a row
-    of ones, so the leaf product reads its columns as they stand; its dtype
-    is complex with the noise on and k > 1 (the leaves then take their noise
-    in place), else u's.  Every baby step comes, in ascending order, from the balanced
-    split of the product identity T_j = 2*T_ceil(j/2)*T_floor(j/2) - T_(j mod 2);
-    a giant step T_2n is the doubling 2*T_n^2 - 1.  The multiplication dag
-    stays at log depth, and the consumption is read off the returned
-    elements' level fields.  Each step is one hesim.mul_add, a baby step
-    T_j over row j-1 of the block and a giant step over a fresh buffer.
+    Row base gets a copy of u, row base+j-1 the baby step T_j, row base+k
+    the leaf product's ones, and row base+k+j the giant step T_{k*2^j} (T_k
+    is the last baby step).  A baby step T_j = 2*T_ceil(j/2)*T_floor(j/2) -
+    T_(j mod 2), in ascending j, and a giant step T_2n = 2*T_n^2 - 1 are each
+    a ct x ct product, its doubling and a subtraction: a dag of log depth.
     """
-    noisy = u.params.noise_stddev > 0 and sched.k > 1
-    block = np.empty((sched.k + 1, u.params.n), complex if noisy else u.slots.dtype)
-    block[0] = u.slots
-    block[-1] = 1.0
-    bs = [u]
-    for j in range(2, sched.k + 1):
-        row = block[j - 1]
-        t = mul_add(bs[(j + 1) // 2 - 1], bs[j // 2 - 1], 1.0 if j % 2 == 0 else u,
-                    double=True, subtract=True, out=row)
-        if t.slots is not row:
-            row[...] = t.slots  # a fresh result, its dtype held by the block's
-        bs.append(t)
-    gs = [bs[-1]]
-    for _ in range(1, sched.m):
-        gs.append(mul_add(gs[-1], gs[-1], 1.0, double=True, subtract=True))
-    return bs, gs, block
+    k = sched.k
+    giants = [k - 1] + list(range(k + 1, k + sched.m))  # rows of T_k, T_2k, T_4k, ...
+    # (row, factor rows, whether the subtrahend is T_1 rather than 1), relative to base
+    halves = [(j - 1, (j + 1) // 2 - 1, j // 2 - 1, j % 2) for j in range(2, k + 1)]
+    halves += [(g, h, h, 0) for h, g in zip(giants, giants[1:])]
+    steps = [("copy", base, 0, None)]
+    for d, a, b, odd in halves:
+        d, c = base + d, base if odd else 1.0
+        steps += [("mul", d, base + a, base + b), ("add", d, d, d), ("sub", d, d, c)]
+    return steps
 
 
 def _degree(c: np.ndarray) -> int:
@@ -173,45 +157,14 @@ def _div_by_T(f: np.ndarray, N: int):
     return q, f[:N]
 
 
-def eval_ps(series: ChebSeries, u, sched: PsSchedule, bases=None):
+def eval_ps(series: ChebSeries, u, sched: PsSchedule):
     """Evaluate sum_i c_i T_i(u) on the ciphertext u, whose slots must live in [-1, 1].
 
     The series' source domain is the caller's concern: map x into u first
     (that mapping costs the one extra level).  The series is compiled for
     sched on its first evaluation; later ones only run the program.
-    Evaluations on one u that pass one dict `bases` share its power basis
-    per schedule: each computes into the dict only the basis it lacks.
     """
-    walk, C, leaves = _memo(series, sched, lambda: _compile(series, sched))
-    if C is None:
-        # Constant polynomial: a zero ciphertext plus a constant, no mults.
-        return (u - u) + walk
-    bases = {} if bases is None else bases
-    if sched not in bases:
-        bases[sched] = compute_power_basis(u, sched)
-    bs, gs, block = bases[sched]
-    level = _settle(walk, leaves, u, bs, gs)
-    params = u.params
-    n = params.n
-    # a real noise-off block makes real giant steps, its rows' products
-    w = min(BLOCK_SLOTS, n) if params.noise_stddev == 0 and block.dtype == float else n
-    rows = np.empty((len(leaves), w), block.dtype)
-    out = None
-    for s in range(0, n, w):
-        e = min(s + w, n)
-        np.matmul(C, _floats(block[:, s:e]), out=_floats(rows[:, : e - s]))
-        value = _run(walk, leaves, rows[:, : e - s], u.slots[s:e],
-                     [g.slots[s:e] for g in gs], params)
-        if out is None:
-            out = np.empty(n, value.dtype)
-        out[s:e] = value
-    return SlotCiphertext(out, level, params)
-
-
-def _floats(a: np.ndarray) -> np.ndarray:
-    """a, or a complex a's interleaved real and imaginary parts: a complex
-    leaf product runs as a real product over them."""
-    return a.view(float) if a.dtype == complex else a
+    return _evaluate(u, [(series, sched)])[0]
 
 
 def _memo(owner, key, make):
@@ -226,10 +179,10 @@ def _compile(series: ChebSeries, sched: PsSchedule):
     """The program of a series: its walk, leaf matrix C and leaves (a constant and None, None).
 
     C's row i is leaf i's coefficients of u, T_2..T_k and its constant, so
-    C times the basis block's columns gives the leaves' values: BLAS sums
-    each row's terms in order, its constant last.  Leaf i is described by
-    (t, adds, top): its t nonzero terms, the t - 1 additions between them
-    plus one for a nonzero constant, and bs[top], its highest baby step.
+    C times the basis rows gives the leaves' values: BLAS sums each row's
+    terms in order, its constant last.  Leaf i is described by (t, adds,
+    top): its t nonzero terms, the t - 1 additions between them plus one
+    for a nonzero constant, and T_(top+1), its highest baby step.
     """
     coeffs = series.coeffs
     if coeffs.size - 1 > sched.capacity:
@@ -280,51 +233,135 @@ def _split(ff: np.ndarray, d: int, k: int, rows: list, walk: list):
             walk.append(("add", None))
 
 
-def _settle(walk, leaves, u, bs, gs) -> int:
-    """The level pass: each op of the walk charged in order as its operators are; the result's level.
+def _place(compiled, sched: PsSchedule, base: int | None):
+    """A compiled series' steps on the region from base: (steps, root row, rows at the end).
 
-    A leaf sits at its highest baby step's level, the lowest of its terms'
-    (T_j sits ceil(log2 j) levels below u); a constant at u's, as u - u plus
-    it.  Counts and levels are spent once per op, whatever the block count.
+    Leaf i of L takes row i - L, each constant, (u - u) + c, a row above them,
+    and a walk node writes over its quotient's row: the walk's stack is resolved here.
     """
-    params, levels = u.params, []
+    walk, C, leaves = compiled
+    if C is None:
+        return [("sub", -1, 0, 0), ("add", -1, -1, walk)], -1, 1
+    L, k = len(leaves), sched.k
+    steps, stack, free = [("gemm", -L, base, C)] if L else [], [], -L - 1
     for op, a in walk:
         if op == "leaf":
             t, adds, top = leaves[a]
-            levels.append(_charge(params, bs[top].level, "plain_mults", t, adds))
+            steps.append(("leaf", a - L, base + top, (t, adds)))
+            stack.append(a - L)
+        elif op == "const":
+            steps += [("sub", free, 0, 0), ("add", free, free, a)]
+            stack.append(free)
+            free -= 1
         elif op == "mul":
-            levels.append(_charge(params, min(levels.pop(), gs[a].level), "ct_mults"))
-        elif op == "add":
-            r = levels.pop()
-            levels.append(_charge(params, min(levels.pop(), r), None, adds=1))
+            steps.append(("mul", stack[-1], stack[-1], base + k + a - (a == 0)))
         else:
-            levels.append(_charge(params, u.level, None, adds=2))
-    return levels.pop()
+            r = stack.pop()
+            steps.append(("add", stack[-1], stack[-1], r))
+    return steps, stack.pop(), -free - 1
 
 
-def _run(walk, leaves, rows, u, gs, params) -> np.ndarray:
-    """The arithmetic pass over one column block: the walk's value in it.
+def _evaluate(x, jobs, scale: float | None = None) -> list:
+    """The values of (series, schedule) jobs on x by one program, mapping u = scale*x - 1 first."""
+    steps = [] if scale is None else [("mul", 0, 0, scale), ("sub", 0, 0, 1.0)]
+    bases, height, depth = {}, 1, 0
+    for i, (series, sched) in enumerate(jobs):
+        compiled = _memo(series, sched, lambda: _compile(series, sched))
+        if compiled[1] is not None and sched not in bases:
+            bases[sched] = height
+            steps += compute_power_basis(sched, height)
+            height += sched.k + sched.m
+        base = bases.get(sched)
+        placed, root, rows = _memo(series, (sched, base), lambda: _place(compiled, sched, base))
+        steps += placed
+        steps.append(("out", i, root, None))
+        depth = max(depth, rows)
+    return _execute(x, steps, height + depth)
 
-    rows holds the block's leaf values, u and gs the block's slots of u and
-    of the giant steps.  Every value lives in a buffer this evaluation owns
-    (a leaf row or a fresh array), so a node writes q*T_{k*2^j}, then + r,
-    over q's buffer where its dtype holds the result, as hesim.mul_add does.
+
+def _settle(steps, level: int, params) -> list:
+    """The level pass: each step charged in order as its operators are; the outputs' levels.
+
+    A product of two rows is a ct x ct multiplication, of a row and a scalar a
+    plaintext one, and a sum or difference an addition, at its operands' lowest
+    level; a leaf sits at its top baby step's.  A copy and the leaf product are free.
     """
-    stack = []
-    for op, a in walk:
+    levels, outs = {0: level}, []
+    for op, d, a, b in steps:
         if op == "leaf":
-            stack.append(_finish(params, rows[a], leaves[a][0]))
-        elif op == "mul":
-            q, g = stack.pop(), gs[a]
-            fits = np.result_type(q, g) == q.dtype
-            stack.append(_finish(params, np.multiply(q, g, out=q if fits else None)))
-        elif op == "add":
-            r, q = stack.pop(), stack.pop()
-            fits = np.result_type(q, r) == q.dtype
-            stack.append(np.add(q, r, out=q if fits else None))
-        else:
-            stack.append((u - u) + a)
-    return stack.pop()
+            levels[d] = _charge(params, levels[a], "plain_mults", *b)
+        elif op == "copy":
+            levels[d] = levels[a]
+        elif op == "out":
+            outs.append(levels[a])
+        elif op != "gemm":
+            ct = type(b) is int
+            low = min(levels[a], levels[b]) if ct else levels[a]
+            if op == "mul":
+                levels[d] = _charge(params, low, "ct_mults" if ct else "plain_mults")
+            else:
+                levels[d] = _charge(params, low, None, adds=1)
+    return outs
+
+
+def _execute(x, steps, height: int) -> list:
+    """The program's outputs on x: the level pass, then the arithmetic pass over height rows.
+
+    A column block starts with x's slots as row 0's value; each value lies in its own row.
+    """
+    levels = _settle(steps, x.level, x.params)
+    params = x.params
+    n, sigma = params.n, params.noise_stddev
+    wide = sigma > 0 or x.slots.dtype == complex
+    w = n if wide else min(BLOCK_SLOTS, n)
+    buf = np.empty((height, w), complex if wide else float)
+    outs = [None] * len(levels)
+    block, rows = buf, list(buf)
+    for s in range(0, n, w):
+        if n - s < w:
+            block = buf[:, : n - s]
+            rows = list(block)
+        floats = block.view(float)  # a complex leaf product runs over interleaved parts
+        vals = rows.copy()
+        vals[0] = x.slots[s : s + w]
+        for op, d, a, b in steps:
+            if op in _UFUNCS:
+                p, q = vals[a], vals[b] if type(b) is int else b
+                # a real block's values are its rows; a noisy product lies in its complex row
+                out = rows[d] if not wide or sigma and op == "mul" else _into(rows[d], p, q)
+                vals[d] = _UFUNCS[op](p, q, out=out)
+                if wide and op == "mul":
+                    vals[d] = _finished(params, out)
+            elif op == "leaf":
+                if wide:
+                    vals[d] = _finished(params, rows[d], b[0])
+            elif op == "gemm":
+                block[a + b.shape[1] - 1] = 1.0
+                np.matmul(b, floats[a : a + b.shape[1]], out=floats[d:])
+            elif op == "copy":
+                vals[d] = _into(rows[d], vals[a])
+                vals[d][...] = vals[a]
+            else:
+                if outs[d] is None:
+                    outs[d] = np.empty(n, vals[a].dtype)
+                outs[d][s : s + w] = vals[a]
+    return [SlotCiphertext(slots, level, params) for slots, level in zip(outs, levels)]
+
+
+def _into(row: np.ndarray, *operands) -> np.ndarray:
+    """Where an op's value lies in its row: the row, or a complex row's real part, imag zeroed."""
+    if row.dtype == float or np.result_type(*operands) == complex:
+        return row
+    row.imag = 0
+    return row.real
+
+
+def _finished(params, out: np.ndarray, terms: int = 1) -> np.ndarray:
+    """A product of terms multiplications finished in out: hesim._finish, or narrowed to out.real."""
+    if params.noise_stddev == 0 and out.dtype == complex and not out.imag.any():
+        out.imag = 0
+        return out.real
+    return _finish(params, out, terms)
 
 
 def mul_by_int_additively(e, c: int):
@@ -346,13 +383,11 @@ def mul_by_int_additively(e, c: int):
 def eval_plans(x, plans, extra_scale: float = 1.0) -> list:
     """Apply a sequence of fitted plans on one interval [0, B] to the ciphertext x, in plan order.
 
-    Maps u = 2x/B - 1 once (one level) and builds one power basis of u per
-    distinct schedule; each plan then evaluates its series, coefficients
-    scaled by delta * extra_scale, with its own leaf product and walk: the
-    leaves' plaintext multiplications apply the scale, so it never costs an
-    extra level.  Each finite extra_scale of a plan is scaled and compiled
-    once.  With the noise off, each output is bit for bit what the plan
-    gives alone.
+    One program maps u = 2x/B - 1 once (one level), builds one power basis
+    per distinct schedule, and runs each plan's leaf product and walk on its
+    series, scaled by delta * extra_scale (scaled and compiled once per plan
+    and finite scale): the leaves apply the scale at no level.  With the
+    noise off, each output is bit for bit what the plan gives alone.
     """
     if not plans:
         raise ValueError("eval_plans needs at least one plan")
@@ -363,14 +398,10 @@ def eval_plans(x, plans, extra_scale: float = 1.0) -> list:
         if plan.B != B:
             raise ValueError(f"plans on one input need one interval, "
                              f"not [0, {B}] and [0, {plan.B}]")
-    u = mul_add(x, 2.0 / B, 1.0, subtract=True)
-    bases = {}
-    outs = []
-    for plan in plans:
-        series = _memo(plan, extra_scale, lambda: ChebSeries(
-            plan.series.coeffs * (plan.delta * extra_scale), plan.B))
-        outs.append(eval_ps(series, u, plan_schedule(plan.D), bases))
-    return outs
+    jobs = [(_memo(plan, extra_scale, lambda: ChebSeries(
+        plan.series.coeffs * (plan.delta * extra_scale), plan.B)), plan_schedule(plan.D))
+        for plan in plans]
+    return _evaluate(x, jobs, 2.0 / B)
 
 
 def eval_plan(x, plan: ModPlan, extra_scale: float = 1.0):

@@ -1,27 +1,32 @@
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from modpack import psev
 from modpack.cheb import ChebSeries
 from modpack.hesim import (LevelExhaustedError, OpStats, SimParams, conjugate,
-                           decrypt, encrypt, mul_add, rotate, rotate_batch)
-from modpack.psev import PsSchedule, compute_power_basis, eval_ps
+                           decrypt, encrypt, rotate, rotate_batch)
+from modpack.psev import PsSchedule, eval_ps
 
 P8 = SimParams(n=8, max_level=25)
 
 
-def _leaf(u, coeffs, const=0.0, bases=None):
-    """eval_ps of const + sum_i coeffs[i] T_{i+1}(u) on the schedule (k, 1), k = len(coeffs) + 1.
+def _leaf_series(coeffs, const=0.0):
+    """const + sum_i coeffs[i] T_{i+1}, with a zero T_k term for k = len(coeffs) + 1, on (k, 1)."""
+    return ChebSeries(np.concatenate(([const], coeffs, [0.0])), 1.0), PsSchedule(len(coeffs) + 1, 1)
+
+
+def _leaf(u, coeffs, const=0.0):
+    """eval_ps of _leaf_series on its schedule.
 
     The series' T_k coefficient is 0, so its walk is one leaf (the series
     itself) added to 0 * T_k: with the noise off the output is the leaf's
-    value, and beyond the leaf the walk costs one ct x ct multiplication
-    and three additions ((u - u) + 0, and the sum).
+    value, and beyond the basis and the leaf the walk costs one ct x ct
+    multiplication and three additions ((u - u) + 0, and the sum).
     """
-    series = ChebSeries(np.concatenate(([const], coeffs, [0.0])), 1.0)
-    return eval_ps(series, u, PsSchedule(len(coeffs) + 1, 1), bases)
+    series, sched = _leaf_series(coeffs, const)
+    return eval_ps(series, u, sched)
 
 
 def test_encrypt_pads_and_sets_level():
@@ -400,11 +405,21 @@ def test_stats_count_without_being_passed():
     assert SimParams(n=8).stats.mults == 0
 
 
-def _per_term(u, bs, gs, coeffs, const):
-    """_leaf's walk by the operators: the leaf term by term, over the basis (bs, gs)."""
+def _powers(u, k):
+    """T_1..T_k of u by the operators, in the order and split psev's basis steps use."""
+    bs = [u]
+    for j in range(2, k + 1):
+        p = bs[(j + 1) // 2 - 1] * bs[j // 2 - 1]
+        bs.append(p + p - (1.0 if j % 2 == 0 else u))
+    return bs
+
+
+def _per_term(u, coeffs, const):
+    """_leaf by the operators: the basis, then the leaf term by term."""
+    bs = _powers(u, len(coeffs) + 1)
     terms = [bs[i] * c for i, c in enumerate(coeffs) if c != 0.0]
     leaf = sum(terms[1:], terms[0])
-    return ((u - u) + 0.0) * gs[0] + (leaf + const if const != 0.0 else leaf)
+    return ((u - u) + 0.0) * bs[-1] + (leaf + const if const != 0.0 else leaf)
 
 
 # (coefficients of T_1..T_5, constant, (plaintext mults, adds) of the leaf)
@@ -413,19 +428,14 @@ COST_LEAVES = [([2.0, 0.0, -1.5, 0.0, 0.0], 0.25, (2, 2)), ([0.0, 0.0, 0.0, 4.0,
 
 def _leaves_and_per_term(message):
     """Each COST_LEAVES leaf by _leaf and by _per_term: (ct, plain, adds, level, dtype) and slots."""
-    sched = PsSchedule(6, 1)
     runs = []
     for coeffs, const, _ in COST_LEAVES:
         for evaluate in (_leaf, _per_term):
             params = SimParams(n=8, max_level=9)
-            u = encrypt(message, params)
-            bs, gs, block = compute_power_basis(u, sched)
-            before = OpStats(**vars(params.stats))
-            out = (_leaf(u, coeffs, const, {sched: (bs, gs, block)}) if evaluate is _leaf
-                   else _per_term(u, bs, gs, coeffs, const))
+            out = evaluate(encrypt(message, params), coeffs, const)
             stats = params.stats
-            runs.append(((stats.ct_mults - before.ct_mults, stats.plain_mults - before.plain_mults,
-                          stats.adds - before.adds, out.level, out.slots.dtype), out.slots))
+            runs.append(((stats.ct_mults, stats.plain_mults, stats.adds, out.level, out.slots.dtype),
+                         out.slots))
     return zip(runs[::2], runs[1::2])
 
 
@@ -435,10 +445,11 @@ def test_lincomb_costs_what_the_per_term_operators_cost():
     # coefficient and an addition per further term and for a nonzero
     # constant.  The zero T_2, T_4 and T_5 terms of the first leaf, and the
     # missing constant of the second (one term: no addition), cost nothing.
+    # The basis costs its five products and ten additions.
     message = np.random.default_rng(8).uniform(-1, 1, 8)
     for (_, _, (mults, adds)), ((got, got_slots), (want, want_slots)) in zip(
             COST_LEAVES, _leaves_and_per_term(message)):
-        assert got == want and got[:3] == (1, mults, 3 + adds)
+        assert got == want and got[:3] == (1 + 5, mults, 3 + 10 + adds)
         assert got[4] == np.float64
         assert np.max(np.abs(got_slots - want_slots)) <= 1e-14
 
@@ -460,31 +471,27 @@ NOISE_CONSTS = [0.0, -0.75, 0.5]
 
 
 def _lincomb_residuals(seed):
-    """Each NOISE_COEFFS leaf's _leaf at n=2^15 on one generator, noise on minus noise off.
+    """Each NOISE_COEFFS leaf's series evaluated twice in one program at n=2^15: first minus second.
 
-    The basis is built with the noise off, so a residual holds the walk's
-    own noise: the draw after the 0 * T_6 product, of variance sigma^2, and
-    the leaf's one draw of variance t*sigma^2.
+    The two evaluations share one noisy basis, so a residual holds twice
+    the walk's own noise: the draw after the 0 * T_6 product, of variance
+    sigma^2, and the leaf's one draw of variance t*sigma^2.
     """
     data = np.random.default_rng(7).uniform(-1, 1, 2**15)
-    sched = PsSchedule(6, 1)
-    outs = []
-    for sigma in (SIGMA, 0.0):
-        params = SimParams(n=2**15, max_level=4, noise_stddev=sigma, seed=seed)
-        bases = {sched: compute_power_basis(encrypt(data, SimParams(n=2**15, max_level=4)), sched)}
-        u = encrypt(data, params)
-        outs.append([_leaf(u, c, k, bases).slots for c, k in zip(NOISE_COEFFS, NOISE_CONSTS)])
-    return [noisy - exact for noisy, exact in zip(*outs)]
+    u = encrypt(data, SimParams(n=2**15, max_level=4, noise_stddev=SIGMA, seed=seed))
+    outs = psev._evaluate(u, [_leaf_series(c, k) for c, k in zip(NOISE_COEFFS, NOISE_CONSTS)
+                              for _ in range(2)])
+    return [a.slots - b.slots for a, b in zip(outs[::2], outs[1::2])]
 
 
 def test_lincomb_row_noise_is_one_draw_of_variance_t_sigma_squared():
     # a t-term leaf's noise is distributed as the sum of t per-term draws:
     # variance t*sigma^2 in each slot's real and imaginary part, on top of the
-    # product's sigma^2
+    # product's sigma^2, twice in a residual
     for coeffs, residual in zip(NOISE_COEFFS, _lincomb_residuals(seed=5)):
         t = np.count_nonzero(coeffs)
         for part in (residual.real, residual.imag):
-            assert abs(np.var(part) / ((1 + t) * SIGMA**2) - 1) < 0.03, t
+            assert abs(np.var(part) / (2 * (1 + t) * SIGMA**2) - 1) < 0.03, t
 
 
 def test_lincomb_rows_draw_uncorrelated_noise():
@@ -514,8 +521,8 @@ def test_lincomb_noise_is_fixed_by_the_seed():
 
 
 def test_lincomb_real_stack_matches_complex_stack():
-    # A complex basis block runs the leaf product as a real product over its
-    # interleaved parts, and gives the real block's bits: a real input
+    # A complex buffer runs the leaf product as a real product over its
+    # interleaved parts, and gives the real buffer's bits: a real input
     # stored as complex128 narrows back to float64.  Every leaf, over real,
     # complex-stored and complex slots, is also bit for bit the two-pass
     # reference: the product of the baby steps alone, then the constant
@@ -528,19 +535,18 @@ def test_lincomb_real_stack_matches_complex_stack():
     coeffs[:, 0] = 0.25
     consts = rng.uniform(-1, 1, 6)
     consts[1], consts[4] = 0.0, -2.5
-    sched = PsSchedule(6, 1)
     leaves = {}
     for name, message in inputs.items():
         outs = []
         for c, const in zip(coeffs, consts.tolist()):
-            bs, gs, block = compute_power_basis(encrypt(message, SimParams(n=64, max_level=4)), sched)
-            stack = np.stack([t.slots for t in bs[:5]])
+            u = encrypt(message, SimParams(n=64, max_level=4))
+            stack = np.stack([t.slots for t in _powers(u, 5)])
             product = ((c @ stack.view(float)).view(complex) if np.iscomplexobj(stack)
                        else c @ stack)
             want = product + const
             if np.iscomplexobj(want) and not want.imag.any():
                 want = want.real  # an exact leaf with no imaginary part narrows
-            got = _leaf(bs[0], c, const, {sched: (bs, gs, block)})
+            got = _leaf(u, c, const)
             assert got.slots.dtype == want.dtype and got.slots.tobytes() == want.tobytes(), name
             outs.append((got.slots, got.level))
         leaves[name] = outs
@@ -550,23 +556,27 @@ def test_lincomb_real_stack_matches_complex_stack():
     assert {slots.dtype for slots, _ in leaves["mixed"]} == {np.dtype(np.complex128)}
 
 
-def test_lincomb_exhausts_on_a_nonzero_level_zero_term():
+def test_lincomb_exhausts_on_a_nonzero_level_zero_term(monkeypatch):
     # A leaf sits at its top baby step's level: T_3 at level 0 exhausts a
     # leaf that uses it and raises before any arithmetic, and a leaf of lower
     # degree is unaffected.  compute_power_basis never leaves a leaf's term
-    # below the giant steps, so the basis here is edited.
-    sched = PsSchedule(4, 1)
+    # below the giant steps, so its steps here end with one more: T_3 times
+    # 1.0, which spends T_3's last level.
+    basis = psev.compute_power_basis
+    monkeypatch.setattr(psev, "compute_power_basis", lambda sched, base: (
+        basis(sched, base) + [("mul", base + 2, base + 2, 1.0)]))
     params = SimParams(n=4, max_level=3, noise_stddev=1e-9, seed=0)
     u = encrypt([0.5, -0.25], params)
-    bs, gs, block = compute_power_basis(u, sched)
-    bs = bs[:2] + [replace(bs[2], level=0)] + bs[3:]
-    assert _leaf(u, [3.0, 1.0, 0.0], bases={sched: (bs, gs, block)}).level == 0
+    assert _leaf(u, [3.0, 1.0, 0.0]).level == 0
     before, state = OpStats(**vars(params.stats)), params.rng.bit_generator.state
     with pytest.raises(LevelExhaustedError):
-        _leaf(u, [3.0, 0.0, 1.0], bases={sched: (bs, gs, block)})
+        _leaf(u, [3.0, 0.0, 1.0])
     assert params.rng.bit_generator.state == state  # no noise drawn
-    # the ops before the leaf in walk order are charged: (u - u) + 0, times T_4
-    assert (params.stats.ct_mults - before.ct_mults, params.stats.adds - before.adds) == (1, 2)
+    # the steps before the leaf are charged: the basis (three products, six
+    # additions and the edit's plaintext product), then (u - u) + 0, times T_4
+    stats = params.stats
+    assert (stats.ct_mults - before.ct_mults, stats.plain_mults - before.plain_mults,
+            stats.adds - before.adds) == (3 + 1, 1, 6 + 2)
 
 
 def test_params_validation():
@@ -605,47 +615,65 @@ MUL_ADD_CASES = [  # (a, b, c): "r" a real ct, "z" a complex ct, a float a plain
     ("r", "r", 1.0), ("r", "r", "r"), ("r", "r", "z"), ("z", "r", 1.0), ("r", "z", "r"),
     ("r", 0.75, 1.0), ("z", 0.75, None), ("r", "r", None), ("z", "z", "z"),
 ]
+MUL_ADD_LEVELS = {"a": 9, "b": 7, "c": 5}
+
+
+def _mul_add_operand(kind, name, x, steps=None, row=None):
+    """Operand `name` of a MUL_ADD_CASES case, from x = i*t at level 12: a complex x or a
+    real x*x, times 1.0 down to its level; by the operators, or as program steps into row."""
+    if not isinstance(kind, str):
+        return kind
+    spend = 12 - (kind == "r") - MUL_ADD_LEVELS[name]
+    if steps is not None:
+        steps += [("mul", row, 0, 0) if kind == "r" else ("copy", row, 0, None)]
+        steps += [("mul", row, row, 1.0)] * spend
+        return row
+    v = x * x if kind == "r" else x
+    for _ in range(spend):
+        v = v * 1.0
+    return v
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-9])
 @pytest.mark.parametrize("double,subtract", [(False, False), (True, True), (True, False)])
 @pytest.mark.parametrize("a,b,c", MUL_ADD_CASES)
 def test_mul_add_is_the_operators_bit_for_bit(a, b, c, double, subtract, sigma):
-    # (a * b), doubled as p + p, then ± c: the same bytes, dtype, level, counts
-    # and noise draws, with or without a buffer, of the right dtype or not.
-    rng = np.random.default_rng(8)
-    values = {"r": rng.uniform(-1, 1, 8), "z": rng.uniform(-1, 1, 8) + 0.5j}
-    levels = {"a": 9, "b": 7, "c": 5}
-
-    def operand(kind, name, params):
-        if not isinstance(kind, str):
-            return kind
-        return replace(encrypt(values[kind], params), level=levels[name])
-
+    # A program's product, doubling and +- c steps, as the power basis and
+    # the domain map use them, are (a * b), p + p, then +- c by the
+    # operators: the same bytes, dtype, level, counts and noise draws.  The
+    # input is complex, so its one buffer is: a real operand or result lies
+    # in its row's real part, and a real row meets complex operands.
+    t = np.random.default_rng(8).uniform(0.5, 1, 8)
     runs = []
-    for fused, out in [(False, None), (True, None), (True, np.float64), (True, complex)]:
+    for program in (False, True):
         params = SimParams(n=8, max_level=12, noise_stddev=sigma, seed=2, stats=OpStats())
-        x, y, z = (operand(k, name, params) for k, name in ((a, "a"), (b, "b"), (c, "c")))
-        if fused:
-            buf = None if out is None else np.empty(8, out)
-            got = mul_add(x, y, z, double=double, subtract=subtract, out=buf)
-            # the result stays in the buffer while every step's dtype is the buffer's
-            kept = buf is not None and buf.dtype == got.slots.dtype == np.result_type(
-                x.slots, x._operand(y))
-            assert got.slots is buf if kept else got.slots.base is None
+        x = encrypt(1j * t, params)
+        steps = [] if program else None
+        x_, y, z = (_mul_add_operand(k, name, x, steps, row)
+                    for row, (k, name) in enumerate(((a, "a"), (b, "b"), (c, "c")), start=1))
+        if program:
+            steps.append(("mul", 4, x_, y))
+            steps += [("add", 4, 4, 4)] if double else []
+            steps += [] if z is None else [("sub" if subtract else "add", 4, 4, z)]
+            (got,) = psev._execute(x, steps + [("out", 0, 4, None)], 5)
         else:
-            got = x * y
+            got = x_ * y
             got = got + got if double else got
             got = got if z is None else got - z if subtract else got + z
         runs.append((got.slots.tobytes(), got.slots.dtype, got.level, params.stats))
-    assert all(run == runs[0] for run in runs[1:])
+    assert runs[0] == runs[1]
 
 
 def test_mul_add_without_a_product_adds_over_a_s_buffer():
+    # A program's doubling and sum with no product, as a walk's sum over
+    # its quotient's row: a + a + c at c's level, two additions, the
+    # input only read.
     stats = OpStats()
     params = SimParams(n=8, stats=stats)
-    a, c = encrypt(np.arange(8.0), params), encrypt(np.ones(8), params) * 3.0
-    buf = a.slots
-    got = mul_add(a, c=c, double=True)
-    assert got.slots is buf and np.array_equal(got.slots, 2 * np.arange(8.0) + 3.0)
-    assert got.level == c.level and (stats.adds, stats.plain_mults) == (2, 1)
+    x = encrypt(np.arange(8.0), params)
+    steps = [("copy", 1, 0, None), ("mul", 2, 0, 0.0), ("add", 2, 2, 3.0),
+             ("add", 1, 1, 1), ("add", 1, 1, 2), ("out", 0, 1, None)]
+    (got,) = psev._execute(x, steps, 3)
+    assert np.array_equal(got.slots, 2 * np.arange(8.0) + 3.0)
+    assert np.array_equal(x.slots, np.arange(8.0))
+    assert got.level == 24 and (stats.adds, stats.plain_mults) == (3, 1)

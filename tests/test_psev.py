@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,58 +39,69 @@ def test_plan_schedule_capacity_covers_degree():
         assert sched.k == max(1, round(np.sqrt(D / 2)))
 
 
+def basis_of(u, sched):
+    """compute_power_basis's steps run on u: baby steps T_1..T_k, giant steps T_k..T_{k*2^(m-1)}."""
+    k, m = sched.k, sched.m
+    rows = list(range(1, k + 1)) + list(range(k + 2, k + m + 1))
+    outs = psev._execute(u, compute_power_basis(sched, 1)
+                         + [("out", i, row, None) for i, row in enumerate(rows)], 1 + k + m)
+    return outs[:k], outs[k - 1:]
+
+
 def test_power_basis_plaintext_values():
     # one noise-off slot: exact arithmetic on the plaintext 0.5
     sched = PsSchedule(k=3, m=2)
-    bs, gs, _ = compute_power_basis(encrypt([0.5], SimParams(n=1)), sched)
+    bs, gs = basis_of(encrypt([0.5], SimParams(n=1)), sched)
     assert [decrypt(t)[0].real for t in bs] == pytest.approx([0.5, -0.5, -1.0])
     assert gs[0] is bs[sched.k - 1]  # both are T_k(u)
+    # T_j sits ceil(log2 j) levels below u, and each step counts once
+    assert [t.level for t in bs + gs[1:]] == [25, 24, 23, 22]
+    assert (bs[0].params.stats.ct_mults, bs[0].params.stats.adds) == (3, 6)
 
 
 def recording_matmul(monkeypatch):
-    """The second operand of every np.matmul call, recorded while the call runs on."""
-    operands = []
+    """Each np.matmul call's second operand, out and a copy of that operand, as the call runs on."""
+    calls = []
     matmul = np.matmul
 
     def recording(a, b, *args, **kwargs):
-        operands.append(b)
+        calls.append((b, kwargs.get("out"), b.copy()))
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recording)
-    return operands
+    return calls
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-9])
 @pytest.mark.parametrize("kind", ["real", "complex_zero_imag", "complex"])
 @pytest.mark.parametrize("k", [1, 4])
 def test_power_basis_block_is_the_leaf_operand(monkeypatch, k, kind, sigma):
-    # The block holds u (a copy), T_2..T_k and ones; it is complex with the
-    # noise on and k > 1, else u's dtype, and a narrowed noise-off step of a
-    # complex u is copied back into its row.  eval_ps's leaf product reads
-    # that very block without a copy: each block of its columns is a view of
-    # it, 4 blocks of 2 slots for a real noise-off evaluation at width 2,
-    # else one block of all 8.
+    # The leaf product reads a region's first k+1 rows of the one buffer in
+    # place: u (a copy), T_2..T_k as the basis steps left them, and ones.
+    # The buffer is complex with the noise on or a complex u, else real; a
+    # real value in a complex row lies in its real part, the imaginary part
+    # zeroed, as in a stack of the basis values.  At width 2, a real
+    # noise-off evaluation runs 4 blocks of 2 slots, else one block of all
+    # 8; at k = 1 every leaf is a constant, and no leaf product runs.  u is
+    # only read.
     ts = np.linspace(-1, 1, 8)
     message = {"real": ts, "complex_zero_imag": ts + 0j, "complex": ts * np.exp(0.3j) * 0.9}[kind]
     sched = PsSchedule(k=k, m=2)
+    bs, _ = basis_of(encrypt(message, SimParams(n=8, noise_stddev=sigma, seed=2)), sched)
+    stack = np.array([t.slots for t in bs] + [np.ones(8)])
     u = encrypt(message, SimParams(n=8, noise_stddev=sigma, seed=2))
-    bs, gs, block = compute_power_basis(u, sched)
-    assert block.shape == (k + 1, 8)
-    assert block.dtype == (complex if sigma and k > 1 else u.slots.dtype)
-    assert not np.shares_memory(block, u.slots) and np.array_equal(block[0], u.slots)
-    for row, t in zip(block[1:-1], bs[1:], strict=True):
-        assert np.array_equal(row, t.slots)
-    assert np.all(block[-1] == 1.0)
     monkeypatch.setattr(psev, "BLOCK_SLOTS", 2)
-    operands = recording_matmul(monkeypatch)
-    series = unit_series(np.random.default_rng(k).uniform(-1, 1, sched.capacity + 1))
-    bases = {}
-    eval_ps(series, u, sched, bases)
-    eval_ps(series, u, sched, {sched: (bs, gs, block)})
-    blocks = 4 if sigma == 0 and kind == "real" else 1
-    assert len(operands) == 2 * blocks
-    for operand, owner in zip(operands, [bases[sched][2]] * blocks + [block] * blocks):
-        assert operand.base is owner and operand.nbytes == owner.nbytes // blocks
+    calls = recording_matmul(monkeypatch)
+    eval_ps(unit_series(np.random.default_rng(k).uniform(-1, 1, sched.capacity + 1)), u, sched)
+    wide = sigma > 0 or kind != "real"
+    assert len(calls) == (0 if k == 1 else 1 if wide else 4)
+    for i, (operand, out, values) in enumerate(calls):
+        assert operand.base is out.base is not None  # rows of the one buffer
+        rows = values.view(complex) if wide else values
+        w = rows.shape[1]
+        assert rows.shape == (k + 1, w) and rows.dtype == (complex if wide else float)
+        assert rows.tobytes() == stack[:, i * w : (i + 1) * w].astype(rows.dtype).tobytes()
+    assert np.array_equal(u.slots, message)
 
 
 def test_power_basis_on_simulator_matches_oracle():
@@ -97,7 +109,7 @@ def test_power_basis_on_simulator_matches_oracle():
     u_vals = np.linspace(-1, 1, 16)
     u = encrypt(u_vals, params)
     sched = PsSchedule(k=10, m=5)
-    bs, gs, _ = compute_power_basis(u, sched)
+    bs, gs = basis_of(u, sched)
     for i, element in enumerate(bs, start=1):
         assert np.max(np.abs(decrypt(element).real - cheb_T(i, u_vals))) <= 1e-9
     for j, element in enumerate(gs):
@@ -347,10 +359,10 @@ def test_oracle_equivalence_sample():
 
 def _reference_eval_ps(coeffs, u, sched):
     """The evaluator with a per-term operator leaf: each baby step times its
-    coefficient, summed term by term.  The tree and power basis are psev's."""
+    coefficient, summed term by term, over the operators' power basis."""
     if _degree(coeffs) == 0:
         return (u - u) + float(coeffs[0])
-    bs, gs, _ = compute_power_basis(u, sched)
+    bs, gs = _operator_basis(u, sched)
     g = np.zeros(sched.capacity + 1)
     g[: coeffs.size] = coeffs
 
@@ -676,21 +688,23 @@ def _operator_walk(walk, u, gs, leaves):
     return stack.pop()
 
 
-def _operator_eval_ps(series, u, sched, bases):
-    """eval_ps by the operators: operator basis, per-op walk, leaves from one copied stack."""
+def _operator_eval_ps(series, u, sched, bases=None):
+    """eval_ps by the operators: operator basis (one per schedule in `bases`), per-op walk,
+    leaves from one copied stack."""
     walk, C, _ = psev._compile(series, sched)
     if C is None:
         return (u - u) + walk
+    bases = {} if bases is None else bases
     if sched not in bases:
         bases[sched] = _operator_basis(u, sched)
     bs, gs = bases[sched]
     return _operator_walk(walk, u, gs, _operator_leaves(bs, C))
 
 
-def _operator_eval_plans(x, plans):
+def _operator_eval_plans(x, plans, scale=1.0):
     u = x * (2.0 / plans[0].B) - 1.0
     bases = {}
-    return [_operator_eval_ps(ChebSeries(plan.series.coeffs * plan.delta, plan.B), u,
+    return [_operator_eval_ps(ChebSeries(plan.series.coeffs * (plan.delta * scale), plan.B), u,
                               plan_schedule(plan.D), bases) for plan in plans]
 
 
@@ -704,25 +718,33 @@ TABLE_DEGREES = sorted(set(range(35, 51)) | {90} | set(range(96, 257)) | {400})
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-9])
-def test_in_place_evaluator_is_the_operator_evaluator_bit_for_bit(sigma):
-    # eval_plan at every table degree (random series), and eval_plans of the
-    # CRT triple on one basis, give the operator evaluator's slot bytes,
-    # dtypes, levels and OpStats, noise draws included; no output is a view
-    # of a leaf product (at D=256 the walk's root lands in a leaf's row).
+@pytest.mark.parametrize("kind", ["real", "complex_zero_imag", "complex"])
+def test_in_place_evaluator_is_the_operator_evaluator_bit_for_bit(kind, sigma):
+    # eval_plan at every table degree (random series), eval_plans of the CRT
+    # triple on one basis, of a group that mixes constant plans with fitted
+    # ones, and of the triple at extra_scale 0 (every plan a constant), give
+    # the operator evaluator's slot bytes, dtypes, levels and OpStats, noise
+    # draws included; no output is a view of the program's buffer.  A
+    # complex x runs as one complex block, whose rows hold the real values
+    # of a narrowed map (complex_zero_imag) in their real parts.
     rng = np.random.default_rng(25)
     B = 139
     xs = rng.uniform(0, B, 64)
-    groups = [[ModPlan(None, B, D, 2.0, 0.0, ChebSeries(_ledger_series(D, "random", rng), B))]
-              for D in TABLE_DEGREES]
-    groups.append([fit_modp(p, B, 210, 100.0) for p in (4, 5, 7)])
-    for group in groups:
+    xs = {"real": xs, "complex_zero_imag": xs + 0j, "complex": xs * np.exp(0.01j)}[kind]
+    triple = [fit_modp(p, B, 210, 100.0) for p in (4, 5, 7)]
+    constant = [ModPlan(None, B, D, 2.0, 0.0, ChebSeries(np.eye(D + 1)[0] * -0.375, B))
+                for D in (210, 3)]
+    cases = [([ModPlan(None, B, D, 2.0, 0.0, ChebSeries(_ledger_series(D, "random", rng), B))], 1.0)
+             for D in TABLE_DEGREES]
+    cases += [(triple, 1.0), ([constant[0], triple[0], constant[1], triple[1]], 1.0), (triple, 0.0)]
+    for group, scale in cases:
         runs = []
         for evaluate in (eval_plans, _operator_eval_plans):
             params = SimParams(n=64, max_level=12, noise_stddev=sigma, seed=1, stats=OpStats())
-            outs = evaluate(encrypt(xs, params), group)
+            outs = evaluate(encrypt(xs, params), group, scale)
             assert all(out.slots.base is None for out in outs)
             runs.append(_ran(outs, params))
-        assert runs[0] == runs[1], [plan.D for plan in group]
+        assert runs[0] == runs[1], ([plan.D for plan in group], scale)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-9])
@@ -740,37 +762,44 @@ def test_in_place_eval_ps_matches_operators_on_every_slot_dtype(D, kind, sigma):
     runs = []
     for evaluate in (eval_ps, _operator_eval_ps):
         params = SimParams(n=16, max_level=12, noise_stddev=sigma, seed=3, stats=OpStats())
-        runs.append(_ran([evaluate(series, encrypt(message, params), plan_schedule(D), {})],
-                         params))
+        runs.append(_ran([evaluate(series, encrypt(message, params), plan_schedule(D))], params))
     assert runs[0] == runs[1]
 
 
 def test_in_place_evaluator_writes_only_its_own_buffers():
-    # Two rounds of the CRT triple's series on one u and one shared basis:
-    # u and the basis (its stack, baby and giant steps) are never written,
-    # the rounds agree, and no output is a view of a basis or leaf stack.
+    # Two rounds of eval_ps of the CRT triple's series on one u, and of
+    # eval_plans of its plans on one x: the inputs are never written, the
+    # rounds agree, and every output is an array of its own, not a view of
+    # the program's buffer.
     plans = [fit_modp(p, 139, 210, 100.0) for p in (4, 5, 7)]
     series = [ChebSeries(plan.series.coeffs * plan.delta, plan.B) for plan in plans]
     sched = plan_schedule(210)
     u = encrypt(np.linspace(-1, 1, 64), SimParams(n=64, max_level=12))
-    u_bytes = u.slots.tobytes()
-    bases = {}
-    first = [eval_ps(s, u, sched, bases) for s in series]
-    ((bs, gs, block),) = bases.values()
-    basis_bytes = [block.tobytes()] + [t.slots.tobytes() for t in bs + gs]
-    second = [eval_ps(s, u, sched, bases) for s in series]
-    assert u.slots.tobytes() == u_bytes
-    assert [block.tobytes()] + [t.slots.tobytes() for t in bs + gs] == basis_bytes
-    assert [o.slots.tobytes() for o in first] == [o.slots.tobytes() for o in second]
-    for out in first + second:
-        assert out.slots.base is None  # not a row of a leaf product
-        assert not any(np.shares_memory(out.slots, t.slots) for t in [u] + bs + gs)
     x = encrypt(np.arange(64.0) % 140, SimParams(n=64, max_level=12))
-    x_bytes = x.slots.tobytes()
-    for _ in range(2):
-        outs = eval_plans(x, plans)
-        assert all(out.slots.base is None for out in outs)
-    assert x.slots.tobytes() == x_bytes
+    inputs = [u.slots.tobytes(), x.slots.tobytes()]
+    first, second = ([eval_ps(s, u, sched) for s in series] + eval_plans(x, plans)
+                     for _ in range(2))
+    assert [u.slots.tobytes(), x.slots.tobytes()] == inputs
+    assert [o.slots.tobytes() for o in first] == [o.slots.tobytes() for o in second]
+    assert all(out.slots.base is None for out in first + second)
+
+
+def test_eval_plan_live_peak_stays_below_a_full_width_basis_block():
+    # The (16, 255, 400) plan at n=2^15 with the noise off, on a warm second
+    # call: the program runs its map, basis, leaves and walk in 4096-slot
+    # blocks of one buffer, so its tracemalloc peak (which repeats exactly)
+    # stays below the 3.75 MiB that a full-width (k+1, n) basis block of its
+    # k = 14 baby steps alone would take.
+    plan = fit_modp(16, 255, 400, 100.0)
+    x = encrypt(np.random.default_rng(31).uniform(0, 255, 2**15), SimParams(n=2**15))
+    eval_plan(x, plan)
+    tracemalloc.start()
+    try:
+        eval_plan(x, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (14 + 1) * 2**15 * 8
 
 
 def test_column_blocks_give_the_full_width_bytes_at_n_2_15(monkeypatch):
