@@ -265,8 +265,8 @@ def rotate_batch(a: SlotCiphertext, steps, sizes) -> list[SlotCiphertext]:
     Each output holds the sizes[k] slots from steps[k] on (wrapping), then
     zeros; it is built in one array, yet costs what the rotation and the mask
     multiplication would: a rotation, a plaintext multiplication, one level
-    and the noise draw.  Stands in for hoisted rotation: the shared
-    precomputation is not modeled, but callers batch their steps here.
+    and the noise draw.  Stands in for hoisted rotation (the shared
+    precomputation is not modeled); the concat stage calls it per output.
     """
     n = a.params.n
     steps = [_whole(s, "rotation step") % n for s in steps]

@@ -9,9 +9,10 @@ layouts, plain tuples of stages, packed in stage order and unpacked
 strictly in reverse.  A concat stage's groups repeat as the input needs.
 
 A stage's unpack returns a generator over its outputs, made one input
-ciphertext's worth at a time.  A check on the call's arguments (a concat
-stage's cycle) runs when unpack is called; a per-ciphertext check
-(capacity, missing plans) runs as its ciphertext is reached.  unpack_stream runs every stage but the last in
+ciphertext's worth at a time, or one output at a time for a concat stage.
+A check on the call's arguments (a concat stage's cycle) runs when unpack
+is called; a per-ciphertext check (capacity, missing plans) runs as its
+ciphertext is reached.  unpack_stream runs every stage but the last in
 full and streams the last, so a caller that keeps a few slots of each
 output, as the CLI does, never holds every full-slot output at once;
 pipeline_unpack collects the stream into a list, for callers that index it.
@@ -71,16 +72,24 @@ def vec_pack(vectors, sizes) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def vec_unpack(ct: SlotCiphertext, sizes) -> list[SlotCiphertext]:
-    """Split a ciphertext concatenating messages of lengths `sizes`; costs one level.
+def _vec_outputs(ct: SlotCiphertext, sizes) -> Iterator[SlotCiphertext]:
+    """The messages of lengths `sizes` in `ct`, each made when drawn; each costs one level.
 
     Output i is the input rotated to its message's start and masked to its
-    length, all d of them from a single rotate_batch call.
+    length by its own rotate_batch call, so a caller that drops each output
+    before drawing the next holds one at a time.  The capacity check runs
+    at the first draw, before any op.
     """
     if sum(sizes) > ct.params.n:
         raise CapacityError(f"sizes occupy {sum(sizes)} slots, only {ct.params.n} available")
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    return rotate_batch(ct, starts, sizes)
+    for start, size in zip(starts, sizes):
+        yield rotate_batch(ct, [start], [size])[0]
+
+
+def vec_unpack(ct: SlotCiphertext, sizes) -> list[SlotCiphertext]:
+    """Split a ciphertext concatenating messages of lengths `sizes`: _vec_outputs as a list."""
+    return list(_vec_outputs(ct, sizes))
 
 
 @dataclass(frozen=True)
@@ -121,8 +130,9 @@ class ConcatStage:
         return out
 
     def unpack(self, cts) -> Iterator[SlotCiphertext]:
+        """Each ciphertext's messages in order, each masked rotation made as it is drawn."""
         groups = self._repeated(len(cts), packed=True)
-        return (v for ct, g in zip(cts, groups) for v in vec_unpack(ct, g))
+        return (v for ct, g in zip(cts, groups) for v in _vec_outputs(ct, g))
 
     def unpacked_lengths(self, lengths) -> list[int]:
         return [s for g in self._repeated(len(lengths), packed=True) for s in g]
@@ -396,8 +406,8 @@ def unpack_stream(cts, layout: tuple) -> Iterator[SlotCiphertext]:
     stage's input list is complete before it starts and every op, level and
     noise draw comes in pipeline_unpack's order.  The last stage's outputs
     are made as the iterator is drawn, one input ciphertext's worth at a
-    time, so a caller that drops each output before drawing the next never
-    holds them all.
+    time (one output at a time for a concat stage), so a caller that drops
+    each output before drawing the next never holds them all.
     """
     current = list(cts)
     for stage in reversed(layout[1:]):

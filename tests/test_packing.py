@@ -6,7 +6,7 @@ import pytest
 
 from modpack import cli
 from modpack.fitting import fit_modp, plan_from_dict, plan_to_dict, save_plan
-from modpack.hesim import OpStats, SimParams, decrypt, encrypt
+from modpack.hesim import OpStats, SimParams, decrypt, encrypt, rotate_batch
 from modpack.packing import (BitStackLayout, CapacityError, ConcatStage,
                              CrtBasis, ImgPairStage, bitstack_pack,
                              bitstack_plan_specs, bitstack_unpack, crt_pack,
@@ -93,6 +93,81 @@ def test_vec_unpack_rotation_budget():
         got = decrypt(out)
         assert np.max(np.abs(got[: len(v)].real - v)) <= 1e-12
         assert np.max(np.abs(got[len(v):])) == 0.0
+
+
+def _concat_case(name, sigma):
+    """(stage, ciphertexts, params) of a concat case, on fresh params at `sigma`, seed 1."""
+    rng = np.random.default_rng(25)
+    if name == "one group":
+        stage, count, n, kind = ConcatStage(((5, 7, 3, 9),)), 1, 32, float
+    elif name == "combine":  # the combine table's 16 x 2000 shape at n=2^15
+        stage, count, n, kind = ConcatStage(((cli.COMBINE_LEN,) * 16,)), 2, 2**15, float
+    else:  # two cycles of three groups, over complex slots
+        stage, count, n, kind = ConcatStage(((4, 2), (3,), (1, 1, 1, 1))), 6, 8, complex
+    vectors = [rng.normal(size=s) * (1j if kind is complex else 1) + rng.normal(size=s)
+               for g in stage.groups * (count // len(stage.groups)) for s in g]
+    params = SimParams(n=n, noise_stddev=sigma, seed=1, stats=OpStats())
+    return stage, [encrypt(v, params) for v in stage.pack(vectors)], params
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-9])
+@pytest.mark.parametrize("name", ["one group", "combine", "groups"])
+def test_concat_stream_is_one_batched_rotation_per_ciphertext(name, sigma):
+    # The concat stage makes each output with its own rotate_batch call as
+    # it is drawn; that gives the bytes, dtypes, levels, op counts and noise
+    # draws of one rotate_batch call over each ciphertext's whole group.
+    stage, cts, params = _concat_case(name, sigma)
+    streamed = list(stage.unpack(cts))
+    _, cts_b, params_b = _concat_case(name, sigma)
+    groups = stage._repeated(len(cts_b), packed=True)
+    assert len(cts) == {"one group": 1, "combine": 2, "groups": 6}[name]
+    batched = [out for ct, g in zip(cts_b, groups)
+               for out in rotate_batch(ct, np.concatenate(([0], np.cumsum(g)[:-1])), g)]
+    assert len(streamed) == len(batched) == sum(map(len, groups))
+    assert [(ct.slots.dtype, ct.level, ct.slots.tobytes()) for ct in streamed] == \
+        [(ct.slots.dtype, ct.level, ct.slots.tobytes()) for ct in batched]
+    assert params.stats == params_b.stats  # every OpStats field
+    assert params.stats.rotations == len(streamed)
+
+
+def test_overfull_concat_group_raises_before_any_op():
+    params = params_with_stats(8)
+    ct = encrypt(np.ones(8), params)
+    with pytest.raises(CapacityError, match="sizes occupy 9 slots, only 8 available"):
+        vec_unpack(ct, (5, 4))
+    stream = ConcatStage(((5, 4),)).unpack([ct])
+    with pytest.raises(CapacityError, match="sizes occupy 9 slots, only 8 available"):
+        next(stream)
+    assert params.stats == OpStats()
+    # A ciphertext whose group fits is unpacked before the next one raises.
+    stream = ConcatStage(((2, 2), (5, 4))).unpack([ct, ct])
+    assert len([next(stream), next(stream)]) == 2
+    with pytest.raises(CapacityError):
+        next(stream)
+    assert params.stats == OpStats(plain_mults=2, rotations=2)
+
+
+def test_concat_stage_holds_one_masked_rotation_at_a_time():
+    # The combine table's 16 x 2000 ciphertext at n=2^15, its outputs drawn
+    # and dropped one by one: the live peak (tracemalloc, which repeats
+    # exactly) stays below three 256-KiB outputs, where one rotate_batch
+    # call over the group would hold all 16 (4 MiB).
+    n, size = 2**15, cli.COMBINE_LEN
+    stage = ConcatStage(((size,) * 16,))
+    rng = np.random.default_rng(26)
+    vectors = [rng.integers(0, 4, size) for _ in range(16)]
+    (ct,) = [encrypt(v, SimParams(n=n)) for v in stage.pack(vectors)]
+    errors = []
+    tracemalloc.start()
+    try:
+        for truth, out in zip(vectors, stage.unpack([ct])):
+            errors.append(np.max(np.abs(out.slots[:size] - truth)))
+            del out
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(errors) == 16 and max(errors) == 0.0
+    assert peak < 3 * n * 8, peak
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +581,7 @@ def test_unpack_stream_runs_earlier_stages_at_call_and_the_last_as_drawn():
     # ImgPair and CRT have run in full; the concat stage has rotated nothing.
     assert params.stats.conjugations == 1 and params.stats.rotations == 0
     first = next(stream)
-    assert params.stats.rotations == 2  # the first group, (4, 4), alone
+    assert params.stats.rotations == 1  # the first output alone, not its group's two
     rest = list(stream)
     assert params.stats.rotations == 6 and len(rest) == 5
     for truth, out in zip(data, [first, *rest]):
