@@ -13,20 +13,17 @@ draw's cost.
 
 An op's result is settled in two halves: `_charge` spends its level
 (raising LevelExhaustedError at level 0) and counts it in OpStats, then
-`_finish` draws a multiplication's noise or narrows it.  The operators
-call both through `SlotCiphertext._op`; psev's evaluator charges a whole
-program first and finishes each product as its arithmetic runs.
+`_finish` draws a multiplication's noise.  The operators call both
+through `SlotCiphertext._op`; psev's evaluator charges a whole program
+first and finishes each product as its arithmetic runs.
 
 Slots are stored as float64 while every slot is real, which halves the
 bytes each op moves, and as complex128 once a complex message, a complex
-operand or a noisy multiplication makes them complex.  They turn back in
-one place: a noise-off multiplication whose complex result has no nonzero
-imaginary part stores it as float64 (psev's program keeps it as its row's
-real part), as the conjugate trick's masks leave ImgPair's unpacked
-halves.  Additions, rotations and conjugations never narrow, and a
-noise-on result stays complex.  Only `encrypt`, `SlotCiphertext._operand`
-and that narrowing pick a dtype; every other op follows numpy's
-promotion, and `decrypt` always returns complex128.
+operand or a noisy multiplication makes them complex.  No op turns them
+back: only `encrypt` and `SlotCiphertext._operand` pick a dtype, every
+other op follows numpy's promotion, and `decrypt` always returns
+complex128.  (packing's ImgPair unpack makes a new float64 ciphertext of
+a half that has no imaginary part.)
 
 A ciphertext's slots are never written once another ciphertext can read
 them.  Only fresh arrays and buffers their caller owns are written in
@@ -106,8 +103,8 @@ class SimParams:
 class SlotCiphertext:
     """Immutable simulated ciphertext: n slots and a remaining level.
 
-    `slots` is float64 while every slot is real and complex128 otherwise;
-    a noise-off multiplication with real results narrows back to float64.
+    `slots` is float64 while every slot is real and complex128 once a
+    complex value or a noisy multiplication reaches them.
     """
 
     slots: np.ndarray
@@ -135,22 +132,20 @@ class SlotCiphertext:
             arr = _zero_padded(arr, self.params.n)
         return arr
 
-    def _op(self, count: str | None, slots: np.ndarray, other=None,
-            adds: int = 0) -> SlotCiphertext:
+    def _op(self, count: str | None, slots: np.ndarray, other=None) -> SlotCiphertext:
         """An operator's result: `_charge` settles its level and OpStats, `_finish` its slots.
 
         The result sits at the lowest level of self and a ciphertext
         `other`.  count names the OpStats counter the op adds to (None adds
         to none); "mults" is a multiplication, counted as ct_mults or
-        plain_mults by its operand, and `adds` more additions are counted
-        with the op.  `slots` must be an array nothing else reads, as every
-        caller's fresh result is.
+        plain_mults by its operand.  `slots` must be an array nothing else
+        reads, as every caller's fresh result is.
         """
         is_ct = isinstance(other, SlotCiphertext)
         level = min(self.level, other.level) if is_ct else self.level
         if count == "mults":
             count = "ct_mults" if is_ct else "plain_mults"
-        level = _charge(self.params, level, count, adds=adds)
+        level = _charge(self.params, level, count)
         if count in _MULTS:
             slots = _finish(self.params, slots)
         return SlotCiphertext(slots, level, self.params)
@@ -214,13 +209,12 @@ def _charge(params: SimParams, level: int, count: str | None, terms: int = 1,
 
 
 def _finish(params: SimParams, slots: np.ndarray, terms: int = 1) -> np.ndarray:
-    """The noise-and-narrowing half of a multiplication of `terms` terms: its result's slots.
+    """The noise half of a multiplication of `terms` terms: its result's slots.
 
     With the noise on, one Gaussian draw of variance terms*sigma^2 per slot
     part, distributed as the sum of a draw per term; complex slots take it
-    in place, real ones become a fresh complex sum.  With it off, complex
-    slots with no nonzero imaginary part narrow to a float64 copy.  `slots`
-    must be an array nothing else reads.
+    in place, real ones become a fresh complex sum.  With it off, `slots`
+    as they are.  `slots` must be an array nothing else reads.
     """
     sigma = params.noise_stddev
     if sigma > 0:
@@ -230,8 +224,6 @@ def _finish(params: SimParams, slots: np.ndarray, terms: int = 1) -> np.ndarray:
             slots += noise
         else:
             slots = slots + noise
-    elif slots.dtype == complex and not slots.imag.any():
-        slots = slots.real.copy()  # an exact product left no imaginary part
     return slots
 
 

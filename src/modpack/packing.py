@@ -155,11 +155,22 @@ def img_pack(a, b) -> np.ndarray:
 
 
 def img_unpack(ct: SlotCiphertext, n1: int, n2: int):
-    """Recover the real-part and imaginary-part messages; one level, one conjugation."""
+    """Recover the real-part and imaginary-part messages; one level, one conjugation.
+
+    The masks leave each half no imaginary part but its noise, so with the
+    noise off a half keeps only its real part, as float64 slots: the stages
+    after it run on real slots.
+    """
     conj = conjugate(ct)
-    mask_re = np.full(n1, 0.5)
-    mask_im = np.full(n2, -0.5j)
-    return (ct + conj) * mask_re, (ct - conj) * mask_im
+    first = _real_part((ct + conj) * np.full(n1, 0.5))
+    return first, _real_part((ct - conj) * np.full(n2, -0.5j))
+
+
+def _real_part(h: SlotCiphertext) -> SlotCiphertext:
+    """h as float64 slots if no slot has a nonzero imaginary part, else h."""
+    if not h.slots.imag.any():
+        return SlotCiphertext(h.slots.real.copy(), h.level, h.params)
+    return h
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,14 @@ values, encrypt them with the noise off: the simulator is then exact.
 Rows.  Row 0 holds u; each schedule has a region of u's copy, T_2..T_k,
 ones and the giant steps past T_k; a plan's leaves and constants take the
 last rows.  The leaf product reads a region's first k+1 rows in place,
-and the walk writes each node over its quotient's row.  A real noise-off
+and the walk writes each node over its quotient's row.  A noise-off
 program runs one column block of BLOCK_SLOTS slots at a time through the
 buffer, allocated once per call, so a block's steps stay in L2 and no
 full-width intermediate exists; each plan's value is copied into its own
-output.  With the noise on, or a complex input, it is one block as wide
-as the slots, so each noise draw and narrowing covers a whole value, and
-a real value lies in its complex row's real part, the imaginary part
-zeroed, as a stack of the operators' values holds it.  Values agree to
+output.  With the noise on it is one block as wide as the slots, so each
+noise draw covers a whole value.  The buffer has one dtype, the one the
+operators' values would all end in: complex for a complex input, or with
+the noise on for a program that multiplies, else float64.  Values agree to
 rounding at any width; at BLOCK_SLOTS, OpenBLAS gives the full-width
 product's bytes (the tests pin this at n=2^15).  The caller's ciphertexts
 are only read.
@@ -60,7 +60,7 @@ from .hesim import SlotCiphertext, _charge, _finish
 
 # Cap on repeated-addition exponents; packing layers stay far below this.
 POW2_ADD_LIMIT = 24
-# Slots per column block of a real noise-off evaluation: a float64 row of
+# Slots per column block of a noise-off evaluation: a float64 row of
 # 32 KiB, so a D=400 block's map, 20 basis rows and about 30 leaf rows
 # (about 1.6 MiB) stay within a 2 MiB L2.
 BLOCK_SLOTS = 4096
@@ -307,14 +307,14 @@ def _settle(steps, level: int, params) -> list:
 def _execute(x, steps, height: int) -> list:
     """The program's outputs on x: the level pass, then the arithmetic pass over height rows.
 
-    A column block starts with x's slots as row 0's value; each value lies in its own row.
+    A column block starts with a copy of x's slots in row 0; each value lies in its own row.
     """
     levels = _settle(steps, x.level, x.params)
     params = x.params
     n, sigma = params.n, params.noise_stddev
-    wide = sigma > 0 or x.slots.dtype == complex
-    w = n if wide else min(BLOCK_SLOTS, n)
-    buf = np.empty((height, w), complex if wide else float)
+    noisy = sigma > 0 and any(step[0] in ("mul", "leaf") for step in steps)
+    w = n if sigma > 0 else min(BLOCK_SLOTS, n)
+    buf = np.empty((height, w), complex if noisy or x.slots.dtype == complex else float)
     outs = [None] * len(levels)
     block, rows = buf, list(buf)
     for s in range(0, n, w):
@@ -322,46 +322,25 @@ def _execute(x, steps, height: int) -> list:
             block = buf[:, : n - s]
             rows = list(block)
         floats = block.view(float)  # a complex leaf product runs over interleaved parts
-        vals = rows.copy()
-        vals[0] = x.slots[s : s + w]
+        rows[0][...] = x.slots[s : s + w]
         for op, d, a, b in steps:
             if op in _UFUNCS:
-                p, q = vals[a], vals[b] if type(b) is int else b
-                # a real block's values are its rows; a noisy product lies in its complex row
-                out = rows[d] if not wide or sigma and op == "mul" else _into(rows[d], p, q)
-                vals[d] = _UFUNCS[op](p, q, out=out)
-                if wide and op == "mul":
-                    vals[d] = _finished(params, out)
+                _UFUNCS[op](rows[a], rows[b] if type(b) is int else b, out=rows[d])
+                if noisy and op == "mul":
+                    _finish(params, rows[d])
             elif op == "leaf":
-                if wide:
-                    vals[d] = _finished(params, rows[d], b[0])
+                if noisy:
+                    _finish(params, rows[d], b[0])
             elif op == "gemm":
                 block[a + b.shape[1] - 1] = 1.0
                 np.matmul(b, floats[a : a + b.shape[1]], out=floats[d:])
             elif op == "copy":
-                vals[d] = _into(rows[d], vals[a])
-                vals[d][...] = vals[a]
+                rows[d][...] = rows[a]
             else:
                 if outs[d] is None:
-                    outs[d] = np.empty(n, vals[a].dtype)
-                outs[d][s : s + w] = vals[a]
+                    outs[d] = np.empty(n, buf.dtype)
+                outs[d][s : s + w] = rows[a]
     return [SlotCiphertext(slots, level, params) for slots, level in zip(outs, levels)]
-
-
-def _into(row: np.ndarray, *operands) -> np.ndarray:
-    """Where an op's value lies in its row: the row, or a complex row's real part, imag zeroed."""
-    if row.dtype == float or np.result_type(*operands) == complex:
-        return row
-    row.imag = 0
-    return row.real
-
-
-def _finished(params, out: np.ndarray, terms: int = 1) -> np.ndarray:
-    """A product of terms multiplications finished in out: hesim._finish, or narrowed to out.real."""
-    if params.noise_stddev == 0 and out.dtype == complex and not out.imag.any():
-        out.imag = 0
-        return out.real
-    return _finish(params, out, terms)
 
 
 def mul_by_int_additively(e, c: int):

@@ -99,26 +99,19 @@ def test_noisy_multiplication_makes_slots_complex128():
     a = _real_ct(SimParams(n=8, noise_stddev=1e-9, seed=1))
     assert (a + a).slots.dtype == np.float64  # additions draw no noise
     assert (a * 2.0).slots.dtype == (a * a).slots.dtype == np.complex128
-    # a product with no imaginary part narrows only with the noise off
+    # with the noise on, a product whose exact value is real is complex too
     assert (encrypt([1j], a.params) * 1j).slots.dtype == np.complex128
 
 
 @pytest.mark.parametrize("op", [
-    lambda a: a * np.complex64(2.0), lambda a: (a * 1j) * -1j, lambda a: a * encrypt([1 + 0j], P8),
-    lambda a: (a * 1j) * (a * 1j), lambda a: _leaf(a + 0j, [1.0, 3.0], 0.5),
-    lambda a: rotate_batch(a + 0j, [3], [8])[0],
-], ids=["mul_np_complex64", "mul_back", "ct_mul", "square_of_imaginary", "lincomb",
-        "rotate_batch"])
-def test_noise_off_products_without_imaginary_parts_narrow_to_float64(op):
-    out = op(_real_ct())
-    assert out.slots.dtype == np.float64 and out.slots.flags.owndata
-
-
-@pytest.mark.parametrize("op", [
     lambda a: (a * 1j) * 1j + 0j, lambda a: a + 0j, lambda a: a - [0j], lambda a: -(a + 0j),
-    lambda a: rotate(a + 0j, 3), lambda a: conjugate(a + 0j),
-], ids=["add", "add_scalar", "sub_list", "neg", "rotate", "conjugate"])
-def test_only_multiplications_narrow(op):
+    lambda a: rotate(a + 0j, 3), lambda a: conjugate(a + 0j), lambda a: a * np.complex64(2.0),
+    lambda a: (a * 1j) * -1j, lambda a: a * encrypt([1 + 0j], P8), lambda a: (a * 1j) * (a * 1j),
+    lambda a: _leaf(a + 0j, [1.0, 3.0], 0.5), lambda a: rotate_batch(a + 0j, [3], [8])[0],
+], ids=["add", "add_scalar", "sub_list", "neg", "rotate", "conjugate", "mul_np_complex64",
+        "mul_back", "ct_mul", "square_of_imaginary", "lincomb", "rotate_batch"])
+def test_complex_slots_never_turn_back(op):
+    # No op narrows: a product with no imaginary part stays complex128 too.
     out = op(_real_ct())
     assert out.slots.dtype == np.complex128 and not out.slots.imag.any()
 
@@ -523,10 +516,10 @@ def test_lincomb_noise_is_fixed_by_the_seed():
 def test_lincomb_real_stack_matches_complex_stack():
     # A complex buffer runs the leaf product as a real product over its
     # interleaved parts, and gives the real buffer's bits: a real input
-    # stored as complex128 narrows back to float64.  Every leaf, over real,
-    # complex-stored and complex slots, is also bit for bit the two-pass
-    # reference: the product of the baby steps alone, then the constant
-    # added, zero and negative.
+    # stored as complex128 stays complex128, its real parts the real
+    # stack's bytes.  Every leaf, over real, complex-stored and complex
+    # slots, is also bit for bit the two-pass reference: the product of the
+    # baby steps alone, then the constant added, zero and negative.
     rng = np.random.default_rng(12)
     data, imag = rng.uniform(-1, 1, 64), rng.uniform(-1, 1, 64)
     inputs = {"real": data, "complex": data.astype(complex), "mixed": data + 1j * imag}
@@ -544,15 +537,14 @@ def test_lincomb_real_stack_matches_complex_stack():
             product = ((c @ stack.view(float)).view(complex) if np.iscomplexobj(stack)
                        else c @ stack)
             want = product + const
-            if np.iscomplexobj(want) and not want.imag.any():
-                want = want.real  # an exact leaf with no imaginary part narrows
             got = _leaf(u, c, const)
             assert got.slots.dtype == want.dtype and got.slots.tobytes() == want.tobytes(), name
             outs.append((got.slots, got.level))
         leaves[name] = outs
     for (real, real_level), (cplx, cplx_level) in zip(leaves["real"], leaves["complex"]):
-        assert real.dtype == cplx.dtype == np.float64
-        assert real.tobytes() == cplx.tobytes() and real_level == cplx_level
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert not cplx.imag.any()
+        assert real.tobytes() == cplx.real.tobytes() and real_level == cplx_level
     assert {slots.dtype for slots, _ in leaves["mixed"]} == {np.dtype(np.complex128)}
 
 

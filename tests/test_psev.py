@@ -79,11 +79,10 @@ def test_power_basis_block_is_the_leaf_operand(monkeypatch, k, kind, sigma):
     # The leaf product reads a region's first k+1 rows of the one buffer in
     # place: u (a copy), T_2..T_k as the basis steps left them, and ones.
     # The buffer is complex with the noise on or a complex u, else real; a
-    # real value in a complex row lies in its real part, the imaginary part
-    # zeroed, as in a stack of the basis values.  At width 2, a real
-    # noise-off evaluation runs 4 blocks of 2 slots, else one block of all
-    # 8; at k = 1 every leaf is a constant, and no leaf product runs.  u is
-    # only read.
+    # real value in a complex row has a zero imaginary part, as in a stack
+    # of the basis values.  At width 2, a noise-off evaluation runs 4
+    # blocks of 2 slots, a noise-on one a block of all 8; at k = 1 every
+    # leaf is a constant, and no leaf product runs.  u is only read.
     ts = np.linspace(-1, 1, 8)
     message = {"real": ts, "complex_zero_imag": ts + 0j, "complex": ts * np.exp(0.3j) * 0.9}[kind]
     sched = PsSchedule(k=k, m=2)
@@ -93,13 +92,13 @@ def test_power_basis_block_is_the_leaf_operand(monkeypatch, k, kind, sigma):
     monkeypatch.setattr(psev, "BLOCK_SLOTS", 2)
     calls = recording_matmul(monkeypatch)
     eval_ps(unit_series(np.random.default_rng(k).uniform(-1, 1, sched.capacity + 1)), u, sched)
-    wide = sigma > 0 or kind != "real"
-    assert len(calls) == (0 if k == 1 else 1 if wide else 4)
+    cplx = sigma > 0 or kind != "real"
+    assert len(calls) == (0 if k == 1 else 1 if sigma > 0 else 4)
     for i, (operand, out, values) in enumerate(calls):
         assert operand.base is out.base is not None  # rows of the one buffer
-        rows = values.view(complex) if wide else values
+        rows = values.view(complex) if cplx else values
         w = rows.shape[1]
-        assert rows.shape == (k + 1, w) and rows.dtype == (complex if wide else float)
+        assert rows.shape == (k + 1, w) and rows.dtype == (complex if cplx else float)
         assert rows.tobytes() == stack[:, i * w : (i + 1) * w].astype(rows.dtype).tobytes()
     assert np.array_equal(u.slots, message)
 
@@ -725,8 +724,9 @@ def test_in_place_evaluator_is_the_operator_evaluator_bit_for_bit(kind, sigma):
     # ones, and of the triple at extra_scale 0 (every plan a constant), give
     # the operator evaluator's slot bytes, dtypes, levels and OpStats, noise
     # draws included; no output is a view of the program's buffer.  A
-    # complex x runs as one complex block, whose rows hold the real values
-    # of a narrowed map (complex_zero_imag) in their real parts.
+    # complex x runs in complex blocks, and a complex x with no imaginary
+    # part (complex_zero_imag) stays complex in every step, as with the
+    # operators.
     rng = np.random.default_rng(25)
     B = 139
     xs = rng.uniform(0, B, 64)
@@ -749,11 +749,12 @@ def test_in_place_evaluator_is_the_operator_evaluator_bit_for_bit(kind, sigma):
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-9])
 @pytest.mark.parametrize("kind", ["real", "complex_zero_imag", "complex"])
-@pytest.mark.parametrize("D", [3, 7, 35, 210])
+@pytest.mark.parametrize("D", [0, 3, 7, 35, 210])
 def test_in_place_eval_ps_matches_operators_on_every_slot_dtype(D, kind, sigma):
-    # eval_ps straight on u: a complex u whose products narrow to float64
-    # mixes the steps' dtypes, a noisy real u has complex steps, and D=3
-    # has one baby step (u alone).
+    # eval_ps straight on u: a noisy real u has complex steps, D=3 has one
+    # baby step (u alone), and D=0 is a constant series (on D=1's
+    # schedule), which multiplies nothing, so a noisy real u keeps it
+    # float64.
     rng = np.random.default_rng(D)
     series = unit_series(rng.uniform(-1, 1, D + 1))
     ts = rng.uniform(-1, 1, 16)
@@ -762,7 +763,8 @@ def test_in_place_eval_ps_matches_operators_on_every_slot_dtype(D, kind, sigma):
     runs = []
     for evaluate in (eval_ps, _operator_eval_ps):
         params = SimParams(n=16, max_level=12, noise_stddev=sigma, seed=3, stats=OpStats())
-        runs.append(_ran([evaluate(series, encrypt(message, params), plan_schedule(D))], params))
+        runs.append(_ran([evaluate(series, encrypt(message, params), plan_schedule(max(D, 1)))],
+                         params))
     assert runs[0] == runs[1]
 
 
@@ -802,18 +804,40 @@ def test_eval_plan_live_peak_stays_below_a_full_width_basis_block():
     assert peak < (14 + 1) * 2**15 * 8
 
 
+def test_complex_eval_plans_live_peak_stays_in_column_blocks():
+    # The CRT triple (the D=210 plans for 4, 5 and 7 on [0, 139]) on a
+    # complex input at n=2^15 with the noise off, on a warm second call:
+    # the complex program runs in 4096-slot blocks like a real one, so its
+    # tracemalloc peak is about the three 512 KiB complex outputs plus one
+    # block's buffer, under 6 MiB; run as one full-width complex block, the
+    # same call takes over 20 MiB.
+    plans = [fit_modp(p, 139, 210, 100.0) for p in (4, 5, 7)]
+    xs = np.random.default_rng(32).uniform(0, 139, 2**15) * np.exp(0.2j)
+    x = encrypt(xs, SimParams(n=2**15))
+    eval_plans(x, plans)
+    tracemalloc.start()
+    try:
+        outs = eval_plans(x, plans)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(out.slots.dtype == np.complex128 for out in outs)
+    assert peak < 6 * 2**20
+
+
 def test_column_blocks_give_the_full_width_bytes_at_n_2_15(monkeypatch):
-    # At n=2^15 a real noise-off evaluation runs 8 blocks of 4096 slots; each
-    # table plan (the D=210 triple on [0, 139], (16, 255, 400), (4, 63, 90))
-    # gives the bytes, levels and OpStats of one full-width block.  A noise-on
-    # and a complex noise-off input run as one block at either width.
+    # At n=2^15 a noise-off evaluation, on a real or a complex input, runs 8
+    # blocks of 4096 slots; each table plan (the D=210 triple on [0, 139],
+    # (16, 255, 400), (4, 63, 90)) gives the bytes, levels and OpStats of
+    # one full-width block.  A noise-on input runs as one block at either
+    # width.
     rng = np.random.default_rng(30)
     groups = [[fit_modp(p, 139, 210, 100.0) for p in (4, 5, 7)], [fit_modp(16, 255, 400, 100.0)],
               [fit_modp(4, 63, 90, 100.0)]]
     cases = []
     for group in groups:
         xs = rng.uniform(0, group[0].B, 2**15)
-        cases += [(group, xs, 0.0, len(group) * 8), (group, xs * np.exp(0.2j), 0.0, len(group)),
+        cases += [(group, xs, 0.0, len(group) * 8), (group, xs * np.exp(0.2j), 0.0, len(group) * 8),
                   (group, xs, 1e-9, len(group))]
     operands = recording_matmul(monkeypatch)
     runs = []
